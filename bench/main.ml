@@ -90,11 +90,11 @@ let structures () : structure list =
       s_insert =
         (fun pts ->
           let t = SB.create () in
-          let h = SB.make_hints () in
-          Array.iter (fun p -> ignore (SB.insert ~hints:h t p : bool)) pts;
-          let qh = SB.make_hints () in
+          let s = SB.session t in
+          Array.iter (fun p -> ignore (SB.s_insert s p : bool)) pts;
+          let qs = SB.session t in
           {
-            l_mem = (fun p -> SB.mem ~hints:qh t p);
+            l_mem = (fun p -> SB.s_mem qs p);
             l_scan =
               (fun () ->
                 let n = ref 0 in
@@ -736,7 +736,7 @@ let ablation_locks cfg =
 
 let ablation_specialization cfg =
   let n = scaled cfg 500_000 in
-  pf "\n== Ablation: functor tree vs specialized tuple tree (M ops/s, %d \
+  pf "\n== Ablation: generic vs order-specialised tuple comparator (M ops/s, %d \
       random 2-tuples) ==\n" n;
   let r = Rng.create 31 in
   let keys = Array.init n (fun _ -> [| Rng.int r 100_000; Rng.int r 100_000 |]) in
@@ -773,10 +773,10 @@ let ablation_specialization cfg =
     ~header:[ "tree"; "insert M/s"; "mem M/s" ]
     ~rows:
       [
-        [ "generic functor (indirect compare)";
+        [ "generic Key.Int_array compare";
           Bench_util.fmt_f (Bench_util.mops n gi);
           Bench_util.fmt_f (Bench_util.mops n gm) ];
-        [ "specialized tuples (inlined compare)";
+        [ "tuple tree (order-specialised compare)";
           Bench_util.fmt_f (Bench_util.mops n si);
           Bench_util.fmt_f (Bench_util.mops n sm) ];
       ]

@@ -16,7 +16,9 @@
      pool  — pool.job.raise armed: injected worker faults must surface as
              aggregated [Pool_failure]s (never a dead domain) and the tree
              must stay consistent for the workers that survived;
-     tup   — the hand-specialized tuple B-tree under the same chaos mix;
+     tup   — the tuple B-tree under the same chaos mix (one scenario body
+             serves both trees: a seeded tree, per-key session inserts
+             racing separator-partitioned batch merges);
      serve — a resident datalog_serve instance under connection drops and
              admission-busy faults, driven by concurrent client domains;
      wal   — durability drills: torn WAL appends (wal.write.short) must
@@ -396,6 +398,116 @@ let wal_run ~nkeys ~seed r =
   rm_rf dir2;
   (List.length !acked + List.length !appended, 0)
 
+(* The tree scenarios (opt, pess, pool, tup) run one body over either
+   instance.  Each run seeds a non-empty tree, then every worker does two
+   things in an order that alternates with the worker index: per-key
+   session inserts of its slice of the key stream, and a batch insert of
+   its partition of the rest of the stream — sorted and cut at the tree's
+   separators, exactly as the engine's parallel merge does. *)
+module type TREE = sig
+  include Btree_core.OPS
+
+  val make : capacity:int -> t
+  val gen : key_range:int -> (unit -> int) -> key
+  val show : key -> string
+end
+
+module Int_tree = struct
+  include T
+
+  let make ~capacity = create ~capacity ()
+  let gen ~key_range next = next () mod key_range
+  let show = string_of_int
+end
+
+module Tuple_tree = struct
+  include Btree_tuples
+
+  let make ~capacity = create ~capacity ~arity:2 ~order:[| 0; 1 |] ()
+  let gen ~key_range next = [| next () mod key_range; next () mod 16 |]
+  let show k = Printf.sprintf "[%d,%d]" k.(0) k.(1)
+end
+
+module Tree_run (X : TREE) = struct
+  let run ~domains ~nkeys ~scen ~seed r =
+    let capacity = 4 + (4 * (r mod 3)) in
+    let key_range = max 64 (nkeys / 2) in
+    let st = ref (mix seed 0xABCD) in
+    let keys = Array.init nkeys (fun _ -> X.gen ~key_range (fun () -> rng_next st)) in
+    let tree = X.make ~capacity in
+    let nseed = nkeys / 4 in
+    let nsingle = (nkeys - nseed) / 2 in
+    for i = 0 to nseed - 1 do
+      ignore (X.insert tree keys.(i) : bool)
+    done;
+    let run = Array.sub keys (nseed + nsingle) (nkeys - nseed - nsingle) in
+    Array.sort (X.compare tree) run;
+    let bounds = X.partition tree ~parts:domains run in
+    let part w =
+      if w + 1 < Array.length bounds then (bounds.(w), bounds.(w + 1)) else (0, 0)
+    in
+    let failures = ref 0 in
+    let failed = Array.make domains false in
+    if scen = 1 then X.set_restart_budget 0;
+    Fun.protect
+      ~finally:(fun () -> X.set_restart_budget 16)
+      (fun () ->
+        Pool.with_pool domains (fun pool ->
+            if scen = 2 then Pool.set_watchdog pool 1;
+            try
+              Pool.run pool (fun w ->
+                  let s = X.session tree in
+                  let singles () =
+                    let lo, hi = slice ~workers:domains ~n:nsingle w in
+                    for i = nseed + lo to nseed + hi - 1 do
+                      ignore (X.s_insert s keys.(i) : bool)
+                    done
+                  in
+                  let batch () =
+                    let lo, hi = part w in
+                    ignore (X.s_insert_batch ~pos:lo ~len:(hi - lo) s run : int)
+                  in
+                  if (r + w) land 1 = 0 then (singles (); batch ())
+                  else (batch (); singles ()))
+            with Pool.Pool_failure fs ->
+              incr failures;
+              List.iter
+                (fun f ->
+                  match f.Pool.f_exn with
+                  | Chaos.Injected _ -> failed.(f.Pool.f_worker) <- true
+                  | e ->
+                    failf "worker %d died of a real error: %s" f.Pool.f_worker
+                      (Printexc.to_string e))
+                fs));
+    Chaos.disable ();
+    X.check_invariants tree;
+    (* a failed worker was injected before its job body ran, so its slice
+       and its partition are absent; everything else must be present *)
+    let survivors = ref (Array.to_list (Array.sub keys 0 nseed)) in
+    for w = domains - 1 downto 0 do
+      if not failed.(w) then begin
+        let lo, hi = slice ~workers:domains ~n:nsingle w in
+        let plo, phi = part w in
+        survivors :=
+          Array.to_list (Array.sub keys (nseed + lo) (hi - lo))
+          @ Array.to_list (Array.sub run plo (phi - plo))
+          @ !survivors
+      end
+    done;
+    let surv = Array.of_list !survivors in
+    let expected = distinct_sorted (X.compare tree) surv in
+    let card = X.cardinal tree in
+    if card <> expected then
+      failf "cardinal %d, expected %d distinct surviving keys" card expected;
+    Array.iter
+      (fun k -> if not (X.mem tree k) then failf "surviving key %s missing" (X.show k))
+      surv;
+    (Array.length surv, !failures)
+end
+
+module Int_run = Tree_run (Int_tree)
+module Tuple_run = Tree_run (Tuple_tree)
+
 (* Run one scenario; returns (inserted keys audited, pool failures seen). *)
 let one_run ~domains ~nkeys ~points_override ~seed r =
   let scen = r mod n_scenarios in
@@ -416,128 +528,8 @@ let one_run ~domains ~nkeys ~points_override ~seed r =
   Olock.Backoff.set_seed seed;
   if scen = 4 then serve_run ~domains ~nkeys ~seed r
   else if scen = 5 then wal_run ~nkeys ~seed r
-  else begin
-  let capacity = 4 + (4 * (r mod 3)) in
-  let key_range = max 64 (nkeys / 2) in
-  let st = ref (mix seed 0xABCD) in
-  let failures = ref 0 in
-  let failed = Array.make domains false in
-  let audit_keys = ref 0 in
-  if scen <> 3 then begin
-    (* functor tree over ints *)
-    let keys = Array.init nkeys (fun _ -> rng_next st mod key_range) in
-    let tree = T.create ~capacity () in
-    if scen = 1 then T.set_restart_budget 0;
-    Fun.protect
-      ~finally:(fun () -> T.set_restart_budget 16)
-      (fun () ->
-        Pool.with_pool domains (fun pool ->
-            if scen = 2 then Pool.set_watchdog pool 1;
-            try
-              Pool.run pool (fun w ->
-                  let lo, hi = slice ~workers:domains ~n:nkeys w in
-                  if (r + w) land 1 = 0 then begin
-                    let s = T.session tree in
-                    for i = lo to hi - 1 do
-                      ignore (T.s_insert s keys.(i) : bool)
-                    done
-                  end
-                  else begin
-                    let run = Array.sub keys lo (hi - lo) in
-                    Array.sort compare run;
-                    ignore (T.insert_batch tree run : int)
-                  end)
-            with Pool.Pool_failure fs ->
-              incr failures;
-              List.iter
-                (fun f ->
-                  match f.Pool.f_exn with
-                  | Chaos.Injected _ -> failed.(f.Pool.f_worker) <- true
-                  | e ->
-                    failf "worker %d died of a real error: %s"
-                      f.Pool.f_worker (Printexc.to_string e))
-                fs));
-    Chaos.disable ();
-    T.check_invariants tree;
-    (* a failed worker was injected before its job body ran, so its whole
-       slice is absent; every surviving slice must be fully present *)
-    let survivors = ref [] in
-    for w = domains - 1 downto 0 do
-      if not failed.(w) then begin
-        let lo, hi = slice ~workers:domains ~n:nkeys w in
-        for i = hi - 1 downto lo do
-          survivors := keys.(i) :: !survivors
-        done
-      end
-    done;
-    let surv = Array.of_list !survivors in
-    let expected = distinct_sorted compare surv in
-    let card = T.cardinal tree in
-    if card <> expected then
-      failf "cardinal %d, expected %d distinct surviving keys" card expected;
-    Array.iter
-      (fun k -> if not (T.mem tree k) then failf "surviving key %d missing" k)
-      surv;
-    audit_keys := Array.length surv
-  end
-  else begin
-    (* hand-specialized tuple tree, arity 2 *)
-    let keys =
-      Array.init nkeys (fun _ ->
-          [| rng_next st mod key_range; rng_next st mod 16 |])
-    in
-    let tree = Btree_tuples.create ~capacity ~arity:2 ~order:[| 0; 1 |] () in
-    let cmp = Btree_tuples.compare_tuples tree in
-    Pool.with_pool domains (fun pool ->
-        try
-          Pool.run pool (fun w ->
-              let lo, hi = slice ~workers:domains ~n:nkeys w in
-              if (r + w) land 1 = 0 then begin
-                let s = Btree_tuples.session tree in
-                for i = lo to hi - 1 do
-                  ignore (Btree_tuples.s_insert s keys.(i) : bool)
-                done
-              end
-              else begin
-                let run = Array.sub keys lo (hi - lo) in
-                Array.sort cmp run;
-                ignore (Btree_tuples.insert_batch tree run : int)
-              end)
-        with Pool.Pool_failure fs ->
-          incr failures;
-          List.iter
-            (fun f ->
-              match f.Pool.f_exn with
-              | Chaos.Injected _ -> failed.(f.Pool.f_worker) <- true
-              | e ->
-                failf "worker %d died of a real error: %s" f.Pool.f_worker
-                  (Printexc.to_string e))
-            fs);
-    Chaos.disable ();
-    Btree_tuples.check_invariants tree;
-    let survivors = ref [] in
-    for w = domains - 1 downto 0 do
-      if not failed.(w) then begin
-        let lo, hi = slice ~workers:domains ~n:nkeys w in
-        for i = hi - 1 downto lo do
-          survivors := keys.(i) :: !survivors
-        done
-      end
-    done;
-    let surv = Array.of_list !survivors in
-    let expected = distinct_sorted cmp surv in
-    let card = Btree_tuples.cardinal tree in
-    if card <> expected then
-      failf "cardinal %d, expected %d distinct surviving tuples" card expected;
-    Array.iter
-      (fun k ->
-        if not (Btree_tuples.mem tree k) then
-          failf "surviving tuple [%d,%d] missing" k.(0) k.(1))
-      surv;
-    audit_keys := Array.length surv
-  end;
-  (!audit_keys, !failures)
-  end
+  else if scen = 3 then Tuple_run.run ~domains ~nkeys ~scen ~seed r
+  else Int_run.run ~domains ~nkeys ~scen ~seed r
 
 (* --crash-demo: exercise the post-mortem path end to end.  Phase one
    runs a contended insert under forced validation failures so the rings

@@ -1,791 +1,22 @@
-(* Sequential B-tree: the concurrent tree's structure without any locks.
-
-   Insertion descends from the root (or jumps to the hinted leaf), places the
-   key in a leaf, and resolves overflow by splitting bottom-up through parent
-   pointers — the same shape as the concurrent algorithm so that benchmark
-   differences between the two isolate synchronisation cost, not algorithmic
-   differences. *)
-
-module Make (K : Key.ORDERED) = struct
-  type key = K.t
-
-  type node = {
-    mutable parent : node option;
-    mutable position : int;
-    keys : key array;
-    mutable nkeys : int;
-    children : node array; (* [||] for leaves *)
-    mutable leftmost : bool;
-    mutable rightmost : bool;
-  }
-
-  type t = {
-    mutable root : node; (* == sentinel while empty *)
-    capacity : int;
-    binary : bool;
-  }
-
-  let default_capacity = 24
-
-  let sentinel =
-    {
-      parent = None;
-      position = 0;
-      keys = [||];
-      nkeys = 0;
-      children = [||];
-      leftmost = false;
-      rightmost = false;
-    }
-
-  let is_leaf n = Array.length n.children = 0
-
-  let alloc_leaf t =
-    {
-      parent = None;
-      position = 0;
-      keys = Array.make t.capacity K.dummy;
-      nkeys = 0;
-      children = [||];
-      leftmost = false;
-      rightmost = false;
-    }
-
-  let alloc_inner t =
-    {
-      parent = None;
-      position = 0;
-      keys = Array.make t.capacity K.dummy;
-      nkeys = 0;
-      children = Array.make (t.capacity + 1) sentinel;
-      leftmost = false;
-      rightmost = false;
-    }
-
-  let create ?(capacity = default_capacity) ?(binary_search = false) () =
-    if capacity < 3 then invalid_arg "Btree_seq.create: capacity must be >= 3";
-    { root = sentinel; capacity; binary = binary_search }
-
-  let search_ge_linear keys n key =
-    let rec go i =
-      if i >= n then (n, false)
-      else
-        let c = K.compare key (Array.unsafe_get keys i) in
-        if c > 0 then go (i + 1) else (i, c = 0)
-    in
-    go 0
-
-  let search_ge_binary keys n key =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if K.compare (Array.unsafe_get keys mid) key < 0 then lo := mid + 1
-      else hi := mid
-    done;
-    let i = !lo in
-    (i, i < n && K.compare (Array.unsafe_get keys i) key = 0)
-
-  let search t keys n key =
-    if t.binary then search_ge_binary keys n key else search_ge_linear keys n key
-
-  let search_gt keys n key =
-    let rec go i =
-      if i >= n then n
-      else if K.compare (Array.unsafe_get keys i) key > 0 then i
-      else go (i + 1)
-    in
-    go 0
-
-  (* ---------------- hints ---------------- *)
-
-  type hints = {
-    mutable insert_leaf : node;
-    mutable find_leaf : node;
-    mutable lb_leaf : node;
-    mutable ub_leaf : node;
-    mutable h_insert_hits : int;
-    mutable h_insert_misses : int;
-    mutable h_find_hits : int;
-    mutable h_find_misses : int;
-    mutable h_lb_hits : int;
-    mutable h_lb_misses : int;
-    mutable h_ub_hits : int;
-    mutable h_ub_misses : int;
-  }
-
-  let make_hints () =
-    {
-      insert_leaf = sentinel;
-      find_leaf = sentinel;
-      lb_leaf = sentinel;
-      ub_leaf = sentinel;
-      h_insert_hits = 0;
-      h_insert_misses = 0;
-      h_find_hits = 0;
-      h_find_misses = 0;
-      h_lb_hits = 0;
-      h_lb_misses = 0;
-      h_ub_hits = 0;
-      h_ub_misses = 0;
-    }
-
-  type hint_stats = {
-    insert_hits : int;
-    insert_misses : int;
-    find_hits : int;
-    find_misses : int;
-    lower_bound_hits : int;
-    lower_bound_misses : int;
-    upper_bound_hits : int;
-    upper_bound_misses : int;
-  }
-
-  let hint_stats h =
-    {
-      insert_hits = h.h_insert_hits;
-      insert_misses = h.h_insert_misses;
-      find_hits = h.h_find_hits;
-      find_misses = h.h_find_misses;
-      lower_bound_hits = h.h_lb_hits;
-      lower_bound_misses = h.h_lb_misses;
-      upper_bound_hits = h.h_ub_hits;
-      upper_bound_misses = h.h_ub_misses;
-    }
-
-  let reset_hint_stats h =
-    h.h_insert_hits <- 0;
-    h.h_insert_misses <- 0;
-    h.h_find_hits <- 0;
-    h.h_find_misses <- 0;
-    h.h_lb_hits <- 0;
-    h.h_lb_misses <- 0;
-    h.h_ub_hits <- 0;
-    h.h_ub_misses <- 0
-
-  let covers n key =
-    n.nkeys > 0
-    && (n.leftmost || K.compare n.keys.(0) key <= 0)
-    && (n.rightmost || K.compare key n.keys.(n.nkeys - 1) <= 0)
-
-  (* ---------------- splitting ---------------- *)
-
-  let split_node t node =
-    let cap = t.capacity in
-    let mid = cap / 2 in
-    let median = node.keys.(mid) in
-    let right = if is_leaf node then alloc_leaf t else alloc_inner t in
-    let rcount = cap - mid - 1 in
-    Array.blit node.keys (mid + 1) right.keys 0 rcount;
-    right.nkeys <- rcount;
-    if not (is_leaf node) then begin
-      Array.blit node.children (mid + 1) right.children 0 (rcount + 1);
-      for i = 0 to rcount do
-        let c = right.children.(i) in
-        c.parent <- Some right;
-        c.position <- i
-      done
-    end;
-    node.nkeys <- mid;
-    right.rightmost <- node.rightmost;
-    node.rightmost <- false;
-    (median, right)
-
-  let link_sibling p cur right median =
-    let i = cur.position in
-    let n = p.nkeys in
-    Array.blit p.keys i p.keys (i + 1) (n - i);
-    p.keys.(i) <- median;
-    Array.blit p.children (i + 1) p.children (i + 2) (n - i);
-    p.children.(i + 1) <- right;
-    p.nkeys <- n + 1;
-    right.parent <- Some p;
-    for j = i + 1 to n + 1 do
-      p.children.(j).position <- j
-    done
-
-  (* Split [node] and propagate overflow upward through parent pointers;
-     returns the median that moved up, for the batch path's multi-split. *)
-  let rec split_returning t node =
-    let median, right = split_node t node in
-    (match node.parent with
-    | None ->
-      let new_root = alloc_inner t in
-      new_root.keys.(0) <- median;
-      new_root.nkeys <- 1;
-      new_root.children.(0) <- node;
-      new_root.children.(1) <- right;
-      node.parent <- Some new_root;
-      node.position <- 0;
-      right.parent <- Some new_root;
-      right.position <- 1;
-      t.root <- new_root
-    | Some p ->
-      if p.nkeys >= t.capacity then begin
-        ignore (split_returning t p : key);
-        let q = match node.parent with Some q -> q | None -> assert false in
-        link_sibling q node right median
-      end
-      else link_sibling p node right median);
-    median
-
-  let split t node = ignore (split_returning t node : key)
-
-  (* ---------------- insertion ---------------- *)
-
-  let ensure_root t =
-    if t.root == sentinel then begin
-      let leaf = alloc_leaf t in
-      leaf.leftmost <- true;
-      leaf.rightmost <- true;
-      t.root <- leaf
-    end
-
-  let insert_in_leaf leaf idx key =
-    let n = leaf.nkeys in
-    Array.blit leaf.keys idx leaf.keys (idx + 1) (n - idx);
-    leaf.keys.(idx) <- key;
-    leaf.nkeys <- n + 1
-
-  (* Insert below [leaf], splitting first if full; returns the leaf that
-     finally received the key (after splits the key may belong to the new
-     sibling). *)
-  let rec insert_at_leaf t leaf key =
-    let idx, found = search t leaf.keys leaf.nkeys key in
-    if found then (false, leaf)
-    else if leaf.nkeys >= t.capacity then begin
-      split t leaf;
-      (* the median moved up; re-dispatch between the two halves *)
-      if K.compare key leaf.keys.(leaf.nkeys - 1) < 0 then
-        insert_at_leaf t leaf key
-      else begin
-        (* key >= everything left in [leaf]: walk one step through the parent *)
-        let p = match leaf.parent with Some p -> p | None -> assert false in
-        let i, found = search t p.keys p.nkeys key in
-        if found then (false, leaf)
-        else insert_at_leaf t p.children.(i) key
-      end
-    end
-    else begin
-      insert_in_leaf leaf idx key;
-      (true, leaf)
-    end
-
-  let rec locate_leaf t node key =
-    (* descend to the leaf responsible for [key]; raises [Exit] via caller
-       conventions when the key is found in an inner node *)
-    let idx, found = search t node.keys node.nkeys key in
-    if found then None
-    else if is_leaf node then Some node
-    else locate_leaf t node.children.(idx) key
-
-  let insert_slow t key =
-    match locate_leaf t t.root key with
-    | None -> (false, sentinel) (* duplicate found in an inner node *)
-    | Some leaf -> insert_at_leaf t leaf key
-
-  let insert ?hints t key =
-    ensure_root t;
-    match hints with
-    | None -> fst (insert_slow t key)
-    | Some h ->
-      if h.insert_leaf != sentinel && covers h.insert_leaf key then begin
-        h.h_insert_hits <- h.h_insert_hits + 1;
-        let inserted, leaf = insert_at_leaf t h.insert_leaf key in
-        if leaf != sentinel then h.insert_leaf <- leaf;
-        inserted
-      end
-      else begin
-        h.h_insert_misses <- h.h_insert_misses + 1;
-        let inserted, leaf = insert_slow t key in
-        if leaf != sentinel then h.insert_leaf <- leaf;
-        inserted
-      end
-
-  (* ---------------- batch insertion (sorted runs) ---------------- *)
-
-  (* Sequential mirror of [Btree.Make.insert_batch]: one descent per leaf
-     carries the leaf's exclusive upper bound; the run is consumed up to
-     that bound with bulk gap splices and in-place multi-splits.  No locks
-     and no telemetry, like the rest of this module. *)
-
-  type batch_target = Bt_dup | Bt_leaf of node * key option
-
-  let rec batch_descend t key cur hi =
-    let n = cur.nkeys in
-    let idx, found = search t cur.keys n key in
-    if found then Bt_dup
-    else if is_leaf cur then Bt_leaf (cur, hi)
-    else
-      let hi = if idx < n then Some cur.keys.(idx) else hi in
-      batch_descend t key cur.children.(idx) hi
-
-  let batch_fill t run i0 stop_idx leaf limit0 =
-    let fresh = ref 0 in
-    let i = ref i0 in
-    let limit = ref limit0 in
-    let stop = ref false in
-    while (not !stop) && !i < stop_idx do
-      let key = run.(!i) in
-      let cmp_limit =
-        match !limit with None -> -1 | Some b -> K.compare key b
-      in
-      if cmp_limit = 0 then incr i (* equals a separator: duplicate *)
-      else if cmp_limit > 0 then stop := true
-      else begin
-        let nk = leaf.nkeys in
-        let idx, found = search t leaf.keys nk key in
-        if found then incr i
-        else if nk >= t.capacity then begin
-          let median = split_returning t leaf in
-          if K.compare key median < 0 then limit := Some median
-          else stop := true (* the rest of the run re-descends *)
-        end
-        else begin
-          let gap_hi = if idx < nk then Some leaf.keys.(idx) else !limit in
-          let in_gap k =
-            match gap_hi with None -> true | Some b -> K.compare k b < 0
-          in
-          let room = t.capacity - nk in
-          let j = ref (!i + 1) in
-          while
-            !j - !i < room && !j < stop_idx
-            && K.compare run.(!j - 1) run.(!j) < 0
-            && in_gap run.(!j)
-          do
-            incr j
-          done;
-          let glen = !j - !i in
-          Leaf_pack.splice ~keys:leaf.keys ~nkeys:nk ~at:idx ~src:run
-            ~src_pos:!i ~len:glen;
-          leaf.nkeys <- nk + glen;
-          fresh := !fresh + glen;
-          i := !j
-        end
-      end
-    done;
-    (!i, !fresh)
-
-  let insert_batch ?hints ?(pos = 0) ?len t run =
-    let n = Array.length run in
-    let len = match len with Some l -> l | None -> n - pos in
-    if pos < 0 || len < 0 || pos + len > n then
-      invalid_arg "Btree_seq.insert_batch: invalid range";
-    let stop_idx = pos + len in
-    for k = pos + 1 to stop_idx - 1 do
-      if K.compare run.(k - 1) run.(k) > 0 then
-        invalid_arg "Btree_seq.insert_batch: run not sorted"
-    done;
-    if len = 0 then 0
-    else begin
-      ensure_root t;
-      let fresh = ref 0 in
-      let i = ref pos in
-      while !i < stop_idx do
-        let key = run.(!i) in
-        let hinted =
-          match hints with
-          | Some h when h.insert_leaf != sentinel && covers h.insert_leaf key
-            ->
-            let leaf = h.insert_leaf in
-            let nk = leaf.nkeys in
-            let limit =
-              if leaf.rightmost then None else Some leaf.keys.(nk - 1)
-            in
-            Some (leaf, limit)
-          | _ -> None
-        in
-        let target =
-          match hinted with
-          | Some tgt ->
-            (match hints with
-            | Some h -> h.h_insert_hits <- h.h_insert_hits + 1
-            | None -> ());
-            Some tgt
-          | None ->
-            (match hints with
-            | Some h -> h.h_insert_misses <- h.h_insert_misses + 1
-            | None -> ());
-            (match batch_descend t key t.root None with
-            | Bt_dup ->
-              incr i;
-              None
-            | Bt_leaf (leaf, hi) -> Some (leaf, hi))
-        in
-        match target with
-        | None -> ()
-        | Some (leaf, limit) ->
-          let i', f = batch_fill t run !i stop_idx leaf limit in
-          (match hints with Some h -> h.insert_leaf <- leaf | None -> ());
-          i := i';
-          fresh := !fresh + f
-      done;
-      !fresh
-    end
-
-  (* ---------------- queries ---------------- *)
-
-  let mem ?hints t key =
-    let slow () =
-      let rec go node last_leaf =
-        if node == sentinel then (false, last_leaf)
-        else
-          let idx, found = search t node.keys node.nkeys key in
-          if found then (true, if is_leaf node then node else last_leaf)
-          else if is_leaf node then (false, node)
-          else go node.children.(idx) last_leaf
-      in
-      go t.root sentinel
-    in
-    match hints with
-    | None -> fst (slow ())
-    | Some h ->
-      if h.find_leaf != sentinel && covers h.find_leaf key then begin
-        h.h_find_hits <- h.h_find_hits + 1;
-        snd (search t h.find_leaf.keys h.find_leaf.nkeys key)
-      end
-      else begin
-        h.h_find_misses <- h.h_find_misses + 1;
-        let r, l = slow () in
-        if l != sentinel then h.find_leaf <- l;
-        r
-      end
-
-  let is_empty t = t.root == sentinel || (t.root.nkeys = 0 && is_leaf t.root)
-
-  let rec min_node n = if is_leaf n then n else min_node n.children.(0)
-  let rec max_node n = if is_leaf n then n else max_node n.children.(n.nkeys)
-
-  let min_elt t =
-    if is_empty t then None
-    else
-      let n = min_node t.root in
-      Some n.keys.(0)
-
-  let max_elt t =
-    if is_empty t then None
-    else
-      let n = max_node t.root in
-      Some n.keys.(n.nkeys - 1)
-
-  let bound ~strict t key =
-    let rec go node best =
-      if node == sentinel then best
-      else
-        let n = node.nkeys in
-        let idx, found = search t node.keys n key in
-        if found && not strict then Some key
-        else
-          let g = if strict then search_gt node.keys n key else idx in
-          if is_leaf node then if g < n then Some node.keys.(g) else best
-          else
-            let best = if g < n then Some node.keys.(g) else best in
-            go node.children.(g) best
-    in
-    go t.root None
-
-  let bound_hinted ~strict ?hints t key =
-    match hints with
-    | None -> bound ~strict t key
-    | Some h ->
-      let leaf = if strict then h.ub_leaf else h.lb_leaf in
-      let nk = if leaf == sentinel then 0 else leaf.nkeys in
-      let usable =
-        nk > 0
-        && (leaf.leftmost || K.compare leaf.keys.(0) key <= 0)
-        &&
-        let c = K.compare key leaf.keys.(nk - 1) in
-        if strict then c < 0 || leaf.rightmost else c <= 0 || leaf.rightmost
-      in
-      if usable then begin
-        let idx =
-          if strict then search_gt leaf.keys nk key
-          else fst (search t leaf.keys nk key)
-        in
-        if strict then h.h_ub_hits <- h.h_ub_hits + 1
-        else h.h_lb_hits <- h.h_lb_hits + 1;
-        if idx < nk then Some leaf.keys.(idx) else None
-      end
-      else begin
-        if strict then h.h_ub_misses <- h.h_ub_misses + 1
-        else h.h_lb_misses <- h.h_lb_misses + 1;
-        let rec last_leaf node =
-          if node == sentinel then sentinel
-          else if is_leaf node then node
-          else
-            let idx, _ = search t node.keys node.nkeys key in
-            last_leaf node.children.(idx)
-        in
-        let l = last_leaf t.root in
-        if l != sentinel then
-          if strict then h.ub_leaf <- l else h.lb_leaf <- l;
-        bound ~strict t key
-      end
-
-  let lower_bound ?hints t key = bound_hinted ~strict:false ?hints t key
-  let upper_bound ?hints t key = bound_hinted ~strict:true ?hints t key
-
-  let iter f t =
-    let rec go node =
-      if node != sentinel then
-        if is_leaf node then
-          for i = 0 to node.nkeys - 1 do
-            f node.keys.(i)
-          done
-        else begin
-          for i = 0 to node.nkeys - 1 do
-            go node.children.(i);
-            f node.keys.(i)
-          done;
-          go node.children.(node.nkeys)
-        end
-    in
-    go t.root
-
-  let fold f init t =
-    let acc = ref init in
-    iter (fun k -> acc := f !acc k) t;
-    !acc
-
-  exception Stop
-
-  let iter_while f t =
-    let g k = if not (f k) then raise Stop in
-    try iter g t with Stop -> ()
-
-  let iter_from f t key =
-    let emit k = if not (f k) then raise Stop in
-    let rec emit_all node =
-      if node != sentinel then
-        if is_leaf node then
-          for i = 0 to node.nkeys - 1 do
-            emit node.keys.(i)
-          done
-        else begin
-          for i = 0 to node.nkeys - 1 do
-            emit_all node.children.(i);
-            emit node.keys.(i)
-          done;
-          emit_all node.children.(node.nkeys)
-        end
-    in
-    let rec scan_ge node =
-      if node != sentinel then begin
-        let n = node.nkeys in
-        let idx, _found = search t node.keys n key in
-        if is_leaf node then
-          for i = idx to n - 1 do
-            emit node.keys.(i)
-          done
-        else begin
-          scan_ge node.children.(idx);
-          for i = idx to n - 1 do
-            emit node.keys.(i);
-            emit_all node.children.(i + 1)
-          done
-        end
-      end
-    in
-    try scan_ge t.root with Stop -> ()
-
-  let cardinal t = fold (fun n _ -> n + 1) 0 t
-  let to_list t = List.rev (fold (fun acc k -> k :: acc) [] t)
-
-  let to_sorted_array t =
-    let n = cardinal t in
-    if n = 0 then [||]
-    else begin
-      let first = match min_elt t with Some k -> k | None -> assert false in
-      let a = Array.make n first in
-      let i = ref 0 in
-      iter
-        (fun k ->
-          a.(!i) <- k;
-          incr i)
-        t;
-      a
-    end
-
-  let insert_all ?hints dst src =
-    let h = match hints with Some h -> h | None -> make_hints () in
-    iter (fun k -> ignore (insert ~hints:h dst k : bool)) src
-
-  let of_sorted_array ?capacity arr =
-    let t = create ?capacity () in
-    let len = Array.length arr in
-    for i = 1 to len - 1 do
-      if K.compare arr.(i - 1) arr.(i) >= 0 then
-        invalid_arg "Btree_seq.of_sorted_array: input not strictly increasing"
-    done;
-    if len > 0 then begin
-      let target = Leaf_pack.target_fill ~capacity:t.capacity in
-      let rec max_elems h =
-        if h = 0 then target else target + ((target + 1) * max_elems (h - 1))
-      in
-      let rec height_for n h = if max_elems h >= n then h else height_for n (h + 1) in
-      let rec build lo hi h =
-        let n = hi - lo in
-        if h = 0 then begin
-          let leaf = alloc_leaf t in
-          Leaf_pack.splice ~keys:leaf.keys ~nkeys:0 ~at:0 ~src:arr
-            ~src_pos:lo ~len:n;
-          leaf.nkeys <- n;
-          leaf
-        end
-        else begin
-          let sub = max_elems (h - 1) in
-          let k = max 2 (((n - 1) / (sub + 1)) + 1) in
-          let k = min k (t.capacity + 1) in
-          let node = alloc_inner t in
-          let elems = n - (k - 1) in
-          let base = elems / k and extra = elems mod k in
-          let pos = ref lo in
-          for i = 0 to k - 1 do
-            let sz = base + if i < extra then 1 else 0 in
-            let child = build !pos (!pos + sz) (h - 1) in
-            child.parent <- Some node;
-            child.position <- i;
-            node.children.(i) <- child;
-            pos := !pos + sz;
-            if i < k - 1 then begin
-              node.keys.(i) <- arr.(!pos);
-              incr pos
-            end
-          done;
-          node.nkeys <- k - 1;
-          node
-        end
-      in
-      let h = height_for len 0 in
-      t.root <- build 0 len h;
-      (min_node t.root).leftmost <- true;
-      (max_node t.root).rightmost <- true
-    end;
-    t
-
-  (* ---------------- introspection ---------------- *)
-
-  type stats = {
-    elements : int;
-    nodes : int;
-    leaves : int;
-    height : int;
-    fill : float;
-  }
-
-  let stats t =
-    if is_empty t then { elements = 0; nodes = 0; leaves = 0; height = 0; fill = 0.0 }
-    else begin
-      let elements = ref 0 and nodes = ref 0 and leaves = ref 0 in
-      let rec go node depth maxd =
-        incr nodes;
-        elements := !elements + node.nkeys;
-        if is_leaf node then begin
-          incr leaves;
-          max maxd depth
-        end
-        else begin
-          let m = ref maxd in
-          for i = 0 to node.nkeys do
-            m := max !m (go node.children.(i) (depth + 1) !m)
-          done;
-          !m
-        end
-      in
-      let height = go t.root 1 1 in
-      {
-        elements = !elements;
-        nodes = !nodes;
-        leaves = !leaves;
-        height;
-        fill = float_of_int !elements /. float_of_int (!nodes * t.capacity);
-      }
-    end
-
-  let check_invariants t =
-    let fail fmt = Printf.ksprintf failwith fmt in
-    if not (is_empty t) then begin
-      let leaf_depth = ref (-1) in
-      let rec go node depth lo hi =
-        let n = node.nkeys in
-        if n < 1 then fail "node with %d keys" n;
-        if n > t.capacity then fail "node overflow: %d > %d" n t.capacity;
-        for i = 0 to n - 2 do
-          if K.compare node.keys.(i) node.keys.(i + 1) >= 0 then
-            fail "keys out of order at index %d" i
-        done;
-        (match lo with
-        | Some l ->
-          if K.compare l node.keys.(0) >= 0 then fail "lower bound violated"
-        | None -> ());
-        (match hi with
-        | Some h ->
-          if K.compare node.keys.(n - 1) h >= 0 then fail "upper bound violated"
-        | None -> ());
-        if is_leaf node then begin
-          if !leaf_depth = -1 then leaf_depth := depth
-          else if !leaf_depth <> depth then
-            fail "leaves at different depths (%d vs %d)" !leaf_depth depth;
-          let is_first = lo = None and is_last = hi = None in
-          if node.leftmost <> is_first then
-            fail "leftmost flag %b on leaf with is_first=%b" node.leftmost is_first;
-          if node.rightmost <> is_last then
-            fail "rightmost flag %b on leaf with is_last=%b" node.rightmost is_last
-        end
-        else
-          for i = 0 to n do
-            let c = node.children.(i) in
-            if c == sentinel then fail "sentinel child in occupied slot %d" i;
-            (match c.parent with
-            | Some p when p == node -> ()
-            | _ -> fail "broken parent pointer at child %d" i);
-            if c.position <> i then
-              fail "broken position: child %d records %d" i c.position;
-            let lo = if i = 0 then lo else Some node.keys.(i - 1) in
-            let hi = if i = n then hi else Some node.keys.(i) in
-            go c (depth + 1) lo hi
-          done
-      in
-      (match t.root.parent with
-      | None -> ()
-      | Some _ -> fail "root has a parent");
-      go t.root 0 None None
-    end
-
-  (* ---------------- sessions ---------------- *)
-
-  type session = { s_tree : t; s_hints : hints }
-
-  let session t = { s_tree = t; s_hints = make_hints () }
-  let s_tree s = s.s_tree
-  let s_hints s = s.s_hints
-  let s_insert s key = insert ~hints:s.s_hints s.s_tree key
-
-  let s_insert_batch ?pos ?len s run =
-    insert_batch ~hints:s.s_hints ?pos ?len s.s_tree run
-
-  let s_mem s key = mem ~hints:s.s_hints s.s_tree key
-  let s_lower_bound s key = lower_bound ~hints:s.s_hints s.s_tree key
-  let s_upper_bound s key = upper_bound ~hints:s.s_hints s.s_tree key
-  let s_iter_from f s key = iter_from f s.s_tree key
-
-  (* ---------------- storage-backend witness ---------------- *)
-
-  module As_storage : Storage_intf.S with type elt = key and type t = t =
-  struct
-    type elt = K.t
-    type nonrec t = t
-
-    let create () = create ()
-    let insert t k = insert t k
-    let insert_batch t run = insert_batch t run
-    let mem t k = mem t k
-    let lower_bound t k = lower_bound t k
-    let upper_bound t k = upper_bound t k
-    let iter = iter
-    let iter_from f t k = iter_from f t k
-    let cardinal = cardinal
-    let is_empty = is_empty
-    let ordered = true
-    let shape _ = None
-  end
+(* The sequential twin of [Btree]: the same core over a lock that does
+   nothing, so "seq btree" versus "btree" in Fig. 3 measures exactly the
+   cost of the optimistic locking. *)
+
+module Nolock : Olock.S = struct
+  type t = unit
+  type lease = int
+
+  let create () = ()
+  let start_read () = 0
+  let valid () _ = true
+  let end_read () _ = true
+  let try_upgrade_to_write () _ = true
+  let try_start_write () = true
+  let start_write () = ()
+  let end_write () = ()
+  let abort_write () = ()
+  let is_write_locked () = false
+  let version () = 0
 end
+
+module Make (K : Key.ORDERED) = Btree_core.Make_plain (Nolock) (K)

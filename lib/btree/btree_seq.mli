@@ -1,87 +1,9 @@
-(** Sequential variant of the specialized B-tree.
+(** Sequential variant of the specialized B-tree: {!Btree_core.Make} over a
+    lock whose operations do nothing.
 
-    Same data structure and operation hints as {!Btree}, with all
-    synchronisation removed.  This is the paper's "seq btree" contestant: it
-    isolates the cost of the optimistic locking scheme (compare [seq btree]
-    vs [btree] in Fig. 3) and of the hint mechanism (pass or omit [hints]).
+    Same code, data structure and operation hints as {!Btree}; this is the
+    paper's "seq btree" contestant, isolating the cost of the optimistic
+    locking scheme (compare [seq btree] vs [btree] in Fig. 3).  Not
+    thread-safe. *)
 
-    Not thread-safe.  All other semantics match {!Btree}. *)
-
-module Make (K : Key.ORDERED) : sig
-  type key = K.t
-  type t
-
-  val create : ?capacity:int -> ?binary_search:bool -> unit -> t
-  val default_capacity : int
-
-  type hints
-
-  val make_hints : unit -> hints
-
-  type hint_stats = {
-    insert_hits : int;
-    insert_misses : int;
-    find_hits : int;
-    find_misses : int;
-    lower_bound_hits : int;
-    lower_bound_misses : int;
-    upper_bound_hits : int;
-    upper_bound_misses : int;
-  }
-
-  val hint_stats : hints -> hint_stats
-  val reset_hint_stats : hints -> unit
-
-  val insert : ?hints:hints -> t -> key -> bool
-
-  val insert_batch : ?hints:hints -> ?pos:int -> ?len:int -> t -> key array -> int
-  (** Sequential mirror of {!Btree.Make.insert_batch}: inserts a sorted run
-      (non-decreasing; duplicates skipped), returns the number of fresh
-      keys.  @raise Invalid_argument on an unsorted run or invalid range. *)
-
-  val insert_all : ?hints:hints -> t -> t -> unit
-  val mem : ?hints:hints -> t -> key -> bool
-  val is_empty : t -> bool
-  val cardinal : t -> int
-  val min_elt : t -> key option
-  val max_elt : t -> key option
-  val lower_bound : ?hints:hints -> t -> key -> key option
-  val upper_bound : ?hints:hints -> t -> key -> key option
-  val iter : (key -> unit) -> t -> unit
-  val fold : ('a -> key -> 'a) -> 'a -> t -> 'a
-  val iter_while : (key -> bool) -> t -> unit
-  val iter_from : (key -> bool) -> t -> key -> unit
-  val to_list : t -> key list
-  val to_sorted_array : t -> key array
-  val of_sorted_array : ?capacity:int -> key array -> t
-
-  type stats = {
-    elements : int;
-    nodes : int;
-    leaves : int;
-    height : int;
-    fill : float;
-  }
-
-  val stats : t -> stats
-  val check_invariants : t -> unit
-
-  (** {1 Sessions} — handle owning the operation hints (single-domain;
-      this tree is not thread-safe). *)
-
-  type session
-
-  val session : t -> session
-  val s_tree : session -> t
-  val s_hints : session -> hints
-  val s_insert : session -> key -> bool
-  val s_insert_batch : ?pos:int -> ?len:int -> session -> key array -> int
-  val s_mem : session -> key -> bool
-  val s_lower_bound : session -> key -> key option
-  val s_upper_bound : session -> key -> key option
-  val s_iter_from : (key -> bool) -> session -> key -> unit
-
-  (** Storage-backend witness (hints dropped; [shape] is [None] — this
-      variant keeps no structural reporting). *)
-  module As_storage : Storage_intf.S with type elt = key and type t = t
-end
+module Make (K : Key.ORDERED) : Btree_core.PLAIN with type key = K.t

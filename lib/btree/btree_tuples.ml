@@ -1,1098 +1,63 @@
-(* Specialized concurrent B-tree over int-array tuples.
+(* The concurrent B-tree over int-array tuples ordered by a column
+   permutation: the shared core over [Olock] and the comparator below.  The
+   tree applies [Tuple.compare] to its order once, so every comparison is a
+   single call to a closure specialised to that order — with a dedicated
+   body for the ubiquitous binary relations. *)
 
-   Same algorithms as [Btree.Make] (see btree.ml for the full commentary on
-   the optimistic locking protocol, memory-model reasoning and weak-coverage
-   hints); this copy exists to inline the tuple comparator into the search
-   loops — the specialization the paper's implementation notes call out.
-   Comparisons here are direct calls on concrete [int array]s with a
-   fast path for the ubiquitous binary relations, instead of indirect
-   functor-closure calls. *)
+module Tuple = struct
+  type t = int array
+  type ctx = { arity : int; order : int array }
 
-type node = {
-  lock : Olock.t;
-  mutable parent : node option;
-  mutable position : int;
-  keys : int array array; (* length = capacity *)
-  mutable nkeys : int;
-  children : node array; (* length = capacity + 1, or [||] for leaves *)
-  mutable leftmost : bool;
-  mutable rightmost : bool;
-}
+  let compare { order; _ } =
+    if Array.length order = 2 then begin
+      let c0 = order.(0) and c1 = order.(1) in
+      fun (a : t) (b : t) ->
+        let x = Array.unsafe_get a c0 and y = Array.unsafe_get b c0 in
+        if x < y then -1
+        else if x > y then 1
+        else
+          let x = Array.unsafe_get a c1 and y = Array.unsafe_get b c1 in
+          if x < y then -1 else if x > y then 1 else 0
+    end
+    else begin
+      let n = Array.length order in
+      fun (a : t) (b : t) ->
+        let rec go i =
+          if i = n then 0
+          else
+            let p = Array.unsafe_get order i in
+            let x = Array.unsafe_get a p and y = Array.unsafe_get b p in
+            if x < y then -1 else if x > y then 1 else go (i + 1)
+        in
+        go 0
+    end
 
-type t = {
-  root_lock : Olock.t;
-  mutable root : node;
-  capacity : int;
-  binary : bool;
-  t_arity : int;
-  order : int array;
-  two_cols : bool; (* order = exactly two columns: use the inline fast path *)
-  c0 : int;
-  c1 : int; (* the two columns of the fast path *)
-}
+  let dummy : t = [||]
+end
 
-let sentinel =
-  {
-    lock = Olock.create ();
-    parent = None;
-    position = 0;
-    keys = [||];
-    nkeys = 0;
-    children = [||];
-    leftmost = false;
-    rightmost = false;
-  }
+include Btree_core.Make (Olock) (Tuple)
 
-let is_leaf n = Array.length n.children = 0
-let dummy_key : int array = [||]
-
-let alloc_leaf t =
-  {
-    lock = Olock.create ();
-    parent = None;
-    position = 0;
-    keys = Array.make t.capacity dummy_key;
-    nkeys = 0;
-    children = [||];
-    leftmost = false;
-    rightmost = false;
-  }
-
-let alloc_inner t =
-  {
-    lock = Olock.create ();
-    parent = None;
-    position = 0;
-    keys = Array.make t.capacity dummy_key;
-    nkeys = 0;
-    children = Array.make (t.capacity + 1) sentinel;
-    leftmost = false;
-    rightmost = false;
-  }
-
-let create ?(capacity = 24) ?(binary_search = true) ~arity ~order () =
-  if capacity < 3 then invalid_arg "Btree_tuples.create: capacity must be >= 3";
+let ctx ~arity ~order =
+  let seen = Array.make arity false in
   if Array.length order <> arity then
     invalid_arg "Btree_tuples.create: order must be a permutation of columns";
-  let seen = Array.make arity false in
   Array.iter
     (fun c ->
       if c < 0 || c >= arity || seen.(c) then
         invalid_arg "Btree_tuples.create: order must be a permutation of columns";
       seen.(c) <- true)
     order;
-  let two = arity = 2 in
-  {
-    root_lock = Olock.create ();
-    root = sentinel;
-    capacity;
-    binary = binary_search;
-    t_arity = arity;
-    order;
-    two_cols = two;
-    c0 = (if arity > 0 then order.(0) else 0);
-    c1 = (if arity > 1 then order.(1) else 0);
-  }
+  { Tuple.arity; order }
 
-let arity t = t.t_arity
+let create ?capacity ?(binary_search = true) ~arity ~order () =
+  create ?capacity ~binary_search (ctx ~arity ~order)
 
-(* The inlined 3-way comparator.  The arity-2 fast path is branch-free of
-   the permutation loop; the general case walks [order]. *)
-let compare_keys t (a : int array) (b : int array) =
-  if t.two_cols then begin
-    let x = Array.unsafe_get a t.c0 and y = Array.unsafe_get b t.c0 in
-    if x < y then -1
-    else if x > y then 1
-    else
-      let x = Array.unsafe_get a t.c1 and y = Array.unsafe_get b t.c1 in
-      if x < y then -1 else if x > y then 1 else 0
-  end
-  else begin
-    let order = t.order in
-    let n = Array.length order in
-    let rec go i =
-      if i = n then 0
-      else
-        let p = Array.unsafe_get order i in
-        let x = Array.unsafe_get a p and y = Array.unsafe_get b p in
-        if x < y then -1 else if x > y then 1 else go (i + 1)
-    in
-    go 0
-  end
-
-let clamped_nkeys n =
-  let k = n.nkeys in
-  if k < 0 then 0
-  else
-    let cap = Array.length n.keys in
-    if k > cap then cap else k
-
-let search_linear t keys n key =
-  let rec go i =
-    if i >= n then (n, false)
-    else
-      let c = compare_keys t key (Array.unsafe_get keys i) in
-      if c > 0 then go (i + 1) else (i, c = 0)
-  in
-  go 0
-
-let search_binary t keys n key =
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if compare_keys t (Array.unsafe_get keys mid) key < 0 then lo := mid + 1
-    else hi := mid
-  done;
-  let i = !lo in
-  (i, i < n && compare_keys t (Array.unsafe_get keys i) key = 0)
-
-let search t keys n key =
-  if t.binary then search_binary t keys n key else search_linear t keys n key
-
-(* ---------------- hints ---------------- *)
-
-type hints = {
-  mutable insert_leaf : node;
-  mutable find_leaf : node;
-  mutable lb_leaf : node;
-  mutable hits : int;
-  mutable misses : int;
-  mutable run : int; (* length of the current uninterrupted hit run *)
-  runs : int array; (* log2-bucketed run lengths, closed at each miss *)
-}
-
-let run_buckets = 16
-
-let make_hints () =
-  {
-    insert_leaf = sentinel;
-    find_leaf = sentinel;
-    lb_leaf = sentinel;
-    hits = 0;
-    misses = 0;
-    run = 0;
-    runs = Array.make run_buckets 0;
-  }
-
-let hint_counters h = (h.hits, h.misses)
-
-(* Hint locality: every miss closes the current run of consecutive hits and
-   records its length (bucket b>0 holds runs of 2^(b-1)..2^b-1 hits; bucket
-   0 counts misses straight after a miss). *)
-let run_bucket r =
-  let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
-  let b = bits r 0 in
-  if b >= run_buckets then run_buckets - 1 else b
-
-let run_hit h = h.run <- h.run + 1
-
-let run_break h =
-  let r = h.run in
-  h.run <- 0;
-  let b = run_bucket r in
-  h.runs.(b) <- h.runs.(b) + 1
-
-let hint_run_hist h =
-  (* copy, with the still-open run counted as if it closed now *)
-  let a = Array.copy h.runs in
-  if h.run > 0 then begin
-    let b = run_bucket h.run in
-    a.(b) <- a.(b) + 1
-  end;
-  a
-
-let covers t n nk key =
-  nk > 0
-  && (n.leftmost || compare_keys t n.keys.(0) key <= 0)
-  && (n.rightmost || compare_keys t key n.keys.(nk - 1) <= 0)
-
-(* ---------------- splitting (Algorithm 2) ---------------- *)
-
-type locked_ancestor = Anc_node of node | Anc_root
-
-let lock_parent t cur =
-  match cur.parent with
-  | None ->
-    Olock.start_write t.root_lock;
-    Anc_root
-  | Some p ->
-    let rec acquire p =
-      Olock.start_write p.lock;
-      match cur.parent with
-      | Some p' when p' == p -> Anc_node p
-      | Some p' ->
-        Olock.abort_write p.lock;
-        acquire p'
-      | None ->
-        Olock.abort_write p.lock;
-        assert false
-    in
-    acquire p
-
-let lock_path t node =
-  let rec go cur acc =
-    match lock_parent t cur with
-    | Anc_root -> List.rev (Anc_root :: acc)
-    | Anc_node p ->
-      if p.nkeys < t.capacity then List.rev (Anc_node p :: acc)
-      else go p (Anc_node p :: acc)
-  in
-  go node []
-
-let unlock_path t path =
-  List.iter
-    (fun a ->
-      match a with
-      | Anc_node p -> Olock.end_write p.lock
-      | Anc_root -> Olock.end_write t.root_lock)
-    (List.rev path)
-
-let split_node t node =
-  Telemetry.bump
-    (if is_leaf node then Telemetry.Counter.Btree_leaf_splits
-     else Telemetry.Counter.Btree_inner_splits);
-  let cap = t.capacity in
-  let mid = cap / 2 in
-  let median = node.keys.(mid) in
-  let right = if is_leaf node then alloc_leaf t else alloc_inner t in
-  let rcount = cap - mid - 1 in
-  Array.blit node.keys (mid + 1) right.keys 0 rcount;
-  right.nkeys <- rcount;
-  if not (is_leaf node) then begin
-    Array.blit node.children (mid + 1) right.children 0 (rcount + 1);
-    for i = 0 to rcount do
-      let c = right.children.(i) in
-      c.parent <- Some right;
-      c.position <- i
-    done
-  end;
-  node.nkeys <- mid;
-  right.rightmost <- node.rightmost;
-  node.rightmost <- false;
-  (median, right)
-
-let link_sibling p cur right median =
-  let i = cur.position in
-  let n = p.nkeys in
-  Array.blit p.keys i p.keys (i + 1) (n - i);
-  p.keys.(i) <- median;
-  Array.blit p.children (i + 1) p.children (i + 2) (n - i);
-  p.children.(i + 1) <- right;
-  p.nkeys <- n + 1;
-  right.parent <- Some p;
-  for j = i + 1 to n + 1 do
-    p.children.(j).position <- j
-  done
-
-let rec insert_into_parent t path cur right median =
-  match path with
-  | [] -> assert false
-  | Anc_root :: _ ->
-    Telemetry.bump Telemetry.Counter.Btree_root_splits;
-    let new_root = alloc_inner t in
-    new_root.keys.(0) <- median;
-    new_root.nkeys <- 1;
-    new_root.children.(0) <- cur;
-    new_root.children.(1) <- right;
-    cur.parent <- Some new_root;
-    cur.position <- 0;
-    right.parent <- Some new_root;
-    right.position <- 1;
-    t.root <- new_root
-  | Anc_node p :: rest ->
-    if p.nkeys >= t.capacity then begin
-      let p_median, p_right = split_node t p in
-      insert_into_parent t rest p p_right p_median;
-      let q = match cur.parent with Some q -> q | None -> assert false in
-      link_sibling q cur right median
-    end
-    else link_sibling p cur right median
-
-let split_returning t node =
-  let path = lock_path t node in
-  (* chaos: widen the write-locked window (see btree.ml) *)
-  Chaos.yield_if Chaos.Point.Btree_split_delay;
-  let median, right = split_node t node in
-  insert_into_parent t path node right median;
-  unlock_path t path;
-  ignore (right : node);
-  median
-
-let split t node = ignore (split_returning t node : int array)
-
-(* ---------------- insertion (Algorithm 1) ---------------- *)
-
-let ensure_root t =
-  while t.root == sentinel do
-    if Olock.try_start_write t.root_lock then begin
-      if t.root == sentinel then begin
-        let leaf = alloc_leaf t in
-        leaf.leftmost <- true;
-        leaf.rightmost <- true;
-        t.root <- leaf
-      end;
-      Olock.end_write t.root_lock
-    end
-  done
-
-let insert_in_leaf leaf idx key =
-  let n = leaf.nkeys in
-  Array.blit leaf.keys idx leaf.keys (idx + 1) (n - idx);
-  leaf.keys.(idx) <- key;
-  leaf.nkeys <- n + 1
-
-(* Optimistic restarts allowed per insertion before the pessimistic
-   fallback engages; see btree.ml for the full commentary on the fallback
-   descent and its progress argument. *)
-let restart_budget_v = ref 16
-
-let set_restart_budget n =
-  if n < 0 then
-    invalid_arg "Btree_tuples.set_restart_budget: budget must be >= 0";
-  restart_budget_v := n
-
-let restart_budget () = !restart_budget_v
-
-(* Pessimistic fallback descent: hand-over-hand under write permits, never
-   blocking while holding a node lock (read child version under [cur]'s
-   permit, release, re-acquire child by CAS on that version; CAS failure
-   implies a completed concurrent write, so restarting from the root makes
-   global progress).  Mirrors [Btree.Make.insert_pessimistic]. *)
-let rec insert_pessimistic t key =
-  let rec acquire_root () =
-    let cur = t.root in
-    Olock.start_write cur.lock;
-    if t.root == cur then cur
-    else begin
-      Olock.abort_write cur.lock;
-      acquire_root ()
-    end
-  in
-  let rec go cur =
-    let n = cur.nkeys in
-    let idx, found = search t cur.keys n key in
-    if found then begin
-      Olock.abort_write cur.lock;
-      (false, sentinel)
-    end
-    else if not (is_leaf cur) then begin
-      let next = cur.children.(idx) in
-      let v = Olock.version next.lock in
-      Olock.abort_write cur.lock;
-      if v land 1 = 0 && Olock.try_upgrade_to_write next.lock v then go next
-      else insert_pessimistic t key
-    end
-    else if cur.nkeys >= t.capacity then begin
-      split t cur;
-      Olock.end_write cur.lock;
-      insert_pessimistic t key
-    end
-    else begin
-      insert_in_leaf cur idx key;
-      Olock.end_write cur.lock;
-      (true, cur)
-    end
-  in
-  go (acquire_root ())
-
-let fallback t key =
-  Telemetry.bump Telemetry.Counter.Btree_pessimistic_fallbacks;
-  Flight.record Flight.Ev.Fallback !restart_budget_v 0 0;
-  let t0 = Telemetry.hist_time () in
-  let r = insert_pessimistic t key in
-  Telemetry.hist_end Telemetry.Hist.Btree_fallback_ns t0;
-  r
-
-let rec insert_slow t key attempts =
-  if attempts >= !restart_budget_v then fallback t key
-  else begin
-    let root_lease = Olock.start_read t.root_lock in
-    let cur = t.root in
-    let cur_lease = Olock.start_read cur.lock in
-    if Olock.end_read t.root_lock root_lease then
-      descend t key cur cur_lease 0 (-1) attempts
-    else restart t key attempts
-  end
-
-and restart t key attempts =
-  (* optimistic descent observed a concurrent write: back to the root *)
-  Telemetry.bump Telemetry.Counter.Btree_restarts;
-  Flight.record Flight.Ev.Restart (attempts + 1) 0 0;
-  insert_slow t key (attempts + 1)
-
-(* [level] is depth from the root, [bucket] the root-child index this
-   descent took (-1 at the root): the node identity stamped onto flight
-   events, mirroring [Btree.Make.descend]. *)
-and descend t key cur cur_lease level bucket attempts =
-  Chaos.yield_if Chaos.Point.Btree_descent_yield;
-  let n = clamped_nkeys cur in
-  let idx, found = search t cur.keys n key in
-  if found then
-    if Olock.valid cur.lock cur_lease then (false, sentinel)
-    else begin
-      Flight.record Flight.Ev.Validation_fail level bucket 0;
-      restart t key attempts
-    end
-  else if not (is_leaf cur) then begin
-    let next = cur.children.(idx) in
-    let bucket' = if level = 0 then idx else bucket in
-    if not (Olock.valid cur.lock cur_lease) then begin
-      Flight.record Flight.Ev.Validation_fail level bucket 0;
-      restart t key attempts
-    end
-    else begin
-      let next_lease = Olock.start_read next.lock in
-      if not (Olock.valid cur.lock cur_lease) then begin
-        Flight.record Flight.Ev.Validation_fail level bucket 0;
-        restart t key attempts
-      end
-      else descend t key next next_lease (level + 1) bucket' attempts
-    end
-  end
-  else if not (Olock.try_upgrade_to_write cur.lock cur_lease) then begin
-    Flight.record Flight.Ev.Upgrade_fail level bucket 0;
-    restart t key attempts
-  end
-  else if cur.nkeys >= t.capacity then begin
-    Flight.record Flight.Ev.Split level bucket 0;
-    split t cur;
-    Olock.end_write cur.lock;
-    (* a split is progress, not a failed validation: same budget *)
-    insert_slow t key attempts
-  end
-  else begin
-    insert_in_leaf cur idx key;
-    Olock.end_write cur.lock;
-    (true, cur)
-  end
-
-let insert_slow t key = insert_slow t key 0
-
-type hint_attempt = Done of bool | Fallback
-
-(* Hinted attempts have no descent, so their flight events carry the
-   -1/-1 "hinted leaf" node identity. *)
-let try_insert_at t leaf key =
-  let lease = Olock.start_read leaf.lock in
-  let n = clamped_nkeys leaf in
-  if not (covers t leaf n key && Olock.valid leaf.lock lease) then Fallback
-  else begin
-    let idx, found = search t leaf.keys n key in
-    if found then
-      if Olock.valid leaf.lock lease then Done false
-      else begin
-        Flight.record Flight.Ev.Validation_fail (-1) (-1) 0;
-        Fallback
-      end
-    else if not (Olock.try_upgrade_to_write leaf.lock lease) then begin
-      Flight.record Flight.Ev.Upgrade_fail (-1) (-1) 0;
-      Fallback
-    end
-    else if leaf.nkeys >= t.capacity then begin
-      Flight.record Flight.Ev.Split (-1) (-1) 0;
-      split t leaf;
-      Olock.end_write leaf.lock;
-      Fallback
-    end
-    else begin
-      insert_in_leaf leaf idx key;
-      Olock.end_write leaf.lock;
-      Done true
-    end
-  end
-
-let insert_op ?hints t key =
-  ensure_root t;
-  match hints with
-  | None -> fst (insert_slow t key)
-  | Some h ->
-    let attempt =
-      if h.insert_leaf == sentinel then Fallback
-      else try_insert_at t h.insert_leaf key
-    in
-    (match attempt with
-    | Done b ->
-      h.hits <- h.hits + 1;
-      run_hit h;
-      Telemetry.bump Telemetry.Counter.Btree_hint_hits;
-      b
-    | Fallback ->
-      h.misses <- h.misses + 1;
-      run_break h;
-      Telemetry.bump Telemetry.Counter.Btree_hint_misses;
-      let inserted, leaf = insert_slow t key in
-      if leaf != sentinel then h.insert_leaf <- leaf;
-      inserted)
-
-let insert ?hints t key =
-  let t0 = Telemetry.hist_start Telemetry.Hist.Btree_insert_ns in
-  let r = insert_op ?hints t key in
-  Telemetry.hist_end Telemetry.Hist.Btree_insert_ns t0;
-  r
-
-(* ---------------- batch insertion (sorted runs) ---------------- *)
-
-(* Same algorithm as [Btree.Make.insert_batch] (see btree.ml for the full
-   commentary): one descent write-locks the target leaf and carries down
-   the exclusive upper bound of the leaf's range; the run is consumed up to
-   that bound with two-blit gap splices and in-place multi-splits.  The
-   bound snapshot stays authoritative while the write permit is held,
-   because a node's range only shrinks when that node itself splits. *)
-
-type batch_target = Bt_dup | Bt_leaf of node * int array option
-
-(* Pessimistic twin of [batch_locate]; see [Btree.Make.batch_pessimistic]. *)
-let rec batch_pessimistic t key =
-  let rec acquire_root () =
-    let cur = t.root in
-    Olock.start_write cur.lock;
-    if t.root == cur then cur
-    else begin
-      Olock.abort_write cur.lock;
-      acquire_root ()
-    end
-  in
-  let rec go cur hi =
-    let n = cur.nkeys in
-    let idx, found = search t cur.keys n key in
-    if not (is_leaf cur) then
-      if found then begin
-        Olock.abort_write cur.lock;
-        Bt_dup
-      end
-      else begin
-        let next = cur.children.(idx) in
-        let hi = if idx < n then Some cur.keys.(idx) else hi in
-        let v = Olock.version next.lock in
-        Olock.abort_write cur.lock;
-        if v land 1 = 0 && Olock.try_upgrade_to_write next.lock v then
-          go next hi
-        else batch_pessimistic t key
-      end
-    else Bt_leaf (cur, hi)
-  in
-  go (acquire_root ()) None
-
-let batch_fallback t key =
-  Telemetry.bump Telemetry.Counter.Btree_pessimistic_fallbacks;
-  Flight.record Flight.Ev.Fallback !restart_budget_v 0 0;
-  let t0 = Telemetry.hist_time () in
-  let r = batch_pessimistic t key in
-  Telemetry.hist_end Telemetry.Hist.Btree_fallback_ns t0;
-  r
-
-let rec batch_locate t key attempts =
-  if attempts >= !restart_budget_v then batch_fallback t key
-  else begin
-    let root_lease = Olock.start_read t.root_lock in
-    let cur = t.root in
-    let cur_lease = Olock.start_read cur.lock in
-    if Olock.end_read t.root_lock root_lease then
-      batch_descend t key cur cur_lease None 0 (-1) attempts
-    else batch_restart t key attempts
-  end
-
-and batch_restart t key attempts =
-  Telemetry.bump Telemetry.Counter.Btree_restarts;
-  Flight.record Flight.Ev.Restart (attempts + 1) 0 0;
-  batch_locate t key (attempts + 1)
-
-and batch_descend t key cur cur_lease hi level bucket attempts =
-  Chaos.yield_if Chaos.Point.Btree_descent_yield;
-  let n = clamped_nkeys cur in
-  let idx, found = search t cur.keys n key in
-  if not (is_leaf cur) then
-    if found then
-      if Olock.valid cur.lock cur_lease then Bt_dup
-      else begin
-        Flight.record Flight.Ev.Validation_fail level bucket 0;
-        batch_restart t key attempts
-      end
-    else begin
-      let next = cur.children.(idx) in
-      let hi = if idx < n then Some cur.keys.(idx) else hi in
-      let bucket' = if level = 0 then idx else bucket in
-      if not (Olock.valid cur.lock cur_lease) then begin
-        Flight.record Flight.Ev.Validation_fail level bucket 0;
-        batch_restart t key attempts
-      end
-      else begin
-        let next_lease = Olock.start_read next.lock in
-        if not (Olock.valid cur.lock cur_lease) then begin
-          Flight.record Flight.Ev.Validation_fail level bucket 0;
-          batch_restart t key attempts
-        end
-        else batch_descend t key next next_lease hi (level + 1) bucket' attempts
-      end
-    end
-  else if not (Olock.try_upgrade_to_write cur.lock cur_lease) then begin
-    Flight.record Flight.Ev.Upgrade_fail level bucket 0;
-    batch_restart t key attempts
-  end
-  else Bt_leaf (cur, hi)
-
-let batch_locate t key = batch_locate t key 0
-
-let batch_fill t run i0 stop_idx leaf limit0 =
-  let fresh = ref 0 in
-  let i = ref i0 in
-  let limit = ref limit0 in
-  let stop = ref false in
-  while (not !stop) && !i < stop_idx do
-    let key = run.(!i) in
-    let cmp_limit =
-      match !limit with None -> -1 | Some b -> compare_keys t key b
-    in
-    if cmp_limit = 0 then incr i (* equals a live separator: duplicate *)
-    else if cmp_limit > 0 then stop := true
-    else begin
-      let nk = leaf.nkeys in
-      let idx, found = search t leaf.keys nk key in
-      if found then incr i
-      else if nk >= t.capacity then begin
-        Flight.record Flight.Ev.Split (-1) (-1) 0;
-        let median = split_returning t leaf in
-        if compare_keys t key median < 0 then limit := Some median
-        else stop := true (* the rest of the run re-descends *)
-      end
-      else begin
-        let gap_hi = if idx < nk then Some leaf.keys.(idx) else !limit in
-        let in_gap k =
-          match gap_hi with None -> true | Some b -> compare_keys t k b < 0
-        in
-        let room = t.capacity - nk in
-        let j = ref (!i + 1) in
-        while
-          !j - !i < room && !j < stop_idx
-          && compare_keys t run.(!j - 1) run.(!j) < 0
-          && in_gap run.(!j)
-        do
-          incr j
-        done;
-        let glen = !j - !i in
-        Leaf_pack.splice ~keys:leaf.keys ~nkeys:nk ~at:idx ~src:run
-          ~src_pos:!i ~len:glen;
-        leaf.nkeys <- nk + glen;
-        fresh := !fresh + glen;
-        Telemetry.bump Telemetry.Counter.Btree_batch_splices;
-        i := !j
-      end
-    end
-  done;
-  Olock.end_write leaf.lock;
-  (!i, !fresh)
-
-let insert_batch_op ?hints t run pos len =
-  let stop_idx = pos + len in
-  for k = pos + 1 to stop_idx - 1 do
-    if compare_keys t run.(k - 1) run.(k) > 0 then
-      invalid_arg "Btree_tuples.insert_batch: run not sorted"
-  done;
-  if len = 0 then 0
-  else begin
-    ensure_root t;
-    Telemetry.add Telemetry.Counter.Btree_batch_keys len;
-    let fresh = ref 0 in
-    let i = ref pos in
-    while !i < stop_idx do
-      let key = run.(!i) in
-      let hinted =
-        match hints with
-        | Some h when h.insert_leaf != sentinel ->
-          let leaf = h.insert_leaf in
-          let lease = Olock.start_read leaf.lock in
-          let nk = clamped_nkeys leaf in
-          if
-            covers t leaf nk key
-            && Olock.valid leaf.lock lease
-            && Olock.try_upgrade_to_write leaf.lock lease
-          then begin
-            let nk = leaf.nkeys in
-            let limit =
-              if leaf.rightmost then None else Some leaf.keys.(nk - 1)
-            in
-            Some (leaf, limit)
-          end
-          else None
-        | _ -> None
-      in
-      let target =
-        match hinted with
-        | Some tgt ->
-          (match hints with
-          | Some h ->
-            h.hits <- h.hits + 1;
-            run_hit h;
-            Telemetry.bump Telemetry.Counter.Btree_hint_hits
-          | None -> ());
-          Some tgt
-        | None ->
-          (match hints with
-          | Some h ->
-            h.misses <- h.misses + 1;
-            run_break h;
-            Telemetry.bump Telemetry.Counter.Btree_hint_misses
-          | None -> ());
-          (match batch_locate t key with
-          | Bt_dup ->
-            incr i;
-            None
-          | Bt_leaf (leaf, hi) -> Some (leaf, hi))
-      in
-      match target with
-      | None -> ()
-      | Some (leaf, limit) ->
-        Telemetry.bump Telemetry.Counter.Btree_batch_leaves;
-        let i', f = batch_fill t run !i stop_idx leaf limit in
-        (match hints with Some h -> h.insert_leaf <- leaf | None -> ());
-        i := i';
-        fresh := !fresh + f
-    done;
-    !fresh
-  end
-
-let insert_batch ?hints ?(pos = 0) ?len t run =
-  let n = Array.length run in
-  let len = match len with Some l -> l | None -> n - pos in
-  if pos < 0 || len < 0 || pos + len > n then
-    invalid_arg "Btree_tuples.insert_batch: invalid range";
-  let t0 = Telemetry.hist_start Telemetry.Hist.Btree_batch_ns in
-  let r = insert_batch_op ?hints t run pos len in
-  Telemetry.hist_end Telemetry.Hist.Btree_batch_ns t0;
-  r
-
-(* ---------------- queries ---------------- *)
-
-let mem_op ?hints t key =
-  let slow () =
-    let rec go node last_leaf =
-      if node == sentinel then (false, last_leaf)
-      else
-        let n = clamped_nkeys node in
-        let idx, found = search t node.keys n key in
-        if found then (true, if is_leaf node then node else last_leaf)
-        else if is_leaf node then (false, node)
-        else go node.children.(idx) last_leaf
-    in
-    go t.root sentinel
-  in
-  match hints with
-  | None -> fst (slow ())
-  | Some h ->
-    let leaf = h.find_leaf in
-    let nk = if leaf == sentinel then 0 else clamped_nkeys leaf in
-    if nk > 0 && covers t leaf nk key then begin
-      h.hits <- h.hits + 1;
-      run_hit h;
-      Telemetry.bump Telemetry.Counter.Btree_hint_hits;
-      snd (search t leaf.keys nk key)
-    end
-    else begin
-      h.misses <- h.misses + 1;
-      run_break h;
-      Telemetry.bump Telemetry.Counter.Btree_hint_misses;
-      let r, l = slow () in
-      if l != sentinel then h.find_leaf <- l;
-      r
-    end
-
-let mem ?hints t key =
-  let t0 = Telemetry.hist_start Telemetry.Hist.Btree_find_ns in
-  let r = mem_op ?hints t key in
-  Telemetry.hist_end Telemetry.Hist.Btree_find_ns t0;
-  r
-
-let is_empty t = t.root == sentinel || (t.root.nkeys = 0 && is_leaf t.root)
-
-let iter f t =
-  let rec go node =
-    if node != sentinel then
-      if is_leaf node then
-        for i = 0 to node.nkeys - 1 do
-          f node.keys.(i)
-        done
-      else begin
-        for i = 0 to node.nkeys - 1 do
-          go node.children.(i);
-          f node.keys.(i)
-        done;
-        go node.children.(node.nkeys)
-      end
-  in
-  go t.root
-
-let cardinal t =
-  let n = ref 0 in
-  iter (fun _ -> incr n) t;
-  !n
-
-let to_list t =
-  let acc = ref [] in
-  iter (fun k -> acc := k :: !acc) t;
-  List.rev !acc
-
-exception Stop
-
-let iter_from_plain ?visited ~strict f t key =
-  let emit k = if not (f k) then raise Stop in
-  let rec emit_all node =
-    if node != sentinel then
-      if is_leaf node then
-        for i = 0 to node.nkeys - 1 do
-          emit node.keys.(i)
-        done
-      else begin
-        for i = 0 to node.nkeys - 1 do
-          emit_all node.children.(i);
-          emit node.keys.(i)
-        done;
-        emit_all node.children.(node.nkeys)
-      end
-  in
-  let rec scan node =
-    if node != sentinel then begin
-      let n = clamped_nkeys node in
-      let idx, found = search t node.keys n key in
-      if is_leaf node then begin
-        (match visited with Some r -> r := node | None -> ());
-        let idx = if strict && found then idx + 1 else idx in
-        for i = idx to n - 1 do
-          emit node.keys.(i)
-        done
-      end
-      else begin
-        scan node.children.(idx);
-        let start = if strict && found then idx + 1 else idx in
-        (if strict && found && idx < n then emit_all node.children.(idx + 1));
-        for i = start to n - 1 do
-          emit node.keys.(i);
-          emit_all node.children.(i + 1)
-        done
-      end
-    end
-  in
-  try scan t.root with Stop -> ()
-
-let iter_from ?hints f t key =
-  match hints with
-  | None -> iter_from_plain ~strict:false f t key
-  | Some h ->
-    let leaf = h.lb_leaf in
-    let nk = if leaf == sentinel then 0 else clamped_nkeys leaf in
-    let usable =
-      nk > 0
-      && (leaf.leftmost || compare_keys t leaf.keys.(0) key <= 0)
-      && (leaf.rightmost || compare_keys t key leaf.keys.(nk - 1) <= 0)
-    in
-    if usable then begin
-      h.hits <- h.hits + 1;
-      run_hit h;
-      Telemetry.bump Telemetry.Counter.Btree_hint_hits;
-      let idx, _ = search t leaf.keys nk key in
-      let continue = ref true in
-      let i = ref idx in
-      while !continue && !i < nk do
-        continue := f leaf.keys.(!i);
-        incr i
-      done;
-      if !continue && not leaf.rightmost then
-        iter_from_plain ~strict:true f t leaf.keys.(nk - 1)
-    end
-    else begin
-      h.misses <- h.misses + 1;
-      run_break h;
-      Telemetry.bump Telemetry.Counter.Btree_hint_misses;
-      let visited = ref sentinel in
-      iter_from_plain ~visited ~strict:false f t key;
-      if !visited != sentinel then h.lb_leaf <- !visited
-    end
-
-let check_invariants t =
-  let fail fmt = Printf.ksprintf failwith fmt in
-  if not (is_empty t) then begin
-    let leaf_depth = ref (-1) in
-    let rec go node depth lo hi =
-      let n = node.nkeys in
-      if n < 1 then fail "node with %d keys" n;
-      if n > t.capacity then fail "node overflow";
-      for i = 0 to n - 2 do
-        if compare_keys t node.keys.(i) node.keys.(i + 1) >= 0 then
-          fail "keys out of order"
-      done;
-      (match lo with
-      | Some l ->
-        if compare_keys t l node.keys.(0) >= 0 then fail "lower bound violated"
-      | None -> ());
-      (match hi with
-      | Some h ->
-        if compare_keys t node.keys.(n - 1) h >= 0 then
-          fail "upper bound violated"
-      | None -> ());
-      if is_leaf node then begin
-        if !leaf_depth = -1 then leaf_depth := depth
-        else if !leaf_depth <> depth then fail "leaves at different depths";
-        let is_first = lo = None and is_last = hi = None in
-        if node.leftmost <> is_first then fail "leftmost flag wrong";
-        if node.rightmost <> is_last then fail "rightmost flag wrong"
-      end
-      else
-        for i = 0 to n do
-          let c = node.children.(i) in
-          if c == sentinel then fail "sentinel child";
-          (match c.parent with
-          | Some p when p == node -> ()
-          | _ -> fail "broken parent pointer");
-          if c.position <> i then fail "broken position";
-          let lo = if i = 0 then lo else Some node.keys.(i - 1) in
-          let hi = if i = n then hi else Some node.keys.(i) in
-          go c (depth + 1) lo hi
-        done
-    in
-    (match t.root.parent with
-    | None -> ()
-    | Some _ -> fail "root has a parent");
-    go t.root 0 None None
-  end
-
-(* Full structural report; root-only tree has height 1, like the functor's
-   [stats].  Quiescent traversal. *)
-let shape t =
-  if is_empty t then Tree_shape.empty ~capacity:t.capacity
-  else begin
-    let rec depth n = if is_leaf n then 1 else 1 + depth n.children.(0) in
-    let h = depth t.root in
-    let level_nodes = Array.make h 0 in
-    let level_keys = Array.make h 0 in
-    let fill_deciles = Array.make 10 0 in
-    let elements = ref 0 and nodes = ref 0 and leaves = ref 0 in
-    let rec go n d =
-      incr nodes;
-      elements := !elements + n.nkeys;
-      level_nodes.(d) <- level_nodes.(d) + 1;
-      level_keys.(d) <- level_keys.(d) + n.nkeys;
-      let dec = n.nkeys * 10 / t.capacity in
-      let dec = if dec > 9 then 9 else dec in
-      fill_deciles.(dec) <- fill_deciles.(dec) + 1;
-      if is_leaf n then incr leaves
-      else
-        for i = 0 to n.nkeys do
-          go n.children.(i) (d + 1)
-        done
-    in
-    go t.root 0;
-    {
-      Tree_shape.elements = !elements;
-      nodes = !nodes;
-      leaves = !leaves;
-      height = h;
-      capacity = t.capacity;
-      fill = float_of_int !elements /. float_of_int (!nodes * t.capacity);
-      level_nodes;
-      level_keys;
-      fill_deciles;
-    }
-  end
-
-let compare_tuples = compare_keys
-
-(* ---------------- order queries ---------------- *)
-
-let lower_bound ?hints t key =
-  let r = ref None in
-  iter_from ?hints
-    (fun k ->
-      r := Some k;
-      false)
-    t key;
-  !r
-
-let upper_bound ?hints t key =
-  let r = ref None in
-  iter_from ?hints
-    (fun k ->
-      if compare_keys t k key > 0 then begin
-        r := Some k;
-        false
-      end
-      else true)
-    t key;
-  !r
-
-(* ---------------- separators (merge partitioning) ---------------- *)
-
-(* Whole levels top-down, so the result is always in ascending order; thin
-   evenly when one more level overshoots [limit].  Mirrors
-   [Btree.Make.separators]. *)
-let separators t ~limit =
-  if limit <= 0 || is_empty t then [||]
-  else begin
-    let rec level nodes =
-      let keys =
-        List.concat_map
-          (fun n -> Array.to_list (Array.sub n.keys 0 n.nkeys))
-          nodes
-      in
-      if List.length keys >= limit || is_leaf (List.hd nodes) then keys
-      else
-        level
-          (List.concat_map
-             (fun n -> List.init (n.nkeys + 1) (fun i -> n.children.(i)))
-             nodes)
-    in
-    let keys = Array.of_list (level [ t.root ]) in
-    let n = Array.length keys in
-    if n <= limit then keys
-    else Array.init limit (fun i -> keys.(i * n / limit))
-  end
-
-(* ---------------- sessions ---------------- *)
-
-type session = { s_tree : t; s_hints : hints }
-
-let session t = { s_tree = t; s_hints = make_hints () }
-let s_tree s = s.s_tree
-let s_hints s = s.s_hints
-let s_insert s key = insert ~hints:s.s_hints s.s_tree key
-
-let s_insert_batch ?pos ?len s run =
-  insert_batch ~hints:s.s_hints ?pos ?len s.s_tree run
-
-let s_mem s key = mem ~hints:s.s_hints s.s_tree key
-let s_iter_from f s key = iter_from ~hints:s.s_hints f s.s_tree key
-let s_lower_bound s key = lower_bound ~hints:s.s_hints s.s_tree key
-let s_upper_bound s key = upper_bound ~hints:s.s_hints s.s_tree key
-
-(* ---------------- storage-backend witness ---------------- *)
+let arity t = (context t).Tuple.arity
 
 module As_storage (C : sig
   val arity : int
   val order : int array
-end) : Storage_intf.S with type elt = int array and type t = t = struct
-  type elt = int array
-  type nonrec t = t
-
-  let create () = create ~arity:C.arity ~order:C.order ()
-  let insert t k = insert t k
-  let insert_batch t run = insert_batch t run
-  let mem t k = mem t k
-  let lower_bound t k = lower_bound t k
-  let upper_bound t k = upper_bound t k
-  let iter = iter
-  let iter_from f t k = iter_from f t k
-  let cardinal = cardinal
-  let is_empty = is_empty
-  let ordered = true
-  let shape t = Some (shape t)
-end
-
-(* ---------------- public unhinted surface ---------------- *)
-
-(* The [?hints] optional arguments are not exported: hinted operation goes
-   through a per-domain session, everything else through these unhinted
-   rebinds (which the .mli exposes). *)
-let insert t key = insert t key
-let insert_batch ?pos ?len t run = insert_batch ?pos ?len t run
-let mem t key = mem t key
-let lower_bound t key = lower_bound t key
-let upper_bound t key = upper_bound t key
-let iter_from f t key = iter_from f t key
+end) =
+Storage (struct
+  let ctx = ctx ~arity:C.arity ~order:C.order
+end)

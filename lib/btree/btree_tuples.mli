@@ -1,122 +1,27 @@
-(** The specialized concurrent B-tree, hand-specialized for integer tuples.
+(** The specialized concurrent B-tree over integer tuples: {!Btree_core.Make}
+    over {!Olock} and a column-order comparator.  The Datalog engine's
+    relation indexes use this module.
 
-    Functionally equivalent to [Btree.Make] over an integer-array key with a
-    column-permutation comparator, but with the 3-way tuple comparator
-    inlined into the search loops instead of called through a functor
-    closure.  This mirrors the paper's implementation note (2): Soufflé's
-    C++ template instantiation inlines the tuple comparator; without
-    cross-module inlining, OCaml functor applications pay an indirect call
-    per comparison, which dominates descent cost on tuple keys.  The Datalog
-    engine's relation indexes use this module.
+    Tuples are [int array]s of a fixed arity, ordered lexicographically
+    over [order] (a column permutation: an index signature's bound columns
+    first).  The comparator is specialised to the order once, at creation,
+    mirroring the paper's implementation note (2) — Soufflé's template
+    instantiation inlines the tuple comparator.  Inserted arrays are
+    retained: callers must not mutate them.
 
-    Tuples are [int array]s of a fixed arity; ordering is lexicographic over
-    [order] (a column permutation: the index signature's bound columns
-    first).  Inserted arrays are retained — callers must not mutate them.
+    Concurrency contract, hints and algorithms are those of {!Btree}. *)
 
-    Concurrency contract, hints, and algorithms are identical to {!Btree}:
-    optimistic lock-free descent with validation, lease upgrade at the leaf,
-    bottom-up split locking, weak-coverage operation hints. *)
-
-type t
+include Btree_core.OPS with type key = int array
 
 val create :
   ?capacity:int -> ?binary_search:bool -> arity:int -> order:int array -> unit -> t
-(** [order] must be a permutation of [0 .. arity-1].
-    @raise Invalid_argument otherwise. *)
+(** [order] must be a permutation of [0 .. arity-1]; [binary_search]
+    defaults to [true] here (a tuple comparison is dearer than an integer
+    one).  @raise Invalid_argument otherwise. *)
 
 val arity : t -> int
 
-val compare_tuples : t -> int array -> int array -> int
-(** The tree's [order]-major lexicographic tuple comparison — what "sorted"
-    means for {!insert_batch} runs on this tree. *)
-
-type hints
-
-val make_hints : unit -> hints
-
-val hint_counters : hints -> int * int
-(** (hits, misses) over all operation kinds. *)
-
-val hint_run_hist : hints -> int array
-(** Hint-locality distribution: log2-bucketed lengths of uninterrupted hit
-    runs (bucket [b>0] holds runs of [2^(b-1)..2^b-1] hits; bucket 0 counts
-    misses that immediately followed a miss).  The still-open run, if any,
-    is counted as if it closed now. *)
-
-val set_restart_budget : int -> unit
-(** Optimistic restarts allowed per insertion before the pessimistic
-    write-locked fallback descent engages (default 16; [0] = always
-    pessimistic).  Module-global; quiescent use only.  See
-    [Btree.Make.set_restart_budget] for the fallback's progress argument.
-    @raise Invalid_argument if negative. *)
-
-val restart_budget : unit -> int
-
-val insert : t -> int array -> bool
-(** Thread-safe against concurrent inserts.  Unhinted; for the hinted path
-    use {!s_insert} on a per-domain {!session}. *)
-
-val insert_batch : ?pos:int -> ?len:int -> t -> int array array -> int
-(** [insert_batch t run] inserts the sorted run [run.(pos..pos+len-1)]
-    (non-decreasing in the tree's [order]-major comparison; duplicates are
-    skipped) and returns the number of fresh tuples.  One optimistic
-    descent acquires the target leaf's write permit together with the
-    leaf's exclusive upper bound, and the run is consumed up to that bound
-    with bulk two-blit splices and in-place multi-splits — amortising one
-    descent and one write-lock acquisition over many tuples.  Thread-safe
-    against concurrent [insert]s and [insert_batch]es.
-    @raise Invalid_argument when the run is not sorted or the range is
-    invalid. *)
-
-val mem : t -> int array -> bool
-val is_empty : t -> bool
-val cardinal : t -> int
-
-val lower_bound : t -> int array -> int array option
-(** Smallest tuple [>=] the probe (in [order]-major comparison). *)
-
-val upper_bound : t -> int array -> int array option
-(** Smallest tuple [>] the probe. *)
-
-val iter : (int array -> unit) -> t -> unit
-val iter_from : (int array -> bool) -> t -> int array -> unit
-(** In-order from the first tuple [>=] the probe (in [order]-major
-    comparison), while the callback returns [true]. *)
-
-val to_list : t -> int array list
-val check_invariants : t -> unit
-
-val shape : t -> Tree_shape.t
-(** Full structural report (per-level node counts, fill-factor deciles);
-    root-only tree has height 1.  Quiescent use only. *)
-
-val separators : t -> limit:int -> int array array
-(** At most [limit] separator tuples from the top levels of the tree, in
-    ascending order — range-partition pivots for parallel structural
-    merges: tuples below [separators.(i)] reach leaves disjoint from those
-    reached by tuples above it.  Quiescent use only. *)
-
-(** {1 Sessions}
-
-    A per-domain handle owning the domain's operation hints — the only
-    hinted surface (the former [?hints] optional arguments on the raw
-    operations are gone).  Do not share across domains. *)
-
-type session
-
-val session : t -> session
-val s_tree : session -> t
-val s_hints : session -> hints
-
-val s_insert : session -> int array -> bool
-val s_insert_batch : ?pos:int -> ?len:int -> session -> int array array -> int
-val s_mem : session -> int array -> bool
-val s_lower_bound : session -> int array -> int array option
-val s_upper_bound : session -> int array -> int array option
-val s_iter_from : (int array -> bool) -> session -> int array -> unit
-
-(** Witness that a fixed-signature tuple tree satisfies the shared
-    storage-backend contract (hints dropped). *)
+(** Storage-backend witness for a fixed arity and order (hints dropped). *)
 module As_storage (_ : sig
   val arity : int
   val order : int array

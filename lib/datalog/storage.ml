@@ -225,33 +225,18 @@ module Index = struct
       let n = Array.length tuples in
       if n = 0 then 0
       else begin
-        let cmp = Btree_tuples.compare_tuples tree in
-        let run = sorted_run ~compare:cmp tuples in
+        let run = sorted_run ~compare:(Btree_tuples.compare tree) tuples in
         match pool with
         | Some p when Pool.size p > 1 && n >= merge_parallel_cutoff ->
-          let seps =
-            Btree_tuples.separators tree ~limit:((Pool.size p * 4) - 1)
-          in
-          let nseps = Array.length seps in
-          let bounds = Array.make (nseps + 2) 0 in
-          bounds.(nseps + 1) <- n;
-          for s = 0 to nseps - 1 do
-            (* first run index >= seps.(s); searches start at the previous
-               boundary, so the bounds stay non-decreasing *)
-            let lo = ref bounds.(s) and hi = ref n in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if cmp run.(mid) seps.(s) < 0 then lo := mid + 1 else hi := mid
-            done;
-            bounds.(s + 1) <- !lo
-          done;
+          let bounds = Btree_tuples.partition tree ~parts:(Pool.size p * 4) run in
           let fresh = Sync.Counter.make 0 in
           (* one session per worker, reused across every partition the
              worker steals (chunk 1: partitions are coarse units already) *)
           let wsess =
             Array.init (Pool.size p) (fun _ -> Btree_tuples.session tree)
           in
-          Pool.parallel_for_workers ~label:"merge" ~chunk:1 p 0 (nseps + 1)
+          Pool.parallel_for_workers ~label:"merge" ~chunk:1 p 0
+            (Array.length bounds - 1)
             (fun w part ->
               let lo = bounds.(part) and hi = bounds.(part + 1) in
               if hi > lo then begin

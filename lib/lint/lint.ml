@@ -32,7 +32,7 @@
       *transitive* summary may block is also a finding.
 
    R4 hygiene: [Obj.magic] is banned everywhere; in the hot modules
-      (lib/btree/{btree,btree_seq,btree_tuples,leaf_pack}.ml,
+      (lib/btree/{btree_core,btree,btree_seq,btree_tuples,key,leaf_pack}.ml,
       lib/datalog/{eval,storage,relation}.ml) the polymorphic [compare]
       (bare or [Stdlib.compare]) and polymorphic comparison operators
       applied to tuple literals are banned — use [Key.compare] or a
@@ -69,7 +69,7 @@
       silently ignored.
 
    Findings are machine-consumable: {!findings_to_json} emits a
-   versioned JSON document, {!baseline_of_findings} /
+   versioned JSON document (via [Telemetry.Json]), {!baseline_of_findings} /
    {!diff_baseline} implement the checked-in-baseline ratchet (CI
    fails only on findings not covered by LINT_BASELINE.json, and the
    covered count can only go down).
@@ -142,10 +142,11 @@ let default_atomic_whitelisted path =
 
 let hot_modules =
   [
+    "btree_core.ml";
     "btree.ml";
-    "key.ml";
     "btree_seq.ml";
     "btree_tuples.ml";
+    "key.ml";
     "leaf_pack.ml";
     "eval.ml";
     "storage.ml";
@@ -1362,233 +1363,79 @@ let check_roots roots =
   (files, findings)
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission / parsing (no external deps)                          *)
+(* JSON emission / parsing (Telemetry.Json)                             *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Telemetry.Json
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jlist of json list
-  | Jobj of (string * json) list
+let jstr = function J.String s -> Some s | _ -> None
+let jint = function J.Int i -> Some i | _ -> None
+let field j key conv = Option.bind (J.member key j) conv
 
-exception Json_error of string
+(* A versioned document: [{"schema": schema, ...fields, key: [items]}],
+   one item per line so a checked-in baseline diffs entry by entry. *)
+let doc_to_json ~schema fields key items =
+  let head = J.to_string (J.Obj (("schema", J.String schema) :: fields)) in
+  let body =
+    if items = [] then ""
+    else "\n  " ^ String.concat ",\n  " (List.map J.to_string items) ^ "\n"
+  in
+  Printf.sprintf "%s,%s:[%s]}\n"
+    (String.sub head 0 (String.length head - 1))
+    (J.to_string (J.String key)) body
 
-(* Minimal recursive-descent JSON parser — just enough for our own
-   schemas (strings, ints, arrays, objects). *)
-let json_parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Json_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
-    let h = String.sub s !pos 4 in
-    pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some v -> v
-    | None -> fail "bad \\u escape"
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some '"' -> advance (); Buffer.add_char b '"'; go ()
-        | Some '\\' -> advance (); Buffer.add_char b '\\'; go ()
-        | Some '/' -> advance (); Buffer.add_char b '/'; go ()
-        | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-        | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
-        | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
-        | Some 'b' -> advance (); Buffer.add_char b '\b'; go ()
-        | Some 'f' -> advance (); Buffer.add_char b '\012'; go ()
-        | Some 'u' ->
-          advance ();
-          let v = parse_hex4 () in
-          (* our emitter only escapes control chars this way *)
-          if v < 0x80 then Buffer.add_char b (Char.chr v)
-          else Buffer.add_char b '?';
-          go ()
-        | _ -> fail "bad escape")
-      | Some c ->
-        advance ();
-        Buffer.add_char b c;
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then (advance (); Jobj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Jobj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then (advance (); Jlist [])
-      else
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Jlist (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements []
-    | Some 't' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "true" then (
-        pos := !pos + 4;
-        Jbool true)
-      else fail "bad literal"
-    | Some 'f' ->
-      if !pos + 5 <= n && String.sub s !pos 5 = "false" then (
-        pos := !pos + 5;
-        Jbool false)
-      else fail "bad literal"
-    | Some 'n' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "null" then (
-        pos := !pos + 4;
-        Jnull)
-      else fail "bad literal"
-    | Some c when c = '-' || (c >= '0' && c <= '9') ->
-      let start = !pos in
-      let num_char c =
-        (c >= '0' && c <= '9')
-        || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while (match peek () with Some c when num_char c -> true | _ -> false) do
-        advance ()
-      done;
-      (match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some v -> Jnum v
-      | None -> fail "bad number")
-    | _ -> fail "unexpected input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let jget obj key =
-  match obj with
-  | Jobj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let jstr = function Jstr s -> Some s | _ -> None
-let jint = function Jnum f -> Some (int_of_float f) | _ -> None
+(* Parse back what [doc_to_json] emitted, one [entry] per item. *)
+let doc_of_json ~schema ~key ~what entry src =
+  match J.of_string src with
+  | exception J.Parse_error msg -> Error msg
+  | j -> (
+    match field j "schema" jstr with
+    | Some s when s = schema -> (
+      match J.member key j with
+      | Some (J.List items) ->
+        let parsed = List.map entry items in
+        if List.for_all Option.is_some parsed then
+          Ok (List.filter_map Fun.id parsed)
+        else Error (Printf.sprintf "malformed %s entry" what)
+      | _ -> Error (Printf.sprintf "missing %s array" key))
+    | Some s -> Error (Printf.sprintf "unknown schema %S" s)
+    | None -> Error "missing schema")
 
 (* --- findings ------------------------------------------------------ *)
 
 let findings_schema = "lint_findings/1"
 
-let finding_to_json_buf b f =
-  Printf.bprintf b
-    "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"message\":\"%s\"}"
-    (json_escape f.file) f.line f.col (json_escape f.rule)
-    (json_escape f.message)
-
 let findings_to_json findings =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "{\"schema\":\"%s\",\"count\":%d,\"findings\":["
-    findings_schema (List.length findings);
-  List.iteri
-    (fun i f ->
-      Buffer.add_string b (if i > 0 then ",\n  " else "\n  ");
-      finding_to_json_buf b f)
-    findings;
-  if findings <> [] then Buffer.add_char b '\n';
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  doc_to_json ~schema:findings_schema
+    [ ("count", J.Int (List.length findings)) ]
+    "findings"
+    (List.map
+       (fun f ->
+         J.Obj
+           [
+             ("file", J.String f.file);
+             ("line", J.Int f.line);
+             ("col", J.Int f.col);
+             ("rule", J.String f.rule);
+             ("message", J.String f.message);
+           ])
+       findings)
 
 let finding_of_json j =
   match
-    ( Option.bind (jget j "file") jstr,
-      Option.bind (jget j "line") jint,
-      Option.bind (jget j "col") jint,
-      Option.bind (jget j "rule") jstr,
-      Option.bind (jget j "message") jstr )
+    ( field j "file" jstr,
+      field j "line" jint,
+      field j "col" jint,
+      field j "rule" jstr,
+      field j "message" jstr )
   with
   | Some file, Some line, Some col, Some rule, Some message ->
     Some { file; line; col; rule; message }
   | _ -> None
 
-let findings_of_json src =
-  match json_parse src with
-  | exception Json_error msg -> Error msg
-  | j -> (
-    match jget j "schema" with
-    | Some (Jstr s) when s = findings_schema -> (
-      match jget j "findings" with
-      | Some (Jlist items) -> (
-        let parsed = List.map finding_of_json items in
-        if List.for_all Option.is_some parsed then
-          Ok (List.filter_map Fun.id parsed)
-        else Error "malformed finding entry")
-      | _ -> Error "missing findings array")
-    | Some (Jstr s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing schema")
+let findings_of_json =
+  doc_of_json ~schema:findings_schema ~key:"findings" ~what:"finding"
+    finding_of_json
 
 (* --- baseline ------------------------------------------------------ *)
 
@@ -1621,46 +1468,30 @@ let baseline_of_findings findings =
   |> List.sort compare
 
 let baseline_to_json entries =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "{\"schema\":\"%s\",\"entries\":[" baseline_schema;
-  List.iteri
-    (fun i e ->
-      Buffer.add_string b (if i > 0 then ",\n  " else "\n  ");
-      Printf.bprintf b
-        "{\"file\":\"%s\",\"rule\":\"%s\",\"message\":\"%s\",\"count\":%d}"
-        (json_escape e.be_file) (json_escape e.be_rule)
-        (json_escape e.be_message) e.be_count)
-    entries;
-  if entries <> [] then Buffer.add_char b '\n';
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  doc_to_json ~schema:baseline_schema [] "entries"
+    (List.map
+       (fun e ->
+         J.Obj
+           [
+             ("file", J.String e.be_file);
+             ("rule", J.String e.be_rule);
+             ("message", J.String e.be_message);
+             ("count", J.Int e.be_count);
+           ])
+       entries)
 
-let baseline_of_json src =
-  match json_parse src with
-  | exception Json_error msg -> Error msg
-  | j -> (
-    match jget j "schema" with
-    | Some (Jstr s) when s = baseline_schema -> (
-      match jget j "entries" with
-      | Some (Jlist items) ->
-        let parse_entry e =
-          match
-            ( Option.bind (jget e "file") jstr,
-              Option.bind (jget e "rule") jstr,
-              Option.bind (jget e "message") jstr,
-              Option.bind (jget e "count") jint )
-          with
-          | Some be_file, Some be_rule, Some be_message, Some be_count ->
-            Some { be_file; be_rule; be_message; be_count }
-          | _ -> None
-        in
-        let parsed = List.map parse_entry items in
-        if List.for_all Option.is_some parsed then
-          Ok (List.filter_map Fun.id parsed)
-        else Error "malformed baseline entry"
-      | _ -> Error "missing entries array")
-    | Some (Jstr s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing schema")
+let baseline_of_json =
+  doc_of_json ~schema:baseline_schema ~key:"entries" ~what:"baseline"
+    (fun e ->
+      match
+        ( field e "file" jstr,
+          field e "rule" jstr,
+          field e "message" jstr,
+          field e "count" jint )
+      with
+      | Some be_file, Some be_rule, Some be_message, Some be_count ->
+        Some { be_file; be_rule; be_message; be_count }
+      | _ -> None)
 
 (* The ratchet: findings beyond each key's baselined count are new
    (gate fails); baseline entries whose key now fires fewer times are

@@ -1,279 +1,18 @@
-(* Tests for the concurrent B-tree: sequential semantics against a model,
-   qcheck properties, and multi-domain stress tests. *)
+(* The concurrent plain-key tree: the shared suite over integer keys, plus
+   a pair-key range scan. *)
 
 module T = Btree.Make (Key.Int)
 module TP = Btree.Make (Key.Pair)
-module ISet = Set.Make (Int)
 
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_ilist = Alcotest.(check (list int))
+module Suite = Tree_suite.Make (struct
+  include T
 
-let int_opt = Alcotest.(option int)
-
-(* deterministic pseudo-random stream *)
-let rng seed =
-  let s = ref (Key.mix64 (seed + 1)) in
-  fun bound ->
-    s := Key.mix64 (!s + 0x2545F4914F6CDD1D);
-    !s mod bound
-
-let test_empty () =
-  let t = T.create () in
-  check_bool "is_empty" true (T.is_empty t);
-  check_int "cardinal" 0 (T.cardinal t);
-  check_bool "mem" false (T.mem t 42);
-  Alcotest.check int_opt "min" None (T.min_elt t);
-  Alcotest.check int_opt "max" None (T.max_elt t);
-  Alcotest.check int_opt "lb" None (T.lower_bound t 0);
-  check_ilist "to_list" [] (T.to_list t);
-  T.check_invariants t
-
-let test_singleton () =
-  let t = T.create () in
-  check_bool "first insert" true (T.insert t 7);
-  check_bool "duplicate insert" false (T.insert t 7);
-  check_bool "mem present" true (T.mem t 7);
-  check_bool "mem absent" false (T.mem t 8);
-  check_int "cardinal" 1 (T.cardinal t);
-  Alcotest.check int_opt "min" (Some 7) (T.min_elt t);
-  Alcotest.check int_opt "max" (Some 7) (T.max_elt t);
-  T.check_invariants t
-
-let insert_all t l = List.iter (fun k -> ignore (T.insert t k : bool)) l
-
-let test_ordered_bulk () =
-  let t = T.create ~capacity:4 () in
-  let n = 10_000 in
-  for i = 0 to n - 1 do
-    check_bool "fresh" true (T.insert t i)
-  done;
-  check_int "cardinal" n (T.cardinal t);
-  check_ilist "sorted iteration" (List.init 20 Fun.id)
-    (List.filteri (fun i _ -> i < 20) (T.to_list t));
-  for i = 0 to n - 1 do
-    if not (T.mem t i) then Alcotest.failf "lost key %d" i
-  done;
-  check_bool "beyond max" false (T.mem t n);
-  T.check_invariants t
-
-let test_random_bulk_vs_model () =
-  let r = rng 42 in
-  let t = T.create ~capacity:8 () in
-  let model = ref ISet.empty in
-  for _ = 1 to 20_000 do
-    let k = r 5000 in
-    let fresh = T.insert t k in
-    check_bool "insert result matches model" (not (ISet.mem k !model)) fresh;
-    model := ISet.add k !model
-  done;
-  check_ilist "contents match model" (ISet.elements !model) (T.to_list t);
-  T.check_invariants t
-
-let test_reverse_order () =
-  let t = T.create ~capacity:5 () in
-  for i = 1000 downto 1 do
-    ignore (T.insert t i : bool)
-  done;
-  check_int "cardinal" 1000 (T.cardinal t);
-  check_ilist "first elements" [ 1; 2; 3 ]
-    (List.filteri (fun i _ -> i < 3) (T.to_list t));
-  T.check_invariants t
-
-let test_bounds_vs_model () =
-  let r = rng 7 in
-  let t = T.create ~capacity:6 () in
-  let model = ref ISet.empty in
-  for _ = 1 to 3000 do
-    let k = r 1000 * 2 in
-    (* even keys only *)
-    ignore (T.insert t k : bool);
-    model := ISet.add k !model
-  done;
-  let model_lb k = ISet.find_first_opt (fun x -> x >= k) !model in
-  let model_ub k = ISet.find_first_opt (fun x -> x > k) !model in
-  for probe = -5 to 2005 do
-    Alcotest.check int_opt
-      (Printf.sprintf "lower_bound %d" probe)
-      (model_lb probe) (T.lower_bound t probe);
-    Alcotest.check int_opt
-      (Printf.sprintf "upper_bound %d" probe)
-      (model_ub probe) (T.upper_bound t probe)
-  done
-
-let test_iter_from () =
-  let t = T.create ~capacity:4 () in
-  for i = 0 to 99 do
-    ignore (T.insert t (i * 3) : bool)
-  done;
-  (* all elements >= 50 until >= 100 *)
-  let seen = ref [] in
-  T.iter_from
-    (fun k ->
-      if k < 100 then begin
-        seen := k :: !seen;
-        true
-      end
-      else false)
-    t 50;
-  let expect =
-    List.filter (fun k -> k >= 50 && k < 100) (List.init 100 (fun i -> i * 3))
-  in
-  check_ilist "range scan" expect (List.rev !seen);
-  (* scan starting past the maximum *)
-  let hits = ref 0 in
-  T.iter_from
-    (fun _ ->
-      incr hits;
-      true)
-    t 1000;
-  check_int "empty suffix scan" 0 !hits
-
-let test_iter_while () =
-  let t = T.create () in
-  insert_all t (List.init 100 Fun.id);
-  let count = ref 0 in
-  T.iter_while
-    (fun _ ->
-      incr count;
-      !count < 10)
-    t;
-  check_int "stopped after 10" 10 !count
-
-let test_hints_correctness_ordered () =
-  let t = T.create ~capacity:8 () in
-  let h = T.session t in
-  let n = 20_000 in
-  for i = 0 to n - 1 do
-    ignore (T.s_insert h i : bool)
-  done;
-  check_int "cardinal with hints" n (T.cardinal t);
-  T.check_invariants t;
-  let s = T.hint_stats (T.s_hints h) in
-  check_bool "ordered insert exploits hints" true
-    (s.T.insert_hits > n / 2);
-  (* hinted membership over ordered probes *)
-  for i = 0 to n - 1 do
-    if not (T.s_mem h i) then Alcotest.failf "hinted mem lost %d" i
-  done;
-  let s = T.hint_stats (T.s_hints h) in
-  check_bool "ordered find exploits hints" true (s.T.find_hits > n / 2)
-
-let test_hints_correctness_random () =
-  let r = rng 99 in
-  let t = T.create ~capacity:8 () in
-  let h = T.session t in
-  let model = ref ISet.empty in
-  for _ = 1 to 10_000 do
-    let k = r 100_000 in
-    let fresh = T.s_insert h k in
-    check_bool "hinted insert matches model" (not (ISet.mem k !model)) fresh;
-    model := ISet.add k !model
-  done;
-  check_ilist "hinted random contents" (ISet.elements !model) (T.to_list t);
-  (* hinted bound queries against model *)
-  let model_lb k = ISet.find_first_opt (fun x -> x >= k) !model in
-  let model_ub k = ISet.find_first_opt (fun x -> x > k) !model in
-  for _ = 1 to 2000 do
-    let probe = r 100_000 in
-    Alcotest.check int_opt "hinted lb" (model_lb probe)
-      (T.s_lower_bound h probe);
-    Alcotest.check int_opt "hinted ub" (model_ub probe)
-      (T.s_upper_bound h probe)
-  done;
-  T.check_invariants t
-
-let test_hint_stats_reset () =
-  let t = T.create () in
-  let h = T.session t in
-  for i = 0 to 100 do
-    ignore (T.s_insert h i : bool)
-  done;
-  T.reset_hint_stats (T.s_hints h);
-  let s = T.hint_stats (T.s_hints h) in
-  check_int "hits cleared" 0 s.T.insert_hits;
-  check_int "misses cleared" 0 s.T.insert_misses;
-  check_bool "rate on empty stats" true (T.hit_rate s = 0.0)
-
-let test_hint_stats_merge () =
-  (* merging no stats is the neutral element *)
-  let z = T.merge_hint_stats [] in
-  check_int "empty merge: insert hits" 0 z.T.insert_hits;
-  check_int "empty merge: find misses" 0 z.T.find_misses;
-  check_bool "empty merge rate is 0, not nan" true (T.hit_rate z = 0.0);
-  check_bool "rate of all-zero stats is finite" true
-    (Float.is_finite (T.hit_rate z));
-  (* merging a singleton is the identity *)
-  let t = T.create ~capacity:8 () in
-  let h = T.session t in
-  for i = 0 to 999 do
-    ignore (T.s_insert h i : bool)
-  done;
-  let s = T.hint_stats (T.s_hints h) in
-  let m = T.merge_hint_stats [ s ] in
-  check_int "singleton merge: insert hits" s.T.insert_hits m.T.insert_hits;
-  check_int "singleton merge: insert misses" s.T.insert_misses m.T.insert_misses;
-  check_bool "singleton merge preserves rate" true
-    (T.hit_rate s = T.hit_rate m)
-
-let test_hint_stats_multi_domain () =
-  (* Each domain inserts a disjoint block through its own hints; the merged
-     stats must account for every hinted insert exactly once. *)
-  let t = T.create ~capacity:8 () in
-  let domains = 4 and per_domain = 5_000 in
-  let worker d () =
-    let h = T.session t in
-    let lo = d * per_domain in
-    for i = lo to lo + per_domain - 1 do
-      ignore (T.s_insert h i : bool)
-    done;
-    T.hint_stats (T.s_hints h)
-  in
-  let spawned =
-    List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1)))
-  in
-  let stats0 = worker 0 () in
-  let stats = stats0 :: List.map Domain.join spawned in
-  let m = T.merge_hint_stats stats in
-  check_int "every hinted insert is a hit or a miss"
-    (domains * per_domain)
-    (m.T.insert_hits + m.T.insert_misses);
-  check_int "tree holds the union" (domains * per_domain) (T.cardinal t);
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
-  check_int "merge sums hits" (sum (fun s -> s.T.insert_hits)) m.T.insert_hits;
-  check_int "merge sums misses"
-    (sum (fun s -> s.T.insert_misses))
-    m.T.insert_misses;
-  let r = T.hit_rate m in
-  check_bool "aggregate rate in [0,1]" true (r >= 0.0 && r <= 1.0);
-  T.check_invariants t
-
-let test_insert_all_merge () =
-  let a = T.create ~capacity:5 () in
-  let b = T.create ~capacity:5 () in
-  insert_all a (List.init 500 (fun i -> i * 2));
-  insert_all b (List.init 500 (fun i -> (i * 2) + 1));
-  T.insert_all a b;
-  check_int "merged cardinal" 1000 (T.cardinal a);
-  check_ilist "merged prefix" [ 0; 1; 2; 3; 4 ]
-    (List.filteri (fun i _ -> i < 5) (T.to_list a));
-  T.check_invariants a;
-  (* overlapping merge is idempotent on duplicates *)
-  T.insert_all a b;
-  check_int "idempotent merge" 1000 (T.cardinal a)
-
-let test_binary_search_variant () =
-  let r = rng 5 in
-  let lin = T.create ~capacity:32 () in
-  let bin = T.create ~capacity:32 ~binary_search:true () in
-  for _ = 1 to 20_000 do
-    let k = r 50_000 in
-    let a = T.insert lin k in
-    let b = T.insert bin k in
-    check_bool "variants agree on insert" a b
-  done;
-  check_ilist "variants agree on contents" (T.to_list lin) (T.to_list bin);
-  T.check_invariants bin
+  let make ?capacity ?binary_search () = create ?capacity ?binary_search ()
+  let key x = x
+  let int_of x = x
+  let concurrent = true
+  let of_sorted = Some (fun ~capacity a -> of_sorted_array ~capacity a)
+end)
 
 let test_pair_keys () =
   let t = TP.create ~capacity:4 () in
@@ -283,646 +22,21 @@ let test_pair_keys () =
       ignore (TP.insert t (x, y) : bool)
     done
   done;
-  check_int "grid cardinal" (n * n) (TP.cardinal t);
-  check_bool "mem (3,4)" true (TP.mem t (3, 4));
-  check_bool "mem (n,0)" false (TP.mem t (n, 0));
+  Alcotest.(check int) "grid cardinal" (n * n) (TP.cardinal t);
+  Alcotest.(check bool) "mem (3,4)" true (TP.mem t (3, 4));
+  Alcotest.(check bool) "mem (n,0)" false (TP.mem t (n, 0));
   (* lexicographic range scan: all pairs with first component 7 *)
   let row = ref [] in
   TP.iter_from
     (fun (x, y) ->
-      if x = 7 then begin
-        row := y :: !row;
-        true
-      end
-      else false)
+      x = 7
+      && begin
+           row := y :: !row;
+           true
+         end)
     t (7, 0);
-  check_ilist "prefix scan row 7" (List.init n Fun.id) (List.rev !row);
+  Alcotest.(check (list int)) "prefix scan row 7" (List.init n Fun.id) (List.rev !row);
   TP.check_invariants t
 
-let test_of_sorted_array () =
-  List.iter
-    (fun n ->
-      let arr = Array.init n (fun i -> i * 3) in
-      let t = T.of_sorted_array ~capacity:6 arr in
-      check_int (Printf.sprintf "bulk cardinal %d" n) n (T.cardinal t);
-      T.check_invariants t;
-      if n > 0 then begin
-        Alcotest.check int_opt "bulk min" (Some 0) (T.min_elt t);
-        Alcotest.check int_opt "bulk max" (Some ((n - 1) * 3)) (T.max_elt t)
-      end;
-      (* the bulk tree must accept further inserts *)
-      ignore (T.insert t 1 : bool);
-      T.check_invariants t)
-    [ 0; 1; 2; 5; 6; 7; 13; 50; 100; 1000; 4096 ]
-
-let test_of_sorted_array_rejects_unsorted () =
-  Alcotest.check_raises "unsorted rejected"
-    (Invalid_argument "Btree.of_sorted_array: input not strictly increasing")
-    (fun () -> ignore (T.of_sorted_array [| 1; 1 |] : T.t))
-
-let test_to_sorted_array_roundtrip () =
-  let r = rng 3 in
-  let t = T.create () in
-  for _ = 1 to 5000 do
-    ignore (T.insert t (r 10_000) : bool)
-  done;
-  let arr = T.to_sorted_array t in
-  let t2 = T.of_sorted_array arr in
-  check_ilist "roundtrip" (T.to_list t) (T.to_list t2)
-
-let test_stats () =
-  let t = T.create ~capacity:4 () in
-  insert_all t (List.init 1000 Fun.id);
-  let s = T.stats t in
-  check_int "stats elements" 1000 s.T.elements;
-  check_bool "has inner nodes" true (s.T.height > 1);
-  check_bool "fill in (0,1]" true (s.T.fill > 0.0 && s.T.fill <= 1.0);
-  check_bool "leaves <= nodes" true (s.T.leaves <= s.T.nodes)
-
-let test_capacity_three () =
-  (* minimal capacity maximises split pressure *)
-  let t = T.create ~capacity:3 () in
-  let r = rng 11 in
-  let model = ref ISet.empty in
-  for _ = 1 to 5000 do
-    let k = r 2000 in
-    ignore (T.insert t k : bool);
-    model := ISet.add k !model
-  done;
-  check_ilist "capacity 3 contents" (ISet.elements !model) (T.to_list t);
-  T.check_invariants t
-
-(* ---------------- explicit iterators & set predicates ---------------- *)
-
-let test_iterator_full_walk () =
-  let t = T.create ~capacity:4 () in
-  let n = 500 in
-  for i = 0 to n - 1 do
-    ignore (T.insert t (i * 3) : bool)
-  done;
-  let it = T.Iterator.start t in
-  let seen = ref [] in
-  while not (T.Iterator.at_end it) do
-    seen := T.Iterator.get it :: !seen;
-    T.Iterator.advance it
-  done;
-  check_ilist "iterator = to_list" (T.to_list t) (List.rev !seen)
-
-let test_iterator_empty () =
-  let t = T.create () in
-  let it = T.Iterator.start t in
-  check_bool "empty at end" true (T.Iterator.at_end it);
-  Alcotest.check_raises "get at end"
-    (Invalid_argument "Btree.Iterator.get: at end") (fun () ->
-      ignore (T.Iterator.get it : int))
-
-let test_iterator_seek () =
-  let t = T.create ~capacity:4 () in
-  for i = 0 to 99 do
-    ignore (T.insert t (i * 2) : bool)
-  done;
-  let it = T.Iterator.seek t 31 in
-  check_int "seek lands on lower bound" 32 (T.Iterator.get it);
-  let it = T.Iterator.seek t 32 in
-  check_int "seek exact" 32 (T.Iterator.get it);
-  let it = T.Iterator.seek t 199 in
-  check_bool "seek past max" true (T.Iterator.at_end it);
-  (* walk a range via seek + advance *)
-  let it = T.Iterator.seek t 10 in
-  let out = ref [] in
-  for _ = 1 to 5 do
-    out := T.Iterator.get it :: !out;
-    T.Iterator.advance it
-  done;
-  check_ilist "range walk" [ 10; 12; 14; 16; 18 ] (List.rev !out)
-
-let test_iterator_copy () =
-  let t = T.create () in
-  for i = 0 to 20 do
-    ignore (T.insert t i : bool)
-  done;
-  let a = T.Iterator.seek t 5 in
-  let b = T.Iterator.copy a in
-  T.Iterator.advance a;
-  check_int "copy unaffected" 5 (T.Iterator.get b);
-  check_int "original advanced" 6 (T.Iterator.get a)
-
-let prop_iterator_matches_to_list =
-  QCheck.Test.make ~count:200 ~name:"iterator walk = to_list"
-    QCheck.(list (int_bound 400))
-    (fun keys ->
-      let t = T.create ~capacity:4 () in
-      List.iter (fun k -> ignore (T.insert t k : bool)) keys;
-      let it = T.Iterator.start t in
-      let seen = ref [] in
-      while not (T.Iterator.at_end it) do
-        seen := T.Iterator.get it :: !seen;
-        T.Iterator.advance it
-      done;
-      List.rev !seen = T.to_list t)
-
-let prop_seek_is_lower_bound =
-  QCheck.Test.make ~count:200 ~name:"seek = lower_bound"
-    QCheck.(pair (list (int_bound 300)) (small_list (int_bound 320)))
-    (fun (keys, probes) ->
-      let t = T.create ~capacity:5 () in
-      List.iter (fun k -> ignore (T.insert t k : bool)) keys;
-      List.for_all
-        (fun p ->
-          let it = T.Iterator.seek t p in
-          let via_it =
-            if T.Iterator.at_end it then None else Some (T.Iterator.get it)
-          in
-          via_it = T.lower_bound t p)
-        probes)
-
-let test_set_predicates () =
-  let mk l =
-    let t = T.create ~capacity:4 () in
-    List.iter (fun k -> ignore (T.insert t k : bool)) l;
-    t
-  in
-  let a = mk [ 1; 2; 3 ] in
-  let b = mk [ 3; 2; 1 ] in
-  let c = mk [ 1; 2; 3; 4 ] in
-  let d = mk [ 5; 6 ] in
-  check_bool "equal" true (T.equal a b);
-  check_bool "not equal" false (T.equal a c);
-  check_bool "subset" true (T.subset a c);
-  check_bool "not subset" false (T.subset c a);
-  check_bool "disjoint" true (T.disjoint a d);
-  check_bool "not disjoint" false (T.disjoint a c);
-  check_bool "empty subset" true (T.subset (mk []) a);
-  check_bool "empty equal" true (T.equal (mk []) (mk []))
-
-(* ------------------------------------------------------------------ *)
-(* qcheck properties                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let prop_matches_model =
-  QCheck.Test.make ~count:200 ~name:"tree = model set"
-    QCheck.(list (int_bound 500))
-    (fun keys ->
-      let t = T.create ~capacity:4 () in
-      let model = List.fold_left (fun s k -> ISet.add k s) ISet.empty keys in
-      List.iter (fun k -> ignore (T.insert t k : bool)) keys;
-      T.check_invariants t;
-      T.to_list t = ISet.elements model)
-
-let prop_mem_complete =
-  QCheck.Test.make ~count:200 ~name:"mem sound and complete"
-    QCheck.(pair (list (int_bound 200)) (list (int_bound 200)))
-    (fun (ins, probes) ->
-      let t = T.create ~capacity:4 () in
-      let model = List.fold_left (fun s k -> ISet.add k s) ISet.empty ins in
-      List.iter (fun k -> ignore (T.insert t k : bool)) ins;
-      List.for_all (fun p -> T.mem t p = ISet.mem p model) (ins @ probes))
-
-let prop_bounds_match_model =
-  QCheck.Test.make ~count:200 ~name:"lower/upper bound = model"
-    QCheck.(pair (list (int_bound 300)) (small_list (int_bound 320)))
-    (fun (ins, probes) ->
-      let t = T.create ~capacity:5 () in
-      let model = List.fold_left (fun s k -> ISet.add k s) ISet.empty ins in
-      List.iter (fun k -> ignore (T.insert t k : bool)) ins;
-      List.for_all
-        (fun p ->
-          T.lower_bound t p = ISet.find_first_opt (fun x -> x >= p) model
-          && T.upper_bound t p = ISet.find_first_opt (fun x -> x > p) model)
-        probes)
-
-let prop_bulk_build =
-  QCheck.Test.make ~count:200 ~name:"of_sorted_array invariants + contents"
-    QCheck.(list_of_size Gen.(0 -- 2000) (int_bound 1_000_000))
-    (fun keys ->
-      let uniq = ISet.elements (ISet.of_list keys) in
-      let arr = Array.of_list uniq in
-      let t = T.of_sorted_array ~capacity:7 arr in
-      T.check_invariants t;
-      T.to_list t = uniq)
-
-let prop_hints_transparent =
-  QCheck.Test.make ~count:100 ~name:"session = unhinted semantics"
-    QCheck.(list (int_bound 100))
-    (fun keys ->
-      let a = T.create ~capacity:4 () in
-      let b = T.create ~capacity:4 () in
-      let h = T.session b in
-      let ra = List.map (fun k -> T.insert a k) keys in
-      let rb = List.map (fun k -> T.s_insert h k) keys in
-      ra = rb && T.to_list a = T.to_list b)
-
-(* ------------------------------------------------------------------ *)
-(* concurrency                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let domains_for_stress () = min 8 (max 2 (Domain.recommended_domain_count ()))
-
-(* disjoint ranges: checks no lost inserts and structural integrity *)
-let test_concurrent_disjoint () =
-  let t = T.create ~capacity:8 () in
-  let d = domains_for_stress () in
-  let per = 20_000 in
-  let worker w () =
-    let h = T.session t in
-    for i = 0 to per - 1 do
-      ignore (T.s_insert h ((w * per) + i) : bool)
-    done
-  in
-  let ds = List.init d (fun w -> Domain.spawn (worker w)) in
-  List.iter Domain.join ds;
-  check_int "all inserted" (d * per) (T.cardinal t);
-  T.check_invariants t;
-  for w = 0 to d - 1 do
-    for i = 0 to per - 1 do
-      if not (T.mem t ((w * per) + i)) then
-        Alcotest.failf "lost %d" ((w * per) + i)
-    done
-  done
-
-(* fully overlapping: every domain inserts the same keys; exactly one insert
-   per key must report "fresh" *)
-let test_concurrent_overlapping () =
-  let t = T.create ~capacity:8 () in
-  let d = domains_for_stress () in
-  let n = 20_000 in
-  let fresh = Atomic.make 0 in
-  let worker () =
-    let h = T.session t in
-    let mine = ref 0 in
-    for i = 0 to n - 1 do
-      if T.s_insert h i then incr mine
-    done;
-    ignore (Atomic.fetch_and_add fresh !mine)
-  in
-  let ds = List.init d (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join ds;
-  check_int "cardinal = n" n (T.cardinal t);
-  check_int "each key fresh exactly once" n (Atomic.get fresh);
-  T.check_invariants t
-
-(* interleaved random: union of per-domain random streams *)
-let test_concurrent_random () =
-  let t = T.create ~capacity:8 () in
-  let d = domains_for_stress () in
-  let per = 30_000 in
-  let expected = Array.init d (fun w ->
-      let r = rng (w + 1) in
-      Array.init per (fun _ -> r 1_000_000))
-  in
-  let worker w () =
-    let h = T.session t in
-    Array.iter (fun k -> ignore (T.s_insert h k : bool)) expected.(w)
-  in
-  let ds = List.init d (fun w -> Domain.spawn (worker w)) in
-  List.iter Domain.join ds;
-  T.check_invariants t;
-  let model =
-    Array.fold_left
-      (fun s a -> Array.fold_left (fun s k -> ISet.add k s) s a)
-      ISet.empty expected
-  in
-  check_int "union cardinal" (ISet.cardinal model) (T.cardinal t);
-  check_bool "contents = union" true (T.to_list t = ISet.elements model)
-
-(* tiny capacity + many domains: maximal split contention *)
-let test_concurrent_split_storm () =
-  let t = T.create ~capacity:3 () in
-  let d = domains_for_stress () in
-  let per = 5_000 in
-  let worker w () =
-    let r = rng (1000 + w) in
-    for _ = 0 to per - 1 do
-      ignore (T.insert t (r 50_000) : bool)
-    done
-  in
-  let ds = List.init d (fun w -> Domain.spawn (worker w)) in
-  List.iter Domain.join ds;
-  T.check_invariants t;
-  (* sortedness + uniqueness is already checked; also sanity check order *)
-  let last = ref min_int in
-  T.iter
-    (fun k ->
-      if k <= !last then Alcotest.failf "order violation at %d" k;
-      last := k)
-    t
-
-(* pool-driven parallel insert through Pool.parallel_for_ranges, like the
-   benchmarks do *)
-let test_concurrent_via_pool () =
-  let n = 100_000 in
-  let keys = Array.init n (fun i -> Key.mix64 i) in
-  Pool.with_pool (domains_for_stress ()) (fun p ->
-      let t = T.create () in
-      Pool.parallel_for_ranges p 0 n (fun _w lo hi ->
-          let h = T.session t in
-          for i = lo to hi - 1 do
-            ignore (T.s_insert h keys.(i) : bool)
-          done);
-      T.check_invariants t;
-      let model = Array.fold_left (fun s k -> ISet.add k s) ISet.empty keys in
-      check_int "pool insert cardinal" (ISet.cardinal model) (T.cardinal t))
-
-(* ---------------- tree-shape analytics ---------------- *)
-
-let test_shape_empty () =
-  let sh = T.shape (T.create ()) in
-  check_int "empty height" 0 sh.Tree_shape.height;
-  check_int "empty nodes" 0 sh.Tree_shape.nodes;
-  check_int "empty elements" 0 sh.Tree_shape.elements
-
-let test_shape_matches_stats () =
-  let t = T.create ~capacity:4 () in
-  insert_all t (List.init 1000 Fun.id);
-  T.check_invariants t;
-  let st = T.stats t and sh = T.shape t in
-  check_int "elements agree" st.T.elements sh.Tree_shape.elements;
-  check_int "nodes agree" st.T.nodes sh.Tree_shape.nodes;
-  check_int "leaves agree" st.T.leaves sh.Tree_shape.leaves;
-  check_int "height agrees" st.T.height sh.Tree_shape.height;
-  check_bool "fill agrees" true
-    (Float.abs (st.T.fill -. sh.Tree_shape.fill) < 1e-9);
-  check_int "capacity recorded" 4 sh.Tree_shape.capacity;
-  check_int "one level array entry per level" sh.Tree_shape.height
-    (Array.length sh.Tree_shape.level_nodes);
-  check_int "single root" 1 sh.Tree_shape.level_nodes.(0);
-  check_int "levels sum to nodes" sh.Tree_shape.nodes
-    (Array.fold_left ( + ) 0 sh.Tree_shape.level_nodes);
-  check_int "per-level keys sum to elements" sh.Tree_shape.elements
-    (Array.fold_left ( + ) 0 sh.Tree_shape.level_keys);
-  (* every leaf sits at the bottom level (uniform depth invariant) *)
-  check_int "bottom level holds the leaves" sh.Tree_shape.leaves
-    sh.Tree_shape.level_nodes.(sh.Tree_shape.height - 1);
-  check_int "fill deciles sum to nodes" sh.Tree_shape.nodes
-    (Array.fold_left ( + ) 0 sh.Tree_shape.fill_deciles)
-
-let test_hint_run_hist () =
-  let t = T.create () in
-  let h = T.session t in
-  for i = 0 to 9_999 do
-    ignore (T.s_insert h i : bool)
-  done;
-  let runs = T.hint_run_hist (T.s_hints h) in
-  check_int "log2 run buckets" 16 (Array.length runs);
-  let s = T.hint_stats (T.s_hints h) in
-  let misses = s.T.insert_misses + s.T.find_misses
-               + s.T.lower_bound_misses + s.T.upper_bound_misses in
-  let recorded = Array.fold_left ( + ) 0 runs in
-  (* every miss closes a run; the still-open run adds at most one entry *)
-  check_bool "one run recorded per miss (+ open run)" true
-    (recorded = misses || recorded = misses + 1);
-  (* a sorted insert stream produces long hit runs: some bucket >= 2^3 *)
-  check_bool "long runs observed on sorted stream" true
-    (Array.exists (fun c -> c > 0)
-       (Array.sub runs 4 (Array.length runs - 4)));
-  T.reset_hint_stats (T.s_hints h);
-  check_bool "reset clears run histogram" true
-    (Array.for_all (fun c -> c = 0) (T.hint_run_hist (T.s_hints h)))
-
-(* ------------------------------------------------------------------ *)
-(* batch inserts                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let sorted_run keys = Array.of_list (ISet.elements (ISet.of_list keys))
-
-let test_batch_basic () =
-  let t = T.create ~capacity:4 () in
-  let run = Array.init 1000 (fun i -> i * 2) in
-  check_int "all fresh" 1000 (T.insert_batch t run);
-  T.check_invariants t;
-  check_int "cardinal" 1000 (T.cardinal t);
-  check_int "replay inserts nothing" 0 (T.insert_batch t run);
-  T.check_invariants t;
-  check_int "cardinal unchanged" 1000 (T.cardinal t)
-
-let test_batch_duplicates_in_run () =
-  (* non-decreasing runs are legal; duplicates are skipped *)
-  let t = T.create ~capacity:4 () in
-  check_int "fresh" 3 (T.insert_batch t [| 1; 1; 2; 2; 2; 9 |]);
-  T.check_invariants t;
-  check_ilist "contents" [ 1; 2; 9 ] (T.to_list t)
-
-let test_batch_rejects_unsorted () =
-  let t = T.create () in
-  Alcotest.check_raises "decreasing run"
-    (Invalid_argument "Btree.insert_batch: run not sorted") (fun () ->
-      ignore (T.insert_batch t [| 3; 1 |] : int));
-  Alcotest.check_raises "bad range"
-    (Invalid_argument "Btree.insert_batch: invalid range") (fun () ->
-      ignore (T.insert_batch ~pos:1 ~len:3 t [| 1; 2; 3 |] : int))
-
-let test_batch_into_populated () =
-  (* batch into a tree that already holds every other key *)
-  let r = rng 11 in
-  let t = T.create ~capacity:5 () in
-  let model = ref ISet.empty in
-  for _ = 1 to 2_000 do
-    let k = r 4000 in
-    ignore (T.insert t k : bool);
-    model := ISet.add k !model
-  done;
-  let run = Array.init 1500 (fun i -> (i * 3) + 1) in
-  let expected_fresh =
-    Array.fold_left
-      (fun n k -> if ISet.mem k !model then n else n + 1)
-      0 run
-  in
-  check_int "fresh count" expected_fresh (T.insert_batch t run);
-  T.check_invariants t;
-  Array.iter (fun k -> model := ISet.add k !model) run;
-  check_ilist "contents match model" (ISet.elements !model) (T.to_list t)
-
-let prop_batch_matches_serial =
-  QCheck.Test.make ~count:200 ~name:"batch = one-by-one"
-    QCheck.(list (int_bound 2000))
-    (fun keys ->
-      let run = sorted_run keys in
-      let a = T.create ~capacity:4 () in
-      Array.iter (fun k -> ignore (T.insert a k : bool)) run;
-      let b = T.create ~capacity:4 () in
-      let fresh = T.insert_batch b run in
-      T.check_invariants b;
-      fresh = Array.length run && T.equal a b)
-
-let prop_batch_windows_match_whole =
-  (* the run delivered in consecutive ~pos/~len windows = one batch *)
-  QCheck.Test.make ~count:200 ~name:"windowed batches = whole batch"
-    QCheck.(pair (list (int_bound 1500)) (int_range 1 64))
-    (fun (keys, width) ->
-      let run = sorted_run keys in
-      let a = T.create ~capacity:4 () in
-      ignore (T.insert_batch a run : int);
-      let b = T.create ~capacity:4 () in
-      let h = T.session b in
-      let n = Array.length run in
-      let pos = ref 0 in
-      while !pos < n do
-        let len = min width (n - !pos) in
-        ignore (T.s_insert_batch ~pos:!pos ~len h run : int);
-        T.check_invariants b;
-        pos := !pos + len
-      done;
-      T.equal a b)
-
-let prop_session_batch_matches =
-  QCheck.Test.make ~count:100 ~name:"session batch/insert = plain"
-    QCheck.(pair (list (int_bound 500)) (list (int_bound 500)))
-    (fun (batched, singles) ->
-      let run = sorted_run batched in
-      let a = T.create ~capacity:4 () in
-      ignore (T.insert_batch a run : int);
-      List.iter (fun k -> ignore (T.insert a k : bool)) singles;
-      let b = T.create ~capacity:4 () in
-      let s = T.session b in
-      ignore (T.s_insert_batch s run : int);
-      List.iter (fun k -> ignore (T.s_insert s k : bool)) singles;
-      T.check_invariants b;
-      T.equal a b)
-
-let test_concurrent_batch_partitions () =
-  (* the parallel structural merge's access pattern: every domain
-     batch-inserts one contiguous partition of a shared sorted run *)
-  let t = T.create ~capacity:8 () in
-  (* pre-seed so partitions touch a tree with real structure *)
-  let n = 80_000 in
-  for i = 0 to (n / 16) - 1 do
-    ignore (T.insert t (i * 16) : bool)
-  done;
-  let seeded = T.cardinal t in
-  let d = min 8 (max 2 (Domain.recommended_domain_count ())) in
-  let run = Array.init n Fun.id in
-  let fresh = Atomic.make 0 in
-  let worker w () =
-    let h = T.session t in
-    let lo = w * n / d and hi = (w + 1) * n / d in
-    let f = T.s_insert_batch ~pos:lo ~len:(hi - lo) h run in
-    ignore (Atomic.fetch_and_add fresh f : int)
-  in
-  let ds = List.init d (fun w -> Domain.spawn (worker w)) in
-  List.iter Domain.join ds;
-  T.check_invariants t;
-  check_int "cardinal" n (T.cardinal t);
-  check_int "fresh total" (n - seeded) (Atomic.get fresh);
-  for i = 0 to n - 1 do
-    if not (T.mem t i) then Alcotest.failf "lost key %d" i
-  done
-
-let test_concurrent_batch_vs_single () =
-  (* batches racing per-key inserts over overlapping keys: freshness must
-     stay exact *)
-  let t = T.create ~capacity:8 () in
-  let n = 40_000 in
-  let run = Array.init n Fun.id in
-  let fresh = Atomic.make 0 in
-  let batch_worker () =
-    let h = T.session t in
-    ignore (Atomic.fetch_and_add fresh (T.s_insert_batch h run) : int)
-  in
-  let single_worker () =
-    let h = T.session t in
-    let mine = ref 0 in
-    for i = 0 to n - 1 do
-      if T.s_insert h i then incr mine
-    done;
-    ignore (Atomic.fetch_and_add fresh !mine : int)
-  in
-  let d = min 8 (max 2 (Domain.recommended_domain_count ())) in
-  let ds =
-    List.init d (fun w ->
-        Domain.spawn (if w land 1 = 0 then batch_worker else single_worker))
-  in
-  List.iter Domain.join ds;
-  T.check_invariants t;
-  check_int "cardinal" n (T.cardinal t);
-  check_int "fresh total" n (Atomic.get fresh)
-
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
-
 let () =
-  Alcotest.run "btree"
-    [
-      ( "basics",
-        [
-          Alcotest.test_case "empty" `Quick test_empty;
-          Alcotest.test_case "singleton" `Quick test_singleton;
-          Alcotest.test_case "ordered bulk" `Quick test_ordered_bulk;
-          Alcotest.test_case "random vs model" `Quick test_random_bulk_vs_model;
-          Alcotest.test_case "reverse order" `Quick test_reverse_order;
-          Alcotest.test_case "capacity 3" `Quick test_capacity_three;
-          Alcotest.test_case "stats" `Quick test_stats;
-        ] );
-      ( "queries",
-        [
-          Alcotest.test_case "bounds vs model" `Quick test_bounds_vs_model;
-          Alcotest.test_case "iter_from" `Quick test_iter_from;
-          Alcotest.test_case "iter_while" `Quick test_iter_while;
-          Alcotest.test_case "pair keys" `Quick test_pair_keys;
-        ] );
-      ( "hints",
-        [
-          Alcotest.test_case "ordered" `Quick test_hints_correctness_ordered;
-          Alcotest.test_case "random" `Quick test_hints_correctness_random;
-          Alcotest.test_case "stats reset" `Quick test_hint_stats_reset;
-          Alcotest.test_case "stats merge" `Quick test_hint_stats_merge;
-          Alcotest.test_case "stats multi-domain" `Quick
-            test_hint_stats_multi_domain;
-          Alcotest.test_case "run-length histogram" `Quick test_hint_run_hist;
-        ] );
-      ( "shape",
-        [
-          Alcotest.test_case "empty" `Quick test_shape_empty;
-          Alcotest.test_case "matches stats" `Quick test_shape_matches_stats;
-        ] );
-      ( "bulk",
-        [
-          Alcotest.test_case "insert_all merge" `Quick test_insert_all_merge;
-          Alcotest.test_case "of_sorted_array" `Quick test_of_sorted_array;
-          Alcotest.test_case "rejects unsorted" `Quick
-            test_of_sorted_array_rejects_unsorted;
-          Alcotest.test_case "roundtrip" `Quick test_to_sorted_array_roundtrip;
-          Alcotest.test_case "binary search variant" `Quick
-            test_binary_search_variant;
-        ] );
-      ( "iterators",
-        [
-          Alcotest.test_case "full walk" `Quick test_iterator_full_walk;
-          Alcotest.test_case "empty" `Quick test_iterator_empty;
-          Alcotest.test_case "seek" `Quick test_iterator_seek;
-          Alcotest.test_case "copy" `Quick test_iterator_copy;
-          Alcotest.test_case "set predicates" `Quick test_set_predicates;
-        ] );
-      ( "batch",
-        [
-          Alcotest.test_case "basic" `Quick test_batch_basic;
-          Alcotest.test_case "duplicates in run" `Quick
-            test_batch_duplicates_in_run;
-          Alcotest.test_case "rejects unsorted" `Quick
-            test_batch_rejects_unsorted;
-          Alcotest.test_case "into populated" `Quick test_batch_into_populated;
-        ] );
-      qsuite "properties"
-        [
-          prop_iterator_matches_to_list;
-          prop_seek_is_lower_bound;
-          prop_matches_model;
-          prop_mem_complete;
-          prop_bounds_match_model;
-          prop_bulk_build;
-          prop_hints_transparent;
-          prop_batch_matches_serial;
-          prop_batch_windows_match_whole;
-          prop_session_batch_matches;
-        ];
-      ( "concurrency",
-        [
-          Alcotest.test_case "disjoint ranges" `Quick test_concurrent_disjoint;
-          Alcotest.test_case "overlapping" `Quick test_concurrent_overlapping;
-          Alcotest.test_case "random union" `Quick test_concurrent_random;
-          Alcotest.test_case "split storm" `Quick test_concurrent_split_storm;
-          Alcotest.test_case "via pool" `Quick test_concurrent_via_pool;
-          Alcotest.test_case "batch partitions" `Quick
-            test_concurrent_batch_partitions;
-          Alcotest.test_case "batch vs single" `Quick
-            test_concurrent_batch_vs_single;
-        ] );
-    ]
+  Suite.run "btree" [ ("queries", [ Alcotest.test_case "pair keys" `Quick test_pair_keys ]) ]

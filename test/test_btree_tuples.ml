@@ -1,17 +1,25 @@
-(* Tests for the specialized tuple B-tree: differential against the generic
-   functor tree, invariants, hints and multi-domain stress. *)
+(* The tuple tree: the shared suite over 2-tuples in a permuted column
+   order (integer [i] maps to [(i land 15, i asr 4)] under order [1; 0]),
+   plus tuple-specific cases: order validation, arity, prefix scans, and a
+   differential against the plain functor tree over [Key.Int_array]. *)
 
 module Generic = Btree.Make (Key.Int_array)
 
+module Suite = Tree_suite.Make (struct
+  include Btree_tuples
+
+  let make ?capacity ?binary_search () =
+    create ?capacity ?binary_search ~arity:2 ~order:[| 1; 0 |] ()
+
+  let key i = [| i land 15; i asr 4 |]
+  let int_of k = (k.(1) lsl 4) lor k.(0)
+  let concurrent = true
+  let of_sorted = None
+end)
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let rng seed =
-  let s = ref (Key.mix64 (seed + 1)) in
-  fun bound ->
-    s := Key.mix64 (!s + 0x2545F4914F6CDD1D);
-    !s mod bound
-
+let rng = Tree_suite.rng
 let tuples_equal a b = Key.Int_array.compare a b = 0
 
 let test_basic () =
@@ -85,64 +93,6 @@ let test_prefix_scan () =
     t [| 7; min_int |];
   Alcotest.(check (list int)) "row 7" (List.init 20 Fun.id) (List.rev !seen)
 
-let test_shape () =
-  let t = Btree_tuples.create ~arity:2 ~order:[| 0; 1 |] ~capacity:8 () in
-  let sh0 = Btree_tuples.shape t in
-  check_int "empty shape: no nodes" 0 sh0.Tree_shape.nodes;
-  check_int "empty shape: height 0" 0 sh0.Tree_shape.height;
-  let n = 10_000 in
-  for i = 0 to n - 1 do
-    ignore (Btree_tuples.insert t [| i / 100; i mod 100 |] : bool)
-  done;
-  Btree_tuples.check_invariants t;
-  let sh = Btree_tuples.shape t in
-  check_int "elements = cardinal" (Btree_tuples.cardinal t)
-    sh.Tree_shape.elements;
-  check_bool "has inner levels" true (sh.Tree_shape.height > 1);
-  check_int "single root" 1 sh.Tree_shape.level_nodes.(0);
-  check_int "levels sum to nodes" sh.Tree_shape.nodes
-    (Array.fold_left ( + ) 0 sh.Tree_shape.level_nodes);
-  check_int "per-level keys sum to elements" sh.Tree_shape.elements
-    (Array.fold_left ( + ) 0 sh.Tree_shape.level_keys);
-  check_int "bottom level holds the leaves" sh.Tree_shape.leaves
-    sh.Tree_shape.level_nodes.(sh.Tree_shape.height - 1);
-  check_int "fill deciles sum to nodes" sh.Tree_shape.nodes
-    (Array.fold_left ( + ) 0 sh.Tree_shape.fill_deciles);
-  check_bool "fill in (0,1]" true
-    (sh.Tree_shape.fill > 0.0 && sh.Tree_shape.fill <= 1.0)
-
-let test_hint_run_hist () =
-  let t = Btree_tuples.create ~arity:2 ~order:[| 0; 1 |] () in
-  let h = Btree_tuples.session t in
-  for i = 0 to 4_999 do
-    ignore (Btree_tuples.s_insert h [| i / 100; i mod 100 |] : bool)
-  done;
-  let _, misses = Btree_tuples.hint_counters (Btree_tuples.s_hints h) in
-  let runs = Btree_tuples.hint_run_hist (Btree_tuples.s_hints h) in
-  check_int "log2 run buckets" 16 (Array.length runs);
-  let recorded = Array.fold_left ( + ) 0 runs in
-  check_bool "one run per miss (+ open run)" true
-    (recorded = misses || recorded = misses + 1);
-  check_bool "long runs on sorted stream" true
-    (Array.exists (fun c -> c > 0) (Array.sub runs 4 (Array.length runs - 4)))
-
-let test_hinted_ops () =
-  let t = Btree_tuples.create ~arity:2 ~order:[| 0; 1 |] () in
-  let h = Btree_tuples.session t in
-  let n = 10_000 in
-  for i = 0 to n - 1 do
-    ignore (Btree_tuples.s_insert h [| i / 100; i mod 100 |] : bool)
-  done;
-  Btree_tuples.check_invariants t;
-  check_int "cardinal" n (Btree_tuples.cardinal t);
-  let hits, misses = Btree_tuples.hint_counters (Btree_tuples.s_hints h) in
-  check_bool "ordered stream hits" true (hits > misses * 5);
-  (* hinted membership *)
-  for i = 0 to n - 1 do
-    if not (Btree_tuples.s_mem h [| i / 100; i mod 100 |]) then
-      Alcotest.failf "lost %d" i
-  done
-
 let prop_matches_generic =
   QCheck.Test.make ~count:200 ~name:"specialized = generic functor tree"
     QCheck.(pair (list (pair (int_bound 40) (int_bound 40))) (small_list (pair (int_bound 45) (int_bound 45))))
@@ -164,28 +114,6 @@ let prop_matches_generic =
       Btree_tuples.check_invariants sp;
       agree_ins && agree_mem
       && List.for_all2 tuples_equal (Btree_tuples.to_list sp) (Generic.to_list ge))
-
-let test_concurrent_inserts () =
-  let t = Btree_tuples.create ~arity:2 ~order:[| 0; 1 |] () in
-  let d = min 8 (max 2 (Domain.recommended_domain_count ())) in
-  let per = 20_000 in
-  let fresh = Atomic.make 0 in
-  let worker w () =
-    let h = Btree_tuples.session t in
-    let mine = ref 0 in
-    for i = 0 to per - 1 do
-      (* half disjoint, half overlapping across workers *)
-      let tup = if i land 1 = 0 then [| w; i |] else [| -1; i |] in
-      if Btree_tuples.s_insert h tup then incr mine
-    done;
-    ignore (Atomic.fetch_and_add fresh !mine)
-  in
-  let ds = List.init d (fun w -> Domain.spawn (worker w)) in
-  List.iter Domain.join ds;
-  Btree_tuples.check_invariants t;
-  let expected = (d * per / 2) + (per / 2) in
-  check_int "cardinal" expected (Btree_tuples.cardinal t);
-  check_int "fresh total" expected (Atomic.get fresh)
 
 (* ------------------------------------------------------------------ *)
 (* batch inserts + structural merge pieces                             *)
@@ -225,88 +153,14 @@ let prop_batch_permuted_order =
       List.iter (fun tup -> ignore (Btree_tuples.insert a tup : bool)) tuples;
       let b = Btree_tuples.create ~arity:2 ~order:[| 1; 0 |] () in
       let run = Array.of_list tuples in
-      Array.sort (Btree_tuples.compare_tuples b) run;
+      Array.sort (Btree_tuples.compare b) run;
       ignore (Btree_tuples.insert_batch b run : int);
       Btree_tuples.check_invariants b;
       List.for_all2 tuples_equal (Btree_tuples.to_list a)
         (Btree_tuples.to_list b))
 
-let test_batch_rejects_unsorted () =
-  let t = Btree_tuples.create ~arity:2 ~order:[| 0; 1 |] () in
-  Alcotest.check_raises "decreasing run"
-    (Invalid_argument "Btree_tuples.insert_batch: run not sorted") (fun () ->
-      ignore (Btree_tuples.insert_batch t [| [| 2; 0 |]; [| 1; 0 |] |] : int))
-
-let test_separators_partition () =
-  (* separators must be sorted keys of the tree usable as partition
-     boundaries *)
-  let t = Btree_tuples.create ~arity:2 ~order:[| 0; 1 |] () in
-  for i = 0 to 9_999 do
-    ignore (Btree_tuples.insert t [| i / 100; i mod 100 |] : bool)
-  done;
-  let cmp = Btree_tuples.compare_tuples t in
-  List.iter
-    (fun limit ->
-      let seps = Btree_tuples.separators t ~limit in
-      if Array.length seps > limit then
-        Alcotest.failf "limit %d exceeded: %d" limit (Array.length seps);
-      Array.iteri
-        (fun i s ->
-          if i > 0 && cmp seps.(i - 1) s >= 0 then
-            Alcotest.fail "separators not strictly increasing";
-          if not (Btree_tuples.mem t s) then
-            Alcotest.fail "separator not a tree key")
-        seps)
-    [ 1; 3; 7; 15; 64 ];
-  Alcotest.(check int)
-    "empty tree has no separators" 0
-    (Array.length
-       (Btree_tuples.separators
-          (Btree_tuples.create ~arity:2 ~order:[| 0; 1 |] ())
-          ~limit:7))
-
-let test_session_ops () =
-  let a = Btree_tuples.create ~arity:2 ~order:[| 0; 1 |] () in
-  let b = Btree_tuples.create ~arity:2 ~order:[| 0; 1 |] () in
-  let s = Btree_tuples.session b in
-  let run = Array.init 500 (fun i -> [| i; i * 2 |]) in
-  Array.iter (fun tup -> ignore (Btree_tuples.insert a tup : bool)) run;
-  check_int "session batch fresh" 500 (Btree_tuples.s_insert_batch s run);
-  check_bool "session insert" true (Btree_tuples.s_insert s [| 1000; 0 |]);
-  ignore (Btree_tuples.insert a [| 1000; 0 |] : bool);
-  check_bool "session mem" true (Btree_tuples.s_mem s [| 250; 500 |]);
-  Btree_tuples.check_invariants b;
-  check_bool "same contents" true
-    (List.for_all2 tuples_equal (Btree_tuples.to_list a)
-       (Btree_tuples.to_list b))
-
-let test_concurrent_batch_partitions () =
-  let t = Btree_tuples.create ~arity:2 ~order:[| 0; 1 |] () in
-  let n = 60_000 in
-  (* pre-seed sparse structure *)
-  for i = 0 to (n / 8) - 1 do
-    ignore (Btree_tuples.insert t [| i * 8; 7 |] : bool)
-  done;
-  let seeded = Btree_tuples.cardinal t in
-  let run = Array.init n (fun i -> [| i; 7 |]) in
-  let d = min 8 (max 2 (Domain.recommended_domain_count ())) in
-  let fresh = Atomic.make 0 in
-  let worker w () =
-    let h = Btree_tuples.session t in
-    let lo = w * n / d and hi = (w + 1) * n / d in
-    let f = Btree_tuples.s_insert_batch ~pos:lo ~len:(hi - lo) h run in
-    ignore (Atomic.fetch_and_add fresh f : int)
-  in
-  let ds = List.init d (fun w -> Domain.spawn (worker w)) in
-  List.iter Domain.join ds;
-  Btree_tuples.check_invariants t;
-  check_int "cardinal" n (Btree_tuples.cardinal t);
-  check_int "fresh total" (n - seeded) (Atomic.get fresh)
-
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
-
 let () =
-  Alcotest.run "btree_tuples"
+  Suite.run "btree_tuples"
     [
       ( "basics",
         [
@@ -315,27 +169,9 @@ let () =
           Alcotest.test_case "permuted order" `Quick test_permuted_order;
           Alcotest.test_case "arity 3" `Quick test_arity3;
           Alcotest.test_case "prefix scan" `Quick test_prefix_scan;
-          Alcotest.test_case "hints" `Quick test_hinted_ops;
-          Alcotest.test_case "hint run histogram" `Quick test_hint_run_hist;
-          Alcotest.test_case "shape" `Quick test_shape;
         ] );
-      ( "batch",
-        [
-          Alcotest.test_case "rejects unsorted" `Quick
-            test_batch_rejects_unsorted;
-          Alcotest.test_case "separators" `Quick test_separators_partition;
-          Alcotest.test_case "session" `Quick test_session_ops;
-        ] );
-      qsuite "properties"
-        [
-          prop_matches_generic;
-          prop_batch_matches_serial;
-          prop_batch_permuted_order;
-        ];
-      ( "concurrency",
-        [
-          Alcotest.test_case "mixed inserts" `Quick test_concurrent_inserts;
-          Alcotest.test_case "batch partitions" `Quick
-            test_concurrent_batch_partitions;
-        ] );
+      ( "properties",
+        Tree_suite.qcheck
+          [ prop_matches_generic; prop_batch_matches_serial; prop_batch_permuted_order ]
+      );
     ]

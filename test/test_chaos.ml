@@ -239,7 +239,7 @@ let test_pessimistic_tuples () =
         model := S.add (a, b) !model
       done;
       let run = Array.init 200 (fun _ -> [| r 400; r 8 |]) in
-      Array.sort (Btree_tuples.compare_tuples t) run;
+      Array.sort (Btree_tuples.compare t) run;
       ignore (Btree_tuples.insert_batch t run : int);
       Array.iter (fun tp -> model := S.add (tp.(0), tp.(1)) !model) run;
       Btree_tuples.check_invariants t;

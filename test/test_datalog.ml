@@ -1273,6 +1273,33 @@ let prop_all_kinds_agree =
         (fun kind -> compare_engine_vs_naive ~kind prog)
         Storage.all_kinds)
 
+(* Regression test for the tree's inner-split publication race: the
+   network workload's large recursive deltas go through the separator-
+   partitioned parallel merge, where two workers hold neighbouring leaves
+   while splits climb into the ancestors they share.  Before the new inner
+   sibling was latched from birth, a few runs in a hundred produced a
+   wrong [reach] (duplicates and lost tuples) at two domains. *)
+let test_parallel_engine_matches_serial () =
+  let cfg = Network_gen.scaled 0.1 in
+  Pool.with_pool 1 (fun serial ->
+      Pool.with_pool 2 (fun parallel ->
+          for seed = 1 to 300 do
+            let facts = Network_gen.facts cfg (Rng.create seed) in
+            let eval pool =
+              let e = Engine.create Network_gen.program in
+              List.iter (fun (r, t) -> Engine.add_fact e r t) facts;
+              Engine.run e pool;
+              Engine.relation_list e Network_gen.output_relation
+            in
+            let want = eval serial and got = eval parallel in
+            if
+              List.compare_lengths want got <> 0
+              || not (List.for_all2 (fun a b -> Key.Int_array.compare a b = 0) want got)
+            then
+              Alcotest.failf "seed %d: %d reach tuples at 2 domains, %d at 1" seed
+                (List.length got) (List.length want)
+          done))
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -1379,10 +1406,15 @@ let () =
           tc "arity mismatch" `Quick test_arity_mismatch_rejected;
           tc "non-stratifiable" `Quick test_non_stratifiable_rejected;
         ] );
-      qsuite "differential"
-        [
-          prop_engine_matches_naive;
-          prop_engine_matches_naive_parallel;
-          prop_all_kinds_agree;
-        ];
+      ( "differential",
+        List.map (QCheck_alcotest.to_alcotest ~long:false)
+          [
+            prop_engine_matches_naive;
+            prop_engine_matches_naive_parallel;
+            prop_all_kinds_agree;
+          ]
+        @ [
+            tc "parallel engine = serial (network)" `Quick
+              test_parallel_engine_matches_serial;
+          ] );
     ]

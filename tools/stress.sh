@@ -2,10 +2,13 @@
 # Chaos stress harness wrapper: randomized multi-domain schedules under
 # active failpoints, full invariant audit after every run, per-run seeds
 # printed for deterministic replay.  Runs cycle through six scenarios:
-# optimistic tree, all-pessimistic tree, pool faults, tuple tree, the
-# resident query server (client domains under connection drops and forced
-# admission busy, audited against the exactly-acked fact set), and WAL
-# durability (torn-tail appends under wal.write.short, then a kill -9 of a
+# optimistic tree, all-pessimistic tree, pool faults and tuple tree — one
+# scenario body over both tree instances: a seeded tree, per-key session
+# inserts racing batch merges cut at the tree's separators exactly as the
+# engine's parallel merge cuts them — then the resident query server
+# (client domains under connection drops and forced admission busy,
+# audited against the exactly-acked fact set), and WAL durability
+# (torn-tail appends under wal.write.short, then a kill -9 of a
 # strict-durability server child whose restart must serve exactly the
 # acked rows).
 #
