@@ -162,7 +162,7 @@ let storage_arg =
     value & opt string "btree"
     & info [ "storage"; "s" ] ~docv:"KIND"
         ~doc:
-          "Relation storage of each engine generation: btree, btree-nohints, \
+          "Relation storage of the resident engine: btree, btree-nohints, \
            rbtree, hashset, bplus, tbb.")
 
 let threads_arg =

@@ -62,7 +62,7 @@ let scenario_name = function
 
 let tree_points = "olock.validate.force_fail:12+btree.descent.yield:6+btree.split.delay:6"
 let pool_points = tree_points ^ "+pool.job.raise:4"
-let serve_points = "server.conn.drop:12+server.phase.busy:6"
+let serve_points = "server.conn.drop:12+server.phase.busy:6+server.flip.fail:8"
 let wal_points = "wal.write.short:4"
 
 (* Contiguous partition of [0, n) into [workers] near-equal slices. *)
@@ -83,11 +83,13 @@ exception Audit_failure of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Audit_failure m)) fmt
 
-(* serve scenario: a resident server under connection drops and
-   admission-busy faults.  Client domains assert disjoint facts with
-   bounded retries (busy → back off, dropped connection → reconnect);
-   chaos drops fire before a request is parsed, so an acked fact is always
-   applied and an unacked one never is — the audit can demand the served
+(* serve scenario: a resident server under connection drops,
+   admission-busy faults and failed flips.  Client domains assert
+   disjoint facts with bounded retries (busy → back off, dropped
+   connection → reconnect); chaos drops fire before a request is parsed,
+   so an acked fact is always applied and an unacked one never is.  A
+   failed flip leaves the resident engine part-way and the server
+   rebuilds it from its base facts — the audit can demand the served
    relation equal the acked set exactly. *)
 let serve_program =
   ".decl kv(a:number, b:number)\n.input kv\n\

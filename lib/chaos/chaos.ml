@@ -26,6 +26,7 @@ module Point = struct
     | Io_read_truncate
     | Server_conn_drop
     | Server_phase_busy
+    | Server_flip_fail
     | Wal_write_short
     | Wal_fsync_fail
     | Wal_recover_corrupt
@@ -34,7 +35,7 @@ module Point = struct
     [
       Olock_validate_force_fail; Btree_descent_yield; Btree_split_delay;
       Pool_job_raise; Io_read_truncate; Server_conn_drop; Server_phase_busy;
-      Wal_write_short; Wal_fsync_fail; Wal_recover_corrupt;
+      Server_flip_fail; Wal_write_short; Wal_fsync_fail; Wal_recover_corrupt;
     ]
 
   let index = function
@@ -45,9 +46,10 @@ module Point = struct
     | Io_read_truncate -> 4
     | Server_conn_drop -> 5
     | Server_phase_busy -> 6
-    | Wal_write_short -> 7
-    | Wal_fsync_fail -> 8
-    | Wal_recover_corrupt -> 9
+    | Server_flip_fail -> 7
+    | Wal_write_short -> 8
+    | Wal_fsync_fail -> 9
+    | Wal_recover_corrupt -> 10
 
   let count = List.length all
 
@@ -59,6 +61,7 @@ module Point = struct
     | Io_read_truncate -> "io.read.truncate"
     | Server_conn_drop -> "server.conn.drop"
     | Server_phase_busy -> "server.phase.busy"
+    | Server_flip_fail -> "server.flip.fail"
     | Wal_write_short -> "wal.write.short"
     | Wal_fsync_fail -> "wal.fsync.fail"
     | Wal_recover_corrupt -> "wal.recover.corrupt"

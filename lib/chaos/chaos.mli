@@ -43,6 +43,11 @@ module Point : sig
     | Server_phase_busy
         (** force the server's admission scheduler to reject a request with
             a 503-style BUSY response, as under overload *)
+    | Server_flip_fail
+        (** raise {!Injected} in the middle of an engine run — a server
+            generation flip — after the run's input facts were loaded and
+            before the fixed point: the resident engine is left part-way
+            and the server must rebuild it *)
     | Wal_write_short
         (** truncate a WAL record append partway through and mark the log
             torn, simulating a crash mid-write (a torn tail on disk) *)

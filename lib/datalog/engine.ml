@@ -3,45 +3,18 @@ type t = {
   plan : Plan.t;
   kind : Storage.kind;
   stats : Dl_stats.t option;
-  profile : bool;
-  check_phases : bool;
-  mutable extra_facts : (int * int array) list;
-  mutable fact_runs : (int * int array array) list;
-  mutable result : Eval.result option;
+  eval : Eval.t;
+  mutable queued : (int * int array array) list; (* newest first *)
+  mutable has_run : bool;
+  mutable failed : bool;
 }
-
-let create ?(kind = Storage.Btree) ?(instrument = false) ?(profile = false)
-    ?(check_phases = false) program =
-  let symtab = Symtab.create () in
-  let plan = Plan.compile symtab program in
-  {
-    symtab;
-    plan;
-    kind;
-    stats = (if instrument then Some (Dl_stats.create ()) else None);
-    profile;
-    check_phases;
-    extra_facts = [];
-    fact_runs = [];
-    result = None;
-  }
 
 let pred_id_exn t name =
   match Plan.pred_id t.plan name with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Engine: unknown relation %S" name)
 
-let add_fact t name tup =
-  if t.result <> None then invalid_arg "Engine.add_fact: engine already ran";
-  let p = pred_id_exn t name in
-  if Array.length tup <> t.plan.Plan.arities.(p) then
-    invalid_arg
-      (Printf.sprintf "Engine.add_fact: %s expects arity %d, got %d" name
-         t.plan.Plan.arities.(p) (Array.length tup));
-  t.extra_facts <- (p, tup) :: t.extra_facts
-
 let add_fact_run t name run =
-  if t.result <> None then invalid_arg "Engine.add_fact_run: engine already ran";
   if Array.length run > 0 then begin
     let p = pred_id_exn t name in
     let arity = t.plan.Plan.arities.(p) in
@@ -49,14 +22,56 @@ let add_fact_run t name run =
       (fun tup ->
         if Array.length tup <> arity then
           invalid_arg
-            (Printf.sprintf "Engine.add_fact_run: %s expects arity %d, got %d"
-               name arity (Array.length tup)))
+            (Printf.sprintf "Engine: %s expects arity %d, got %d" name arity
+               (Array.length tup)))
       run;
-    t.fact_runs <- (p, run) :: t.fact_runs
+    t.queued <- (p, run) :: t.queued
   end
 
+let add_fact t name tup = add_fact_run t name [| tup |]
 let add_facts t name tups = add_fact_run t name (Array.of_list tups)
+
+let iter_base t name f =
+  let p = pred_id_exn t name in
+  Eval.iter_base t.eval p f;
+  List.iter (fun (q, run) -> if q = p then Array.iter f run) t.queued
+
+let create ?(kind = Storage.Btree) ?(instrument = false) ?(profile = false)
+    ?(check_phases = false) ?from program =
+  let symtab =
+    match from with Some old -> old.symtab | None -> Symtab.create ()
+  in
+  let plan = Plan.compile symtab program in
+  let stats = if instrument then Some (Dl_stats.create ()) else None in
+  let t =
+    {
+      symtab;
+      plan;
+      kind;
+      stats;
+      eval = Eval.create ~check_phases plan ~kind ~stats ~profile;
+      queued = [];
+      has_run = false;
+      failed = false;
+    }
+  in
+  Option.iter
+    (fun old ->
+      Array.iteri
+        (fun p name ->
+          match Plan.pred_id old.plan name with
+          | Some q when old.plan.Plan.arities.(q) = plan.Plan.arities.(p) ->
+            let acc = ref [] in
+            iter_base old name (fun tup -> acc := tup :: !acc);
+            add_fact_run t name (Array.of_list !acc)
+          | _ -> ())
+        plan.Plan.pred_names)
+    from;
+  t
+
 let intern t s = Symtab.intern t.symtab s
+let find_symbol t s = Symtab.find_opt t.symtab s
+let symbols t = Symtab.size t.symtab
 
 let symbol_name t id =
   match Symtab.name t.symtab id with
@@ -64,29 +79,17 @@ let symbol_name t id =
   | exception Not_found -> None
 
 let run t pool =
-  if t.result <> None then invalid_arg "Engine.run: engine already ran";
-  t.result <-
-    Some
-      (Eval.run ~check_phases:t.check_phases ~fact_runs:t.fact_runs t.plan
-         ~pool ~kind:t.kind ~stats:t.stats ~extra_facts:t.extra_facts
-         ~profile:t.profile);
-  t.extra_facts <- [];
-  t.fact_runs <- []
+  if t.failed then invalid_arg "Engine.run: an earlier run failed";
+  t.failed <- true;
+  Eval.run t.eval ~pool (List.rev t.queued);
+  t.failed <- false;
+  t.queued <- [];
+  t.has_run <- true
 
-let has_run t = t.result <> None
-
-let result_exn t =
-  match t.result with
-  | Some r -> r
-  | None -> invalid_arg "Engine: call run first"
-
-let relation t name = (result_exn t).Eval.relations.(pred_id_exn t name)
-
-let relation_size t name =
-  Relation.cardinal (result_exn t).Eval.relations.(pred_id_exn t name)
-
-let iter_relation t name f =
-  Relation.iter (result_exn t).Eval.relations.(pred_id_exn t name) f
+let has_run t = t.has_run
+let relation t name = (Eval.relations t.eval).(pred_id_exn t name)
+let relation_size t name = Relation.cardinal (relation t name)
+let iter_relation t name f = Relation.iter (relation t name) f
 
 let relation_list t name =
   let acc = ref [] in
@@ -109,9 +112,9 @@ let input_relations t =
 
 let relations t = Array.to_list t.plan.Plan.pred_names
 let relation_arity t name = t.plan.Plan.arities.(pred_id_exn t name)
-let iterations t = (result_exn t).Eval.iterations
+let iterations t = Eval.iterations t.eval
+
 let hint_rate t =
-  let r = result_exn t in
   let agg =
     Array.fold_left
       (fun acc rel ->
@@ -119,7 +122,7 @@ let hint_rate t =
         | None, c -> c
         | Some (h, m), Some (h', m') -> Some (h + h', m + m')
         | Some _, None -> acc)
-      None r.Eval.relations
+      None (Eval.relations t.eval)
   in
   match agg with
   | None -> None
@@ -128,19 +131,17 @@ let hint_rate t =
     else Some (float_of_int h /. float_of_int (h + m))
 
 let tree_shapes t =
-  let r = result_exn t in
-  Array.to_list r.Eval.relations
+  Array.to_list (Eval.relations t.eval)
   |> List.filter_map (fun rel ->
          match Relation.shape rel with
          | Some s when s.Tree_shape.nodes > 0 -> Some (Relation.name rel, s)
          | _ -> None)
 
 let hint_run_hist t =
-  let r = result_exn t in
   Array.fold_left
     (fun acc rel -> Storage.Index.merge_runs acc (Relation.hint_runs rel))
-    None r.Eval.relations
+    None (Eval.relations t.eval)
 
 let stats t = Option.map Dl_stats.snapshot t.stats
-let rule_profile t = (result_exn t).Eval.profile
+let rule_profile t = Eval.profile t.eval
 let kind t = t.kind

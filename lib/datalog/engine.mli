@@ -16,6 +16,7 @@ val create :
   ?instrument:bool ->
   ?profile:bool ->
   ?check_phases:bool ->
+  ?from:t ->
   Ast.program ->
   t
 (** Compiles the program (resolution, safety checks, stratification, join
@@ -23,42 +24,68 @@ val create :
     [instrument] enables the Table 2 operation counters; [profile] records
     per-rule evaluation times; [check_phases] asserts the two-phase access
     discipline on every index during evaluation (all default [false]).
+
+    [from] rebuilds: the new engine shares the symbol table of [from], so
+    every symbol keeps its id, and queues the base facts ({!iter_base}) of
+    each relation of [from] that the program declares with the same
+    arity.  The resident query server rebuilds this way on a program
+    change, after recovery and after a failed {!run}; [from] is not used
+    afterwards.
     @raise Plan.Compile_error / @raise Stratify.Not_stratifiable *)
 
 val add_fact : t -> string -> int array -> unit
-(** Queue an input tuple; must be called before {!run}.
-    @raise Invalid_argument on unknown predicate, wrong arity, or after run. *)
+(** Queue an input tuple for the next {!run}.
+    @raise Invalid_argument on unknown predicate or wrong arity. *)
 
 val add_facts : t -> string -> int array list -> unit
 (** Queue a batch of tuples at once; like {!add_fact_run} on the list
     converted to an array. *)
 
 val add_fact_run : t -> string -> int array array -> unit
-(** Queue a whole run of tuples in one chunk.  Chunks bypass the per-fact
-    queue: at {!run} they are blitted directly into the per-predicate fact
-    group that feeds the batch write path ({!Relation.merge_batch}), so bulk
+(** Queue a whole run of tuples in one chunk, before the first {!run} or
+    between runs.  At {!run} the chunks of a predicate are grouped and fed
+    through the batch write path ({!Relation.merge_batch}), so bulk
     loaders ({!Dl_io}) avoid per-tuple queuing entirely.  The array is
-    retained until {!run}; callers must not mutate it (or its tuples)
-    afterwards.
-    @raise Invalid_argument on unknown predicate, wrong arity, or after
-    run. *)
+    retained; callers must not mutate it (or its tuples) afterwards.
+    @raise Invalid_argument on unknown predicate or wrong arity. *)
 
 val intern : t -> string -> int
 (** Intern a symbol, for building facts that mix numbers and symbols. *)
 
+val find_symbol : t -> string -> int option
+(** The id of a symbol already interned; never grows the table.  A
+    pattern symbol the engine never saw matches no tuple. *)
+
 val symbol_name : t -> int -> string option
 
+val symbols : t -> int
+(** Number of interned symbols. *)
+
 val run : t -> Pool.t -> unit
-(** Evaluate to fixed point.  May be called once.
-    @raise Invalid_argument on repeated calls. *)
+(** Apply the queued facts and evaluate to the fixed point.  May be
+    called any number of times: the first run evaluates the whole
+    program, a later one only what the newly queued facts change
+    ({!Eval}).  A run that raises leaves the relations part-way; the
+    engine then refuses to run again, and [create ~from] builds its
+    replacement.
+    @raise Invalid_argument after a failed run. *)
 
 val has_run : t -> bool
+(** Whether a run completed. *)
+
+val iter_base : t -> string -> (int array -> unit) -> unit
+(** The base facts of a relation: every tuple added with {!add_fact} and
+    friends, applied or still queued — never a derived tuple nor one of
+    the program's inline facts.  A relation that also has rules keeps
+    its base facts apart from its derived tuples.  Quiescent use only.
+    @raise Invalid_argument on unknown relation. *)
 
 val relation : t -> string -> Relation.t
-(** The evaluated relation itself (after {!run}), for phase-typed access:
-    open {!Relation.begin_read} handles to serve concurrent queries over
-    the fixed point — the query server's reader phases go through here.
-    @raise Invalid_argument on unknown relation or before run. *)
+(** The current full relation itself, for phase-typed access: open
+    {!Relation.begin_read} handles to serve concurrent queries over the
+    fixed point — the query server's reader phases go through here.  A
+    later {!run} may replace it; fetch it again after each run.
+    @raise Invalid_argument on unknown relation. *)
 
 val relation_size : t -> string -> int
 val iter_relation : t -> string -> (int array -> unit) -> unit
@@ -74,7 +101,7 @@ val relation_arity : t -> string -> int
 (** @raise Invalid_argument on unknown relation. *)
 
 val iterations : t -> int
-(** Fixed-point rounds performed (after {!run}). *)
+(** Fixed-point rounds of the last {!run}. *)
 
 val stats : t -> Dl_stats.snapshot option
 (** Operation counters, when created with [~instrument:true]. *)
@@ -93,7 +120,7 @@ val hint_run_hist : t -> int array option
     every cursor of every relation; [None] for unhinted storage kinds. *)
 
 val rule_profile : t -> Eval.rule_profile list
-(** Per rule-version cumulative evaluation times, hottest first (after
-    {!run}); empty unless created with [~profile:true]. *)
+(** Per rule-version cumulative evaluation times over every {!run},
+    hottest first; empty unless created with [~profile:true]. *)
 
 val kind : t -> Storage.kind

@@ -5,12 +5,6 @@ type rule_profile = {
   rp_seconds : float;     (* cumulative wall time *)
 }
 
-type result = {
-  relations : Relation.t array;
-  iterations : int;
-  profile : rule_profile list; (* sorted by descending time *)
-}
-
 (* Evaluate a source into the environment. *)
 let rec value env = function
   | Plan.Const c -> c
@@ -130,15 +124,123 @@ let exec_outer ctx tup ~emit =
     if !ok then exec ctx 1 ~emit
   | Plan.SNeg _ | Plan.SCmp _ | Plan.SBind _ | Plan.SAgg _ -> assert false
 
-let run ?(check_phases = false) ?(fact_runs = []) (plan : Plan.t) ~pool ~kind
-    ~stats ~extra_facts ~profile =
-  let npreds = plan.Plan.npreds in
-  let fulls =
-    Array.init npreds (fun p ->
-        Relation.create ~check_phases ~name:plan.Plan.pred_names.(p)
-          ~arity:plan.Plan.arities.(p) ~kind ~sigs:plan.Plan.sigs_full.(p)
-          ~stats ())
+(* ------------------------------------------------------------------ *)
+(* Resident evaluation state                                          *)
+(* ------------------------------------------------------------------ *)
+
+type t = {
+  plan : Plan.t;
+  kind : Storage.kind;
+  stats : Dl_stats.t option;
+  check_phases : bool;
+  profile : bool;
+  fulls : Relation.t array; (* by predicate id; a recomputed one is replaced *)
+  bases : Relation.t option array;
+      (* the added facts of a predicate that has rules or inline program
+         facts, kept apart from its full relation; [None] where the full
+         relation holds exactly the added facts *)
+  derived : bool array; (* the head of some rule *)
+  program_facts : int array array array; (* inline facts, by predicate *)
+  pos_deps : int list array; (* per stratum: read by a positive literal *)
+  neg_deps : int list array;
+      (* per stratum: read through negation or inside an aggregate *)
+  recursive : Plan.crule list array;
+      (* per stratum: the delta versions over the stratum's own predicates *)
+  computed : bool array; (* per stratum: has reached its fixed point once *)
+  mutable loaded_program : bool;
+  mutable iterations : int;
+  prof : (Plan.crule * float ref * int ref) list ref;
+}
+
+(* Predicates a stratum's rules read positively, and those they read
+   through negation or an aggregate (whose change is not monotone). *)
+let deps_of_rules rules =
+  let pos = ref [] and neg = ref [] in
+  let rec visit ~agg step =
+    match step with
+    | Plan.SMatch m ->
+      if agg then neg := m.Plan.m_pred :: !neg else pos := m.Plan.m_pred :: !pos
+    | Plan.SNeg n -> neg := n.n_pred :: !neg
+    | Plan.SAgg a -> Array.iter (visit ~agg:true) a.Plan.a_steps
+    | Plan.SCmp _ | Plan.SBind _ -> ()
   in
+  List.iter (fun cr -> Array.iter (visit ~agg:false) cr.Plan.cr_steps) rules;
+  (List.sort_uniq Int.compare !pos, List.sort_uniq Int.compare !neg)
+
+let new_relation ~check_phases ~kind ~stats (plan : Plan.t) ~sigs p =
+  Relation.create ~check_phases ~name:plan.Plan.pred_names.(p)
+    ~arity:plan.Plan.arities.(p) ~kind ~sigs ~stats ()
+
+let create ?(check_phases = false) (plan : Plan.t) ~kind ~stats ~profile =
+  let npreds = plan.Plan.npreds in
+  let derived = Array.make npreds false in
+  Array.iter
+    (List.iter (fun (cr : Plan.crule) -> derived.(cr.cr_head) <- true))
+    plan.Plan.seed_rules;
+  let program_facts =
+    let groups = Array.make npreds [] in
+    List.iter (fun (p, tup) -> groups.(p) <- tup :: groups.(p)) plan.Plan.facts;
+    Array.map (fun l -> Array.of_list (List.rev l)) groups
+  in
+  let rel ~sigs p = new_relation ~check_phases ~kind ~stats plan ~sigs p in
+  let deps = Array.map deps_of_rules plan.Plan.seed_rules in
+  let stratum_of = plan.Plan.strat.Stratify.stratum_of in
+  {
+    plan;
+    kind;
+    stats;
+    check_phases;
+    profile;
+    fulls = Array.init npreds (fun p -> rel ~sigs:plan.Plan.sigs_full.(p) p);
+    bases =
+      Array.init npreds (fun p ->
+          if derived.(p) || Array.length program_facts.(p) > 0 then
+            Some (rel ~sigs:[] p)
+          else None);
+    derived;
+    program_facts;
+    pos_deps = Array.map fst deps;
+    neg_deps = Array.map snd deps;
+    recursive =
+      Array.mapi
+        (fun s rules ->
+          List.filter
+            (fun (cr : Plan.crule) -> stratum_of.(cr.cr_delta) = s)
+            rules)
+        plan.Plan.delta_rules;
+    computed = Array.make (Array.length plan.Plan.seed_rules) false;
+    loaded_program = false;
+    iterations = 0;
+    prof = ref [];
+  }
+
+let relations t = t.fulls
+let iterations t = t.iterations
+
+let iter_base t p f =
+  match t.bases.(p) with
+  | Some b -> Relation.iter b f
+  | None -> Relation.iter t.fulls.(p) f
+
+(* The tuples of [tuples] not yet in [rel], once each, sorted. *)
+let fresh_tuples rel tuples =
+  let sorted = Array.copy tuples in
+  Array.sort Key.Int_array.compare sorted;
+  let keep = ref [] in
+  Array.iteri
+    (fun i tup ->
+      if
+        (i = 0 || Key.Int_array.compare sorted.(i - 1) tup <> 0)
+        && not (Relation.mem rel tup)
+      then keep := tup :: !keep)
+    sorted;
+  Array.of_list (List.rev !keep)
+
+let run t ~pool batch =
+  let plan = t.plan and kind = t.kind and stats = t.stats in
+  let npreds = plan.Plan.npreds in
+  let stratum_of = plan.Plan.strat.Stratify.stratum_of in
+  let fulls = t.fulls in
   (* a pool is worth forking for a write only when the batch is large
      enough and the storage kind takes concurrent inserts *)
   let merge_pool cnt =
@@ -146,71 +248,75 @@ let run ?(check_phases = false) ?(fact_runs = []) (plan : Plan.t) ~pool ~kind
     then Some pool
     else None
   in
+  (* the batch write path: each index sorts the tuples in its own order
+     and bulk-inserts them, in parallel for large batches *)
+  let write rel tuples =
+    let w = Relation.begin_write rel in
+    Fun.protect
+      ~finally:(fun () -> Relation.Writer.finish w)
+      (fun () ->
+        Relation.Writer.insert_batch ?pool:(merge_pool (Array.length tuples)) w
+          tuples)
+  in
+  let count_input n =
+    match stats with
+    | Some s -> Sync.Counter.add s.Dl_stats.input_tuples n
+    | None -> ()
+  in
   let t_eval = Telemetry.span_start () in
   let t_load = Telemetry.span_start () in
-  (* Bulk fact loading: group facts per predicate, then feed each group
-     through the batch write path (each index sorts the group in its own
-     order and bulk-inserts it — in parallel for large groups). *)
-  let counts = Array.make npreds 0 in
-  let check (p, tup) =
-    if Array.length tup <> plan.Plan.arities.(p) then
-      invalid_arg
-        (Printf.sprintf "fact arity mismatch for %s" plan.Plan.pred_names.(p));
-    counts.(p) <- counts.(p) + 1
-  in
-  List.iter check plan.Plan.facts;
-  List.iter check extra_facts;
+  (* Load the batch.  [added.(p)] collects what [p] gained in this run:
+     the delta a later stratum that reads [p] positively is seeded with.
+     A stratum that has not reached its fixed point yet is computed from
+     its bases, so its own full relations are not loaded here.  On the
+     first run every stratum is computed that way, so no gain is needed
+     and the batch goes straight in without the freshness filter. *)
+  let first = not t.loaded_program in
+  let added = Array.make npreds [] in
+  let groups = Array.make npreds [] in
   List.iter
-    (fun (p, run) -> Array.iter (fun tup -> check (p, tup)) run)
-    fact_runs;
-  let groups = Array.init npreds (fun p -> Array.make counts.(p) [||]) in
-  let fill = Array.make npreds 0 in
-  let put (p, tup) =
-    groups.(p).(fill.(p)) <- tup;
-    fill.(p) <- fill.(p) + 1
-  in
-  List.iter put plan.Plan.facts;
-  List.iter put extra_facts;
-  List.iter
-    (fun (p, run) ->
-      let n = Array.length run in
-      Array.blit run 0 groups.(p) fill.(p) n;
-      fill.(p) <- fill.(p) + n)
-    fact_runs;
-  Array.iteri
-    (fun p group ->
-      let cnt = Array.length group in
-      if cnt > 0 then begin
-        let w = Relation.begin_write fulls.(p) in
-        let fresh = Relation.Writer.insert_batch ?pool:(merge_pool cnt) w group in
-        Relation.Writer.finish w;
-        match stats with
-        | Some s ->
-          Sync.Counter.add s.Dl_stats.input_tuples fresh
-        | None -> ()
-      end)
-    groups;
+    (fun (p, run) -> if Array.length run > 0 then groups.(p) <- run :: groups.(p))
+    batch;
+  for p = 0 to npreds - 1 do
+    let asserted = Array.concat groups.(p) in
+    (match t.bases.(p) with
+    | Some b when Array.length asserted > 0 -> ignore (write b asserted : int)
+    | _ -> ());
+    let incoming =
+      if first then Array.append t.program_facts.(p) asserted else asserted
+    in
+    if
+      Array.length incoming > 0
+      && ((not t.derived.(p)) || t.computed.(stratum_of.(p)))
+    then
+      if first then count_input (write fulls.(p) incoming)
+      else
+        let fresh = fresh_tuples fulls.(p) incoming in
+        if Array.length fresh > 0 then begin
+          count_input (write fulls.(p) fresh);
+          added.(p) <- [ fresh ]
+        end
+  done;
+  t.loaded_program <- true;
   Telemetry.span_end ~cat:"eval" "eval.load_facts" t_load;
-  let iterations = ref 0 in
-  (* delta / new relations, allocated per stratum *)
+  (* the failed-flip drill: the inputs changed, the fixpoint did not *)
+  Chaos.inject Chaos.Point.Server_flip_fail;
+  (* delta / new relations of the stratum being evaluated; a delta of a
+     lower stratum stays valid for the rest of the run *)
   let deltas = Array.make npreds None in
   let news = Array.make npreds None in
   let fresh_rel p =
-    Relation.create ~check_phases ~name:plan.Plan.pred_names.(p)
-      ~arity:plan.Plan.arities.(p) ~kind
-      ~sigs:plan.Plan.sigs_delta.(p)
-      ~stats ()
+    new_relation ~check_phases:t.check_phases ~kind ~stats plan
+      ~sigs:plan.Plan.sigs_delta.(p) p
   in
   let the = function Some r -> r | None -> assert false in
-  (* per compiled-rule-version accumulators, keyed physically *)
-  let prof : (Plan.crule * float ref * int ref) list ref = ref [] in
   let prof_entry cr =
-    match List.find_opt (fun (c, _, _) -> c == cr) !prof with
-    | Some (_, t, n) -> (t, n)
+    match List.find_opt (fun (c, _, _) -> c == cr) !(t.prof) with
+    | Some (_, tm, n) -> (tm, n)
     | None ->
-      let t = ref 0.0 and n = ref 0 in
-      prof := (cr, t, n) :: !prof;
-      (t, n)
+      let tm = ref 0.0 and n = ref 0 in
+      t.prof := (cr, tm, n) :: !(t.prof);
+      (tm, n)
   in
   (* Evaluate one compiled rule version, reading delta relations where the
      plan says so, writing into news.(head). *)
@@ -331,18 +437,19 @@ let run ?(check_phases = false) ?(fact_runs = []) (plan : Plan.t) ~pool ~kind
   in
   let eval_rule cr =
     Telemetry.bump Telemetry.Counter.Eval_rule_evals;
-    if profile then begin
-      let t, n = prof_entry cr in
+    if t.profile then begin
+      let tm, n = prof_entry cr in
       incr n;
       let t0 = Unix.gettimeofday () in
       eval_rule_timed cr;
-      t := !t +. (Unix.gettimeofday () -. t0)
+      tm := !tm +. (Unix.gettimeofday () -. t0)
     end
     else eval_rule_timed cr
   in
   (* merge new into full, returning the number of promoted tuples (the
-     iteration's delta cardinality; 0 means fixed point) *)
-  let promote stratum =
+     iteration's delta cardinality; 0 means fixed point); [track] also
+     records them as the predicate's gain in this run *)
+  let promote ~track stratum =
     let total = ref 0 in
     Array.iter
       (fun p ->
@@ -358,9 +465,8 @@ let run ?(check_phases = false) ?(fact_runs = []) (plan : Plan.t) ~pool ~kind
           (* delta -> full structural merge through the batch write path:
              serial for small deltas and thread-unsafe kinds, partitioned
              over the pool otherwise *)
-          let w = Relation.begin_write fulls.(p) in
-          ignore (Relation.Writer.insert_batch ?pool:(merge_pool !cnt) w arr : int);
-          Relation.Writer.finish w
+          ignore (write fulls.(p) arr : int);
+          if track then added.(p) <- arr :: added.(p)
         end;
         deltas.(p) <- news.(p);
         news.(p) <- Some (fresh_rel p))
@@ -368,12 +474,70 @@ let run ?(check_phases = false) ?(fact_runs = []) (plan : Plan.t) ~pool ~kind
     if !total > 0 then Telemetry.add Telemetry.Counter.Eval_delta_tuples !total;
     !total
   in
+  (* the full relation of a derived predicate as its stratum starts over:
+     its inline and added facts *)
+  let rebuilt p =
+    let r =
+      new_relation ~check_phases:t.check_phases ~kind ~stats plan
+        ~sigs:plan.Plan.sigs_full.(p) p
+    in
+    let facts = ref [ t.program_facts.(p) ] in
+    Option.iter
+      (fun b ->
+        let acc = ref [] in
+        Relation.iter b (fun tup -> acc := tup :: !acc);
+        facts := Array.of_list !acc :: !facts)
+      t.bases.(p);
+    let facts = Array.concat !facts in
+    if Array.length facts > 0 then count_input (write r facts);
+    r
+  in
+  (* Per stratum, one of three things happens:
+     - recompute: the stratum never ran, or a relation it reads through
+       negation or an aggregate changed, or one it reads was recomputed.
+       Its full relations start over from their facts and the seed rules
+       run over them; everything downstream is recomputed too.
+     - incremental: only relations it reads positively gained tuples.  The
+       delta versions over those relations, each reading what its relation
+       gained, make the first round.
+     - skip: nothing it reads changed. *)
+  let reset = Array.make npreds false in
+  let changed q = reset.(q) || added.(q) <> [] in
+  let iterations = ref 0 in
   Array.iteri
     (fun s stratum ->
       let seed = plan.Plan.seed_rules.(s) in
-      let delta_versions = plan.Plan.delta_rules.(s) in
-      if seed <> [] then begin
+      let recompute =
+        seed <> []
+        && ((not t.computed.(s))
+           || List.exists changed t.neg_deps.(s)
+           || List.exists (fun q -> reset.(q)) t.pos_deps.(s))
+      in
+      let first_round =
+        if recompute then begin
+          Array.iter
+            (fun p ->
+              fulls.(p) <- rebuilt p;
+              reset.(p) <- true)
+            stratum;
+          seed
+        end
+        else
+          List.filter
+            (fun (cr : Plan.crule) -> added.(cr.cr_delta) <> [])
+            plan.Plan.delta_rules.(s)
+      in
+      if first_round <> [] then begin
         let t_stratum = Telemetry.span_start () in
+        List.iter
+          (fun (cr : Plan.crule) ->
+            let q = cr.cr_delta in
+            if deltas.(q) = None then begin
+              let r = fresh_rel q in
+              ignore (write r (Array.concat added.(q)) : int);
+              deltas.(q) <- Some r
+            end)
+          (if recompute then [] else first_round);
         Array.iter (fun p -> news.(p) <- Some (fresh_rel p)) stratum;
         (* one fixed-point round: evaluate [rules], promote, report delta *)
         let round rules =
@@ -386,7 +550,7 @@ let run ?(check_phases = false) ?(fact_runs = []) (plan : Plan.t) ~pool ~kind
           incr iterations;
           Telemetry.bump Telemetry.Counter.Eval_iterations;
           let t_promote = Telemetry.span_start () in
-          let delta = promote stratum in
+          let delta = promote ~track:(not recompute) stratum in
           Telemetry.span_end ~cat:"eval" "eval.promote" t_promote;
           Telemetry.span_end
             ~args:
@@ -399,9 +563,10 @@ let run ?(check_phases = false) ?(fact_runs = []) (plan : Plan.t) ~pool ~kind
           Telemetry.hist_end Telemetry.Hist.Eval_iteration_ns h_round;
           delta > 0
         in
-        let continue = ref (round seed) in
-        while !continue && delta_versions <> [] do
-          continue := round delta_versions
+        let recursive = t.recursive.(s) in
+        let continue = ref (round first_round) in
+        while !continue && recursive <> [] do
+          continue := round recursive
         done;
         (* release per-stratum scaffolding *)
         Array.iter
@@ -412,27 +577,24 @@ let run ?(check_phases = false) ?(fact_runs = []) (plan : Plan.t) ~pool ~kind
         Telemetry.span_end
           ~args:[ ("stratum", Telemetry.A_int s) ]
           ~cat:"eval" "eval.stratum" t_stratum
-      end)
+      end;
+      if seed <> [] then t.computed.(s) <- true)
     plan.Plan.strat.Stratify.strata;
-  let is_delta cr =
-    Array.exists
-      (function Plan.SMatch m -> m.Plan.m_delta | _ -> false)
-      cr.Plan.cr_steps
-  in
-  let profile =
-    List.sort
-      (fun a b -> Float.compare b.rp_seconds a.rp_seconds)
-      (List.map
-         (fun ((cr : Plan.crule), t, n) ->
-           {
-             rp_rule = cr.Plan.cr_text;
-             rp_delta = is_delta cr;
-             rp_evaluations = !n;
-             rp_seconds = !t;
-           })
-         !prof)
-  in
+  t.iterations <- !iterations;
   Telemetry.span_end
     ~args:[ ("iterations", Telemetry.A_int !iterations) ]
-    ~cat:"eval" "eval.run" t_eval;
-  { relations = fulls; iterations = !iterations; profile }
+    ~cat:"eval" "eval.run" t_eval
+
+let profile t =
+  let is_delta (cr : Plan.crule) = cr.cr_delta >= 0 in
+  List.sort
+    (fun a b -> Float.compare b.rp_seconds a.rp_seconds)
+    (List.map
+       (fun ((cr : Plan.crule), tm, n) ->
+         {
+           rp_rule = cr.Plan.cr_text;
+           rp_delta = is_delta cr;
+           rp_evaluations = !n;
+           rp_seconds = !tm;
+         })
+       !(t.prof))

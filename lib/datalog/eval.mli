@@ -1,13 +1,28 @@
-(** Parallel semi-naive evaluation of a compiled program.
+(** Parallel semi-naive evaluation of a compiled program over resident
+    relations.
 
-    Stratum by stratum, the engine seeds each stratum with one naive round
-    over the current relation contents, then iterates the delta variants of
-    the recursive rules to the fixed point.  Rule instances are evaluated in
-    parallel by partitioning the outer (delta) scan across the worker pool;
-    every worker drives the storage layer through its own hint-carrying
-    cursors, and produced tuples are inserted into the shared [new]
-    relations concurrently — the parallelisation scheme of the paper's
-    section 2. *)
+    An evaluation state holds the full relations of every predicate and
+    is evaluated any number of times: each {!run} loads a batch of added
+    facts and brings the relations to the fixed point again.  Stratum by
+    stratum, a run either
+    - {e recomputes} the stratum: it never ran, or a relation it reads
+      through negation or an aggregate changed, or a relation it reads
+      was itself recomputed.  Its relations start over from their facts;
+      one naive round over the current relation contents seeds the
+      recursion.
+    - runs it {e incrementally}: relations it reads only positively
+      gained tuples.  The first round evaluates the delta version of
+      every rule literal over such a relation, reading what that relation
+      gained in this run; the usual delta rounds follow.
+    - skips it, when nothing it reads changed.
+
+    The first run is therefore the classic evaluation, and a run that
+    adds one fact does work proportional to what that fact derives.
+    Rule instances are evaluated in parallel by partitioning the outer
+    (delta) scan across the worker pool; every worker drives the storage
+    layer through its own hint-carrying cursors, and produced tuples are
+    inserted into the shared [new] relations concurrently — the
+    parallelisation scheme of the paper's section 2. *)
 
 type rule_profile = {
   rp_rule : string;       (** pretty-printed source rule *)
@@ -16,30 +31,40 @@ type rule_profile = {
   rp_seconds : float;     (** cumulative wall time *)
 }
 
-type result = {
-  relations : Relation.t array; (** final full relations, by predicate id *)
-  iterations : int; (** total fixed-point rounds across all strata *)
-  profile : rule_profile list;
-      (** per rule-version timings, sorted by descending cumulative time;
-          empty unless profiling was requested *)
-}
+type t
 
-val run :
+val create :
   ?check_phases:bool ->
-  ?fact_runs:(int * int array array) list ->
   Plan.t ->
-  pool:Pool.t ->
   kind:Storage.kind ->
   stats:Dl_stats.t option ->
-  extra_facts:(int * int array) list ->
   profile:bool ->
-  result
-(** [extra_facts] are programmatically added input tuples (pred id, tuple);
-    they are loaded alongside the program's inline facts.  [fact_runs] are
-    the same tuples in pre-chunked form (one array per loader shard, as
-    produced by {!Dl_io}) — all facts of a predicate are grouped and fed
-    through the batch write path ({!Relation.merge_batch}), which sorts the
-    group per index and bulk-inserts it, in parallel on [pool] for large
-    groups on thread-safe storage kinds.  [check_phases] wraps every index
-    in {!Storage.Index.with_phase_check}, turning any violation of the
-    two-phase access discipline into an exception. *)
+  t
+(** Empty relations for every predicate of the plan.  [check_phases]
+    wraps every index in {!Storage.Index.with_phase_check}, turning any
+    violation of the two-phase access discipline into an exception;
+    [profile] records per rule-version timings. *)
+
+val run : t -> pool:Pool.t -> (int * int array array) list -> unit
+(** [run t ~pool batch] adds the [(pred id, tuples)] runs of [batch] (and,
+    on the first run, the program's inline facts) through the batch write
+    path ({!Relation.merge_batch}: each index sorts the group and
+    bulk-inserts it, in parallel on [pool] for large groups on
+    thread-safe storage kinds), then evaluates to the fixed point.  When
+    it raises, the relations are left part-way and [t] must not be run
+    again; its added facts ({!iter_base}) stay readable. *)
+
+val relations : t -> Relation.t array
+(** The current full relations by predicate id.  The array is live: a
+    recomputed stratum replaces its entries. *)
+
+val iter_base : t -> int -> (int array -> unit) -> unit
+(** The facts added to a predicate through {!run}: never its derived
+    tuples nor the program's inline facts. *)
+
+val iterations : t -> int
+(** Fixed-point rounds of the last run, across all strata. *)
+
+val profile : t -> rule_profile list
+(** Per rule-version timings accumulated over every run, sorted by
+    descending cumulative time; empty unless profiling was requested. *)

@@ -38,6 +38,7 @@ type crule = {
   cr_head_src : src array;
   cr_steps : step array;
   cr_nslots : int;
+  cr_delta : int;
   cr_text : string;
 }
 
@@ -262,11 +263,17 @@ let compile_order symtab ~pred_of ~head ~body ~delta_first ~text =
                v text)
          head.Ast.args)
   in
+  let cr_delta =
+    match (delta_first, body) with
+    | true, Ast.Pos a :: _ -> pred_of a
+    | _ -> -1
+  in
   {
     cr_head = pred_of head;
     cr_head_src;
     cr_steps = Array.of_list (List.rev !steps);
     cr_nslots = !nslots;
+    cr_delta;
     cr_text = text;
   }
 
@@ -362,6 +369,7 @@ let compile symtab (prog : Ast.program) =
   let delta_rules = Array.make nstrata [] in
   let sigs_full = Array.make npreds [] in
   let sigs_delta = Array.make npreds [] in
+  let lower = ref [] in
   let add_sigs cr =
     let rec visit stp =
       match stp with
@@ -386,22 +394,68 @@ let compile symtab (prog : Ast.program) =
       in
       add_sigs seed;
       seed_rules.(s) <- seed :: seed_rules.(s);
-      (* delta variants: one per recursive positive literal, rotated to the
-         front so the (small) delta drives the outer loop *)
+      (* delta variants: one per positive literal, rotated to the front so
+         the (small) delta drives the outer loop.  Literals over the rule's
+         own stratum drive the recursive rounds; the others let a later
+         run seed the stratum with what changed below it. *)
       List.iteri
         (fun j lit ->
           match lit with
-          | Ast.Pos a when strat.Stratify.stratum_of.(atom_pred a) = s ->
+          | Ast.Pos a ->
             let rotated = lit :: List.filteri (fun i _ -> i <> j) r.body in
             let v =
               compile_order symtab ~pred_of:atom_pred ~head:r.head
                 ~body:rotated ~delta_first:true ~text
             in
-            add_sigs v;
-            delta_rules.(s) <- v :: delta_rules.(s)
-          | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ | Ast.Agg _ -> ())
+            if strat.Stratify.stratum_of.(atom_pred a) = s then begin
+              add_sigs v;
+              delta_rules.(s) <- v :: delta_rules.(s)
+            end
+            else lower := (s, v) :: !lower
+          | Ast.Neg _ | Ast.Cmp _ | Ast.Agg _ -> ())
         r.body)
     rules;
+  (* A variant over a lower stratum runs only when that stratum changed,
+     typically by a few tuples.  It must not make every relation carry
+     extra indexes for it: a scan whose bound columns no index serves
+     falls back to the widest declared signature among them and checks
+     the remaining columns tuple by tuple. *)
+  let declared = Array.map (List.sort_uniq compare) sigs_full in
+  let subset small big = Array.for_all (fun c -> Array.mem c big) small in
+  let rec restrict stp =
+    match stp with
+    | SMatch m when (not m.m_delta) && Array.length m.m_sig > 0 ->
+      if List.mem m.m_sig declared.(m.m_pred) then stp
+      else
+        let sig_ =
+          List.fold_left
+            (fun best d ->
+              if subset d m.m_sig && Array.length d > Array.length best then d
+              else best)
+            [||] declared.(m.m_pred)
+        in
+        let kept = ref [] and checked = ref [] in
+        Array.iteri
+          (fun i col ->
+            if Array.mem col sig_ then kept := m.m_bound.(i) :: !kept
+            else checked := (col, m.m_bound.(i)) :: !checked)
+          m.m_sig;
+        SMatch
+          {
+            m with
+            m_sig = sig_;
+            m_bound = Array.of_list (List.rev !kept);
+            m_checks = Array.append (Array.of_list (List.rev !checked)) m.m_checks;
+          }
+    | SAgg a -> SAgg { a with a_steps = Array.map restrict a.a_steps }
+    | SMatch _ | SNeg _ | SCmp _ | SBind _ -> stp
+  in
+  List.iter
+    (fun (s, v) ->
+      let v = { v with cr_steps = Array.map restrict v.cr_steps } in
+      add_sigs v;
+      delta_rules.(s) <- v :: delta_rules.(s))
+    (List.rev !lower);
   {
     npreds;
     pred_names;

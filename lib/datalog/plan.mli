@@ -10,10 +10,13 @@
     - a {e negation} step checks that a fully bound tuple is absent.
 
     For semi-naive evaluation every rule is compiled several times: a seed
-    version (all literals read the full relations) and, per recursive body
+    version (all literals read the full relations) and, per positive body
     literal, a delta variant in which that literal reads the delta relation
     and is rotated to the front — making the delta the outer, parallelised
-    loop, as in the paper's parallelisation of Fig. 1. *)
+    loop, as in the paper's parallelisation of Fig. 1.  Variants over the
+    rule's own stratum drive the recursive rounds; variants over a lower
+    stratum (or an input) seed an incremental run with what changed
+    below. *)
 
 exception Compile_error of string
 
@@ -58,6 +61,9 @@ type crule = {
   cr_head_src : src array;
   cr_steps : step array;
   cr_nslots : int;
+  cr_delta : int;
+      (** predicate whose delta the first step reads; [-1] for a seed
+          version *)
   cr_text : string; (** pretty-printed source rule, for diagnostics *)
 }
 
@@ -70,7 +76,8 @@ type t = {
   strat : Stratify.t;
   facts : (int * int array) list;
   seed_rules : crule list array;  (** per stratum *)
-  delta_rules : crule list array; (** per stratum *)
+  delta_rules : crule list array;
+      (** per stratum: every delta variant, one per positive body literal *)
   sigs_full : int array list array;  (** per predicate *)
   sigs_delta : int array list array; (** per predicate *)
 }

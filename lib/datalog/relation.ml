@@ -160,6 +160,11 @@ module Cursor = struct
 
   let mem c tup = Storage.Index.c_mem c.c_primary tup
 
+  let release c =
+    Storage.Index.release c.c_primary;
+    Array.iter Storage.Index.release c.c_insert;
+    Array.iter (fun (_, cur) -> Storage.Index.release cur) c.c_scan
+
   let scan c sig_id bound f =
     if sig_id < 0 then Storage.Index.c_scan c.c_primary ~cols:[||] bound f
     else begin
@@ -272,7 +277,9 @@ module Writer = struct
     check_open w.w_rel.name w.w_closed "insert_batch";
     merge_batch ?pool w.w_rel tuples
 
-  let finish w = leave_phase w.w_rel Sync.Phase_latch.Write w.w_closed
+  let finish w =
+    leave_phase w.w_rel Sync.Phase_latch.Write w.w_closed;
+    Cursor.release w.w_cur
 end
 
 module Reader = struct
@@ -287,7 +294,9 @@ module Reader = struct
     check_open r.r_rel.name r.r_closed "scan";
     Cursor.scan r.r_cur sig_id bound f
 
-  let finish r = leave_phase r.r_rel Sync.Phase_latch.Read r.r_closed
+  let finish r =
+    leave_phase r.r_rel Sync.Phase_latch.Read r.r_closed;
+    Cursor.release r.r_cur
 end
 
 let begin_write t =

@@ -76,6 +76,7 @@ module Index = struct
     c_insert : int array -> bool;
     c_mem : int array -> bool;
     c_scan : cols:int array -> int array -> (int array -> unit) -> unit;
+    c_release : unit -> unit;
   }
 
   type t = {
@@ -169,9 +170,11 @@ module Index = struct
       | None -> full_order ~arity ~cols
     in
     let tree = Btree_tuples.create ~arity ~order () in
-    (* the hints of every session ever handed to a cursor, for hit-rate
-       reporting *)
+    (* for hit-rate reporting: the hints of every live cursor's session,
+       and the summed counters of the released ones — a resident index
+       sees a cursor per phase handle for as long as it lives *)
     let hint_registry = ref [] in
+    let released = ref (0, 0) and released_runs = ref None in
     let registry_lock = Olock.Spin.create () in
     let scan sess scratch ~cols bound f =
       count_scan stats (Array.length cols);
@@ -215,6 +218,19 @@ module Index = struct
             | Some s -> Btree_tuples.s_mem s tup
             | None -> Btree_tuples.mem tree tup);
         c_scan = (fun ~cols bound f -> scan sess scratch ~cols bound f);
+        c_release =
+          (fun () ->
+            match sess with
+            | Some s ->
+              let hr = Btree_tuples.s_hints s in
+              Olock.Spin.with_lock registry_lock (fun () ->
+                  hint_registry := List.filter (fun h -> h != hr) !hint_registry;
+                  let h, m = !released and h', m' = Btree_tuples.hint_counters hr in
+                  released := (h + h', m + m');
+                  released_runs :=
+                    merge_runs !released_runs
+                      (Some (Btree_tuples.hint_run_hist hr)))
+            | None -> ());
       }
     in
     (* Parallel structural merge (delta -> full): sort the incoming tuples
@@ -268,7 +284,7 @@ module Index = struct
                  (fun (h, m) hr ->
                    let h', m' = Btree_tuples.hint_counters hr in
                    (h + h', m + m'))
-                 (0, 0) !hint_registry));
+                 !released !hint_registry));
       i_shape = (fun () -> Some (Btree_tuples.shape tree));
       i_hint_runs =
         (fun () ->
@@ -276,7 +292,7 @@ module Index = struct
           else
             List.fold_left
               (fun acc hr -> merge_runs acc (Some (Btree_tuples.hint_run_hist hr)))
-              None !hint_registry);
+              !released_runs !hint_registry);
     }
 
   let make_rbtree ~arity ~cols ~order ~stats =
@@ -308,6 +324,7 @@ module Index = struct
             count_mem stats;
             T.mem tree tup);
         c_scan = scan scratch;
+        c_release = ignore;
       }
     in
     {
@@ -356,6 +373,7 @@ module Index = struct
             count_mem stats;
             T.mem tree tup);
         c_scan = scan scratch;
+        c_release = ignore;
       }
     in
     {
@@ -403,6 +421,7 @@ module Index = struct
             (fun ~cols:_ _bound f ->
               count_scan stats ncols;
               H.iter f set);
+          c_release = ignore;
         }
       in
       {
@@ -454,6 +473,7 @@ module Index = struct
               | Some bucket -> List.exists (Key.Int_array.equal tup) !bucket
               | None -> false);
           c_scan = scan;
+          c_release = ignore;
         }
       in
       let insert_many run =
@@ -499,6 +519,7 @@ module Index = struct
             (fun ~cols:_ _bound f ->
               count_scan stats ncols;
               H.iter f set);
+          c_release = ignore;
         }
       in
       let merge pool tuples =
@@ -581,6 +602,7 @@ module Index = struct
               count_mem stats;
               mem tup);
           c_scan = scan;
+          c_release = ignore;
         }
       in
       let insert_many run =
@@ -774,6 +796,7 @@ module Index = struct
         c_insert = (fun tup -> as_writer (fun () -> c.c_insert tup));
         c_mem = (fun tup -> as_reader (fun () -> c.c_mem tup));
         c_scan = (fun ~cols bound f -> as_reader (fun () -> c.c_scan ~cols bound f));
+        c_release = c.c_release;
       }
     in
     {
@@ -800,6 +823,7 @@ module Index = struct
   let c_insert c tup = c.c_insert tup
   let c_mem c tup = c.c_mem tup
   let c_scan c ~cols bound f = c.c_scan ~cols bound f
+  let release c = c.c_release ()
 end
 
 (* Kind metadata, all answered by the backend table. *)

@@ -116,6 +116,12 @@ module Index : sig
       index's order for tree kinds.  With empty [cols] this is a full
       scan. *)
 
+  val release : cursor -> unit
+  (** Done with the cursor: its hint counters fold into the index's
+      totals and it is no longer tracked, so an index that lives for
+      many phases does not keep one record per cursor ever made.  The
+      cursor must not be used afterwards. *)
+
   val hint_counters : t -> (int * int) option
   (** [(hits, misses)] aggregated over every cursor ever created on this
       index — the paper's section 4.3 hint hit-rate statistic.  [None] for

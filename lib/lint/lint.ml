@@ -48,13 +48,15 @@
       may-block per the summaries) while the fd is live and unguarded
       by [try]/[match ... with exception] leaks it on the error path.
 
-   R6 wal-before-ack (server files only): admitting state into the fact
-      store — [admit_ingest] / [install_program] calls, or assignments
-      to the [fs_rows] / [fs_count] fields — must be dominated by a WAL
+   R6 wal-before-ack (server files only): admitting state — an
+      [admit_ingest] / [install_program] call, or consing rows onto the
+      pending batch ([s_batch <- _ :: _]) — must be dominated by a WAL
       append: lexically inside the [Ok]-side of a [match] on a
-      wal-appending call, or sequenced after one.  This is the PR 9
-      durability invariant (nothing is acked before it is logged),
-      promoted from tests to static checking.
+      wal-appending call, or sequenced after one.  Shrinking the batch
+      (a flip applied it, a program change dropped relations) admits
+      nothing and is not checked.  This is the PR 9 durability invariant
+      (nothing is acked before it is logged), promoted from tests to
+      static checking.
 
    R7 select-loop-purity: inside a binding that performs [Unix.select]
       (the resident server/monitor loops), every call that may block —
@@ -929,14 +931,17 @@ let check_structure ~file ~hot ~atomic_ok ~server ~(resolve : resolve)
 
   let check_setfield e =
     match e.pexp_desc with
-    | Pexp_setfield (_, { txt; _ }, _) when server && not !walled -> (
+    | Pexp_setfield
+        ( _,
+          { txt; _ },
+          { pexp_desc = Pexp_construct ({ txt = Longident.Lident "::"; _ }, _); _ }
+        )
+      when server && not !walled -> (
       match (try Longident.flatten txt with _ -> []) with
-      | parts when List.mem (last_part parts) [ "fs_rows"; "fs_count" ] ->
+      | parts when last_part parts = "s_batch" ->
         emit e.pexp_loc rule_wal_before_ack
-          (Printf.sprintf
-             "assignment to %s without a dominating WAL append; admit \
-              through wal_admit first (wal-before-ack, PR 9 invariant)"
-             (last_part parts))
+          "rows added to s_batch without a dominating WAL append; admit \
+           through wal_admit first (wal-before-ack, PR 9 invariant)"
       | _ -> ())
     | _ -> ()
   in

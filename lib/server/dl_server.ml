@@ -2,18 +2,22 @@
 
    Concurrency shape (the telemetry monitor-domain idiom, grown up): the
    spawned server domain exclusively owns the listener, every session, the
-   admission queue, the base-fact store and the engine generations, all
+   admission queue, the pending ingest batch and the resident engine, all
    multiplexed over a single [Unix.select].  Nothing on this path is
    synchronised because nothing is shared; the only cross-domain edges are
    the self-pipe ([stop]), the resident pool (driven only from the server
    domain), and a mutex-protected registration handshake with the
    telemetry gauge registry whose reads are racy-but-defined plain loads.
 
-   Phases: ingest is *admitted* on the server domain (validated, appended
-   to the fact store, acknowledged) and *applied* in batched writer phases
-   — a generation flip re-evaluates the program over the full store and
-   swaps one mutable field.  Queries are fanned out over the pool as
-   concurrent reader phases against the immutable current generation, so
+   Phases: ingest is *admitted* on the server domain (validated, logged,
+   appended to the pending batch, acknowledged) and *applied* in batched
+   writer phases — a generation flip hands the batch to the one resident
+   engine, whose semi-naive run evaluates only what the batch changes.
+   The engine is the only store of base facts: it keeps them apart from
+   derived tuples, and WAL snapshots read them back from it.  A fresh
+   engine is built from the old one's base facts and symbol table only on
+   a RULES install, on recovery and after a failed flip.  Queries are
+   fanned out over the pool as concurrent reader phases between flips, so
    the paper's all-writers-or-all-readers discipline holds by construction
    and [check_phases] can assert it never tears. *)
 
@@ -77,15 +81,6 @@ type conn = {
   mutable c_close_after_flush : bool;
 }
 
-(* Accumulated base facts of one relation, replayed into every
-   generation.  Values keep their surface form; symbols are re-interned
-   per generation (symbol ids are engine-local). *)
-type fact_store = {
-  fs_arity : int;
-  mutable fs_rows : Dl_proto.value array list; (* newest first *)
-  mutable fs_count : int;
-}
-
 type state = {
   s_cfg : config;
   s_lfd : Unix.file_descr;
@@ -93,7 +88,13 @@ type state = {
   s_pool : Pool.t;
   s_chunk : Bytes.t; (* per-server read buffer (two servers may coexist) *)
   s_conns : (Unix.file_descr, conn) Hashtbl.t;
-  s_facts : (string, fact_store) Hashtbl.t;
+  mutable s_batch : (string * Dl_proto.value array list) list;
+      (* admitted rows not yet applied, one entry per request, newest
+         first; kept until a flip applies them *)
+  s_col_kinds : (string, int array) Hashtbl.t;
+      (* per relation and column, what was admitted there: [saw_int] and
+         [saw_sym] bits — snapshots render symbol columns back through the
+         engine's symbol table *)
   s_queries : (conn * string * Dl_proto.pat array * int) Queue.t;
   s_wal : Wal.t option;
   s_recovery : Wal.recovery option;
@@ -101,9 +102,9 @@ type state = {
   mutable s_program_text : string option; (* installed source, for snapshots *)
   mutable s_program : Ast.program option;
   mutable s_decls : (string * int) list; (* name, arity of installed decls *)
-  mutable s_gen : Engine.t option;
+  mutable s_engine : Engine.t option; (* Some once a program is installed *)
   mutable s_gen_seq : int;
-  mutable s_stale : bool; (* program/facts newer than s_gen *)
+  mutable s_stale : bool; (* program/facts newer than what is served *)
   mutable s_pending : int; (* facts admitted since the last flip *)
   mutable s_reserved : int; (* rows of in-flight LOAD batches, pre-admission *)
   mutable s_pending_t0s : int list; (* admission stamps of pending requests *)
@@ -240,60 +241,85 @@ let fact_line vals =
   String.concat " "
     (Array.to_list (Array.map Dl_proto.value_to_string vals))
 
-(* Rows of one relation in admission order, protocol surface form —
-   what a snapshot segment stores (fs_rows is newest first). *)
-let store_lines fs = List.rev_map fact_line fs.fs_rows
+(* The base facts of every declared relation, read back from the engine
+   in protocol surface form — what a snapshot segment stores.  Values in
+   a column that was admitted a symbol are rendered through the engine's
+   symbol table; the engine holds derived tuples apart, so none of them
+   is persisted as a base fact. *)
+let saw_int = 1
+let saw_sym = 2
+
+let snapshot_facts st e =
+  List.filter_map
+    (fun (rel, arity) ->
+      let kinds =
+        Option.value (Hashtbl.find_opt st.s_col_kinds rel)
+          ~default:(Array.make arity saw_int)
+      in
+      (* Ints and symbols share the engine's value domain.  In a column
+         that was admitted only symbols every value names one, admitted
+         as a protocol token; in a mixed column a value that names a
+         symbol is rendered as that symbol when the name reads back as
+         one (a program's quoted symbol need not). *)
+      let token name =
+        name <> ""
+        && int_of_string_opt name = None
+        && not
+             (String.exists
+                (function ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
+                name)
+      in
+      let render i v =
+        if kinds.(i) land saw_sym = 0 then Dl_proto.V_int v
+        else
+          match Engine.symbol_name e v with
+          | Some name when kinds.(i) = saw_sym || token name ->
+            Dl_proto.V_sym name
+          | _ -> Dl_proto.V_int v
+      in
+      let lines = ref [] in
+      Engine.iter_base e rel (fun tup ->
+          lines := fact_line (Array.mapi render tup) :: !lines);
+      if !lines = [] then None else Some (rel, !lines))
+    st.s_decls
 
 (* After a successful flip: mark the group-commit point (the fsync that
    makes everything admitted before this flip durable under batch), and
    compact once the log outgrows a few segments — the flip boundary is
-   the one moment the in-memory store and the committed state agree
-   exactly, so the snapshot is trivially consistent. *)
-let wal_flip st =
+   the one moment the engine's base facts and the committed state agree
+   exactly (the pending batch is empty), so the snapshot is trivially
+   consistent. *)
+let wal_flip st e =
   match st.s_wal with
   | None -> ()
   | Some w ->
     (match Wal.append w (Wal.Commit st.s_gen_seq) with
     | Ok () -> ()
     | Error _ -> st.s_wal_errors <- st.s_wal_errors + 1);
-    if Wal.should_compact w then begin
-      let facts =
-        Hashtbl.fold (fun rel fs acc -> (rel, store_lines fs) :: acc)
-          st.s_facts []
-      in
+    if Wal.should_compact w then
       match
-        Wal.compact w ?program:st.s_program_text ~seq:st.s_gen_seq facts
+        Wal.compact w ?program:st.s_program_text ~seq:st.s_gen_seq
+          (snapshot_facts st e)
       with
       | Ok () -> ()
       | Error _ -> st.s_wal_errors <- st.s_wal_errors + 1
-    end
 
 (* --------------------------------------------------------------- *)
 (* Generation flips (writer phases)                                 *)
 (* --------------------------------------------------------------- *)
 
-let build_generation st prog =
-  let e =
-    Engine.create ~kind:st.s_cfg.kind ~check_phases:st.s_cfg.check_phases prog
-  in
-  Hashtbl.iter
-    (fun rel fs ->
-      let tuples = Array.make fs.fs_count [||] in
-      let i = ref 0 in
-      List.iter
-        (fun vals ->
-          tuples.(!i) <-
-            Array.map
-              (function
+(* Hand the pending batch to the engine, interning its symbols. *)
+let apply_batch st e =
+  List.iter
+    (fun (rel, rows) ->
+      Engine.add_fact_run e rel
+        (Array.of_list
+           (List.map
+              (Array.map (function
                 | Dl_proto.V_int v -> v
-                | Dl_proto.V_sym s -> Engine.intern e s)
-              vals;
-          incr i)
-        fs.fs_rows;
-      Engine.add_fact_run e rel tuples)
-    st.s_facts;
-  Engine.run e st.s_pool;
-  e
+                | Dl_proto.V_sym s -> Engine.intern e s))
+              rows)))
+    (List.rev st.s_batch)
 
 let fail_waiting_queries st msg =
   Queue.iter
@@ -301,17 +327,23 @@ let fail_waiting_queries st msg =
     st.s_queries;
   Queue.clear st.s_queries
 
+(* A resident engine that completed a run serves queries between flips. *)
+let serving st =
+  match st.s_engine with Some e -> Engine.has_run e | None -> false
+
 let[@lint.dispatch
     "phase-flip dispatch point of the select loop: evaluation and WAL \
      sync are the loop's job between selects"] do_flip st =
-  match st.s_program with
-  | None -> ()
-  | Some prog -> (
+  match (st.s_engine, st.s_program) with
+  | None, _ | _, None -> ()
+  | Some e, Some prog -> (
     let t0 = Telemetry.now_ns () in
-    match build_generation st prog with
-    | e ->
+    match
+      apply_batch st e;
+      Engine.run e st.s_pool
+    with
+    | () ->
       let now = Telemetry.now_ns () in
-      st.s_gen <- Some e;
       st.s_gen_seq <- st.s_gen_seq + 1;
       st.s_stale <- false;
       st.s_flips <- st.s_flips + 1;
@@ -322,19 +354,26 @@ let[@lint.dispatch
       List.iter
         (fun a -> Telemetry.hist_record Telemetry.Hist.Server_ingest_ns (now - a))
         st.s_pending_t0s;
+      st.s_batch <- [];
       st.s_pending <- 0;
       st.s_pending_t0s <- [];
       st.s_oldest_pending <- max_int;
-      wal_flip st
-    | exception e ->
-      (* Contained: the previous generation keeps serving, the admitted
-         facts stay in the store, and the flip retries on the next
-         trigger.  After a few consecutive failures the waiting queries
-         are failed rather than starved forever. *)
-      (match e with
+      wal_flip st e
+    | exception ex ->
+      (* Contained: the engine stopped part-way, so it is replaced by one
+         built from its base facts (which already hold part of the batch)
+         and no query is answered until a flip succeeds.  The batch stays
+         pending and the flip retries on the next trigger.  After a few
+         consecutive failures the waiting queries are failed rather than
+         starved forever. *)
+      (match ex with
       | Storage.Index.Phase_violation _ ->
         st.s_phase_violations <- st.s_phase_violations + 1
       | _ -> ());
+      st.s_engine <-
+        Some
+          (Engine.create ~kind:st.s_cfg.kind ~check_phases:st.s_cfg.check_phases
+             ~from:e prog);
       st.s_flip_failures <- st.s_flip_failures + 1;
       (* back off so an armed chaos point cannot hot-spin the loop *)
       st.s_retry_at <-
@@ -342,15 +381,15 @@ let[@lint.dispatch
       if st.s_flip_failures >= 3 then begin
         fail_waiting_queries st
           (Printf.sprintf "evaluation failing (%d attempts): %s"
-             st.s_flip_failures (Printexc.to_string e));
+             st.s_flip_failures (Printexc.to_string ex));
         st.s_flip_failures <- 0
       end)
 
 let flip_due st now =
-  st.s_program <> None
+  st.s_engine <> None
   && (st.s_stale || st.s_pending > 0)
   && now >= st.s_retry_at
-  && (st.s_gen = None || st.s_shutting_down
+  && ((not (serving st)) || st.s_shutting_down
      || st.s_pending >= st.s_cfg.flip_pending
      || (not (Queue.is_empty st.s_queries))
      || st.s_pending > 0
@@ -361,10 +400,10 @@ let flip_due st now =
 (* Query execution (reader phases)                                  *)
 (* --------------------------------------------------------------- *)
 
-(* A resolved pattern field: symbols interned on the server domain
-   (symtab mutation is not thread-safe) before fanning out; a symbol the
-   generation never saw matches nothing, which interning expresses
-   naturally (a fresh id no tuple contains). *)
+(* A resolved pattern field: symbols are looked up on the server domain
+   before fanning out, never interned — the symbol table is resident, so
+   interning every unknown query symbol would grow it without bound.  A
+   symbol the engine never saw matches nothing. *)
 
 let decl_arity st rel = List.assoc_opt rel st.s_decls
 
@@ -374,8 +413,10 @@ let row_to_string tup =
 let[@lint.dispatch
     "query dispatch point of the select loop: fans read-only queries out \
      to the worker pool between selects"] run_queries st =
-  match st.s_gen with
-  | Some gen when (not st.s_stale) && not (Queue.is_empty st.s_queries) ->
+  match st.s_engine with
+  | Some gen
+    when serving st && (not st.s_stale) && not (Queue.is_empty st.s_queries)
+    ->
     let qs = Array.of_seq (Queue.to_seq st.s_queries) in
     Queue.clear st.s_queries;
     let k = Array.length qs in
@@ -399,16 +440,21 @@ let[@lint.dispatch
           | Some _ -> (
             match Engine.relation gen rel with
             | r ->
+              let unknown = ref false in
               let ipats =
                 Array.map
                   (function
                     | Dl_proto.P_any -> None
                     | Dl_proto.P_val (Dl_proto.V_int v) -> Some v
-                    | Dl_proto.P_val (Dl_proto.V_sym s) ->
-                      Some (Engine.intern gen s))
+                    | Dl_proto.P_val (Dl_proto.V_sym s) -> (
+                      match Engine.find_symbol gen s with
+                      | Some id -> Some id
+                      | None ->
+                        unknown := true;
+                        None))
                   pats
               in
-              Ok (r, ipats)
+              Ok ((if !unknown then None else Some r), ipats)
             | exception _ ->
               Error (Dl_proto.E_relation, "unknown relation " ^ rel)))
         qs
@@ -421,7 +467,8 @@ let[@lint.dispatch
     let run_one i =
       match resolved.(i) with
       | Error _ -> ()
-      | Ok (r, ipats) -> (
+      | Ok (None, _) -> slots.(i) <- `Rows ([], 0)
+      | Ok (Some r, ipats) -> (
         match
           let reader = Relation.begin_read r in
           Fun.protect
@@ -492,6 +539,8 @@ let stats_response st =
       Printf.sprintf "program=%s"
         (match st.s_program with Some _ -> "installed" | None -> "none");
       Printf.sprintf "generation=%d" st.s_gen_seq;
+      Printf.sprintf "symbols=%d"
+        (match st.s_engine with Some e -> Engine.symbols e | None -> 0);
       Printf.sprintf "stale=%b" st.s_stale;
       Printf.sprintf "pending_ingest=%d" st.s_pending;
       Printf.sprintf "reserved_ingest=%d" st.s_reserved;
@@ -535,54 +584,85 @@ let stats_response st =
   in
   let lines = lines @ wal_lines in
   let rels =
-    match st.s_gen with
-    | None -> []
-    | Some gen ->
+    match st.s_engine with
+    | Some gen when serving st ->
       (* quiescent: the server domain is between phases here *)
       List.map
         (fun r ->
           Printf.sprintf "rel.%s=%d" r
             (Relation.cardinal (Engine.relation gen r)))
         (Engine.relations gen)
+    | _ -> []
   in
   Dl_proto.R_data ("server stats", lines @ rels)
 
+(* Record what kind of value each column of [rel] was admitted. *)
+let note_columns st rel rows =
+  match rows with
+  | [] -> ()
+  | first :: _ ->
+    let kinds =
+      match Hashtbl.find_opt st.s_col_kinds rel with
+      | Some kinds -> kinds
+      | None ->
+        let kinds = Array.make (Array.length first) 0 in
+        Hashtbl.replace st.s_col_kinds rel kinds;
+        kinds
+    in
+    List.iter
+      (Array.iteri (fun i v ->
+           kinds.(i) <-
+             kinds.(i)
+             lor match v with Dl_proto.V_int _ -> saw_int | Dl_proto.V_sym _ -> saw_sym))
+      rows
+
 (* [t0] is the admission stamp of the ingest request; the flip records
-   admission-to-applied latency from it. *)
-let admit_ingest st rows_count t0 =
-  st.s_pending <- st.s_pending + rows_count;
+   admission-to-applied latency from it.  The caller has logged the rows
+   and added them to the pending batch. *)
+let admit_ingest st rel rows t0 =
+  note_columns st rel rows;
+  st.s_pending <- st.s_pending + List.length rows;
   st.s_pending_t0s <- t0 :: st.s_pending_t0s;
   if st.s_oldest_pending = max_int then st.s_oldest_pending <- t0;
   st.s_stale <- true
 
-let store_for st rel arity =
-  match Hashtbl.find_opt st.s_facts rel with
-  | Some fs -> fs
-  | None ->
-    let fs = { fs_arity = arity; fs_rows = []; fs_count = 0 } in
-    Hashtbl.add st.s_facts rel fs;
-    fs
-
+(* A program change builds the next engine from the current one: base
+   facts of relations that keep their name and arity carry over, with
+   their symbol ids; the others are dropped, from the pending batch
+   too. *)
 let install_program st prog text_rules =
-  st.s_program <- Some prog;
-  st.s_decls <-
-    List.map (fun d -> (d.Ast.name, d.Ast.arity)) prog.Ast.decls;
-  (* keep base facts whose relation survived the program change *)
-  let kept = ref 0 and dropped = ref 0 in
-  let stale_rels =
-    Hashtbl.fold
-      (fun rel fs acc ->
-        match decl_arity st rel with
-        | Some a when a = fs.fs_arity ->
-          kept := !kept + fs.fs_count;
-          acc
-        | _ ->
-          dropped := !dropped + fs.fs_count;
-          rel :: acc)
-      st.s_facts []
+  let decls = List.map (fun d -> (d.Ast.name, d.Ast.arity)) prog.Ast.decls in
+  let survives rel arity = List.assoc_opt rel decls = Some arity in
+  let engine =
+    Engine.create ~kind:st.s_cfg.kind ~check_phases:st.s_cfg.check_phases
+      ?from:st.s_engine prog
   in
-  List.iter (fun rel -> Hashtbl.remove st.s_facts rel) stale_rels;
-  st.s_gen <- None;
+  let kept = ref 0 and dropped = ref 0 in
+  let tally rel arity n =
+    if survives rel arity then kept := !kept + n else dropped := !dropped + n
+  in
+  Option.iter
+    (fun e ->
+      List.iter
+        (fun rel ->
+          let n = ref 0 in
+          Engine.iter_base e rel (fun _ -> incr n);
+          tally rel (Engine.relation_arity e rel) !n)
+        (Engine.relations e))
+    st.s_engine;
+  st.s_batch <-
+    List.filter
+      (fun (rel, rows) ->
+        let arity = match rows with r :: _ -> Array.length r | [] -> -1 in
+        tally rel arity (List.length rows);
+        survives rel arity)
+      st.s_batch;
+  Hashtbl.filter_map_inplace
+    (fun rel cols -> if survives rel (Array.length cols) then Some cols else None)
+    st.s_col_kinds;
+  st.s_engine <- Some engine;
+  st.s_program <- Some prog;
+  st.s_decls <- decls;
   st.s_stale <- true;
   Printf.sprintf "program installed rels=%d rules=%d kept_facts=%d \
                   dropped_facts=%d"
@@ -651,10 +731,10 @@ let finish_load st c p rel arity =
       with
       | Error (code, msg) -> respond st c (Dl_proto.R_err (code, msg))
       | Ok () ->
-        let fs = store_for st rel arity in
-        fs.fs_rows <- List.rev_append !parsed fs.fs_rows;
-        fs.fs_count <- fs.fs_count + !n;
-        if !n > 0 then admit_ingest st !n p.p_t0;
+        if !n > 0 then begin
+          st.s_batch <- (rel, !parsed) :: st.s_batch;
+          admit_ingest st rel !parsed p.p_t0
+        end;
         respond st c
           (Dl_proto.R_ok
              (Printf.sprintf "queued=%d pending=%d" !n st.s_pending))))
@@ -794,10 +874,8 @@ let handle_request st c line =
           match wal_admit st (Wal.Facts (rel, [ fact_line vals ])) with
           | Error (code, msg) -> respond st c (Dl_proto.R_err (code, msg))
           | Ok () ->
-            let fs = store_for st rel arity in
-            fs.fs_rows <- vals :: fs.fs_rows;
-            fs.fs_count <- fs.fs_count + 1;
-            admit_ingest st 1 (Telemetry.now_ns ());
+            st.s_batch <- (rel, [ vals ]) :: st.s_batch;
+            admit_ingest st rel [ vals ] (Telemetry.now_ns ());
             respond st c
               (Dl_proto.R_ok
                  (Printf.sprintf "queued=1 pending=%d" st.s_pending)))
@@ -1082,7 +1160,9 @@ let[@lint.allow
     st.s_program <- None;
     st.s_program_text <- None;
     st.s_decls <- [];
-    Hashtbl.reset st.s_facts;
+    st.s_engine <- None;
+    st.s_batch <- [];
+    Hashtbl.reset st.s_col_kinds;
     st.s_gen_seq <- max st.s_gen_seq seq;
     Ok ()
   | Wal.Commit seq ->
@@ -1095,16 +1175,19 @@ let[@lint.allow
         (Printf.sprintf "logged program does not parse (%d:%d: %s)" line col
            message)
     | exception e -> Error (Printexc.to_string e)
-    | prog ->
-      ignore (install_program st prog (List.length prog.Ast.rules));
-      st.s_program_text <- Some text;
-      Ok ())
+    | prog -> (
+      match install_program st prog (List.length prog.Ast.rules) with
+      | exception e ->
+        Error ("logged program does not compile: " ^ Printexc.to_string e)
+      | _ ->
+        st.s_program_text <- Some text;
+        Ok ()))
   | Wal.Facts (rel, lines) -> (
     match decl_arity st rel with
     | None ->
       Error (Printf.sprintf "logged facts for undeclared relation %s" rel)
     | Some arity -> (
-      let fs = store_for st rel arity in
+      let rows = ref [] in
       let bad = ref None in
       List.iter
         (fun line ->
@@ -1117,11 +1200,16 @@ let[@lint.allow
                 Some
                   (Printf.sprintf "logged fact %S: %d fields, %s has arity %d"
                      line (Array.length vals) rel arity)
-            | Ok vals ->
-              fs.fs_rows <- vals :: fs.fs_rows;
-              fs.fs_count <- fs.fs_count + 1)
+            | Ok vals -> rows := vals :: !rows)
         lines;
-      match !bad with None -> Ok () | Some m -> Error m))
+      match !bad with
+      | Some m -> Error m
+      | None ->
+        if !rows <> [] then begin
+          st.s_batch <- (rel, !rows) :: st.s_batch;
+          note_columns st rel !rows
+        end;
+        Ok ()))
 
 let replay_recovery st rv =
   let rec go = function
@@ -1173,7 +1261,8 @@ let start cfg =
           s_pool = pool;
           s_chunk = Bytes.create 8192;
           s_conns = Hashtbl.create 16;
-          s_facts = Hashtbl.create 16;
+          s_batch = [];
+          s_col_kinds = Hashtbl.create 16;
           s_queries = Queue.create ();
           s_wal = Option.map fst wal;
           s_recovery = Option.map snd wal;
@@ -1181,7 +1270,7 @@ let start cfg =
           s_program_text = None;
           s_program = None;
           s_decls = [];
-          s_gen = None;
+          s_engine = None;
           s_gen_seq = 0;
           s_stale = false;
           s_pending = 0;

@@ -2,24 +2,26 @@
 
     The server keeps an {!Engine} resident and turns the paper's two-phase
     access discipline into its scheduling policy: client ingest ([ASSERT]/
-    [LOAD]) is only {e admitted} — accepted into a durable base-fact store
+    [LOAD]) is only {e admitted} — logged, appended to one pending batch
     and acknowledged — while the actual write work is batched into whole
     {b writer phases}, and queries are fanned out over the worker pool as
-    concurrent {b reader phases} against an immutable evaluated generation.
+    concurrent {b reader phases} between them.
     The two phases never overlap by construction: both run from the single
     server domain, which owns every connection, the admission queue and the
     engine, multiplexed over one [Unix.select] (the telemetry monitor-domain
     idiom — domain-confined state, no synchronisation on the hot path).
 
-    {b Generations.}  [Engine.run] evaluates once, so a writer phase is a
-    {e generation flip}: recompile the installed program, replay the full
-    base-fact store through the batch load path, evaluate to fixed point on
-    the resident pool, and atomically (it is one mutable field on one
-    domain) swap the served generation.  Readers only ever see a fully
-    evaluated, immutable generation — the FB+-tree motivation of keeping
-    reads latch-free pushed to its limit.  Full recomputation per flip is
-    deliberate: incremental/MVCC variants are later roadmap items, and the
-    admission scheduler is exactly the seam they will slot into.
+    {b Generations.}  A writer phase is a {e generation flip}: the pending
+    batch goes to the one resident engine through the batch write path,
+    and [Engine.run] evaluates only what it changes — semi-naive rounds
+    seeded with the new tuples, and a recomputation of the strata that
+    read a changed relation through negation or an aggregate.  Queries
+    wait while ingest is pending and never run during a flip, so readers
+    only ever see a fully evaluated fixed point — the FB+-tree motivation
+    of keeping reads latch-free pushed to its limit.  The engine is the
+    only store of base facts, kept apart from derived tuples; a fresh
+    engine is built from the old one's base facts and symbol table only
+    on a RULES install, on recovery and after a failed flip.
 
     {b Flip policy.}  A flip is triggered when pending ingest reaches
     [flip_pending] facts, when the oldest pending ingest has waited
@@ -30,16 +32,18 @@
     instead of queueing unboundedly.
 
     {b Failure containment.}  A failed flip (e.g. a chaos-injected pool
-    fault) leaves the previous generation serving and retries on the next
-    trigger; a failed query poisons only its own response; a dropped
+    fault, or [server.flip.fail]) leaves the engine part-way, so it is
+    rebuilt from its base facts; the batch stays pending, no query is
+    answered until a flip succeeds, and the flip retries on the next
+    trigger.  A failed query poisons only its own response; a dropped
     connection only its session.  Phase violations are counted and exposed
     via [STATS] so tests can assert there were none.
 
     {b Durability.}  With [data_dir] set, admissions are written through a
     {!Wal} before they are acknowledged: RULES installs and fact batches
     are appended at admission, every flip appends a commit marker, and
-    compaction rewrites the log as one snapshot segment when it grows past
-    a few segments.  The [durability] mode fixes the ack contract:
+    compaction rewrites the log as one snapshot segment, read back from the
+    engine's base facts, when it grows past a few segments.  The [durability] mode fixes the ack contract:
     [D_strict] fsyncs before every ack (an [OK] is durable), [D_batch]
     (the default) group-commits at each flip (an [OK] survives any crash
     after the next flip; recovery is always a prefix of admission order),
@@ -54,7 +58,7 @@
 
 type config = {
   addr : Telemetry_server.addr;  (** listen address ([unix:PATH] or TCP) *)
-  kind : Storage.kind;  (** relation storage backend of each generation *)
+  kind : Storage.kind;  (** relation storage backend of the engine *)
   workers : int;  (** resident pool size (evaluation + query fan-out) *)
   flip_pending : int;  (** flip the writer phase at this many pending facts *)
   flip_interval_ms : int;  (** ... or when the oldest has waited this long *)

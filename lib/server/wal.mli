@@ -19,9 +19,10 @@
     replay state — everything before it is superseded).
 
     Segments rotate at a size threshold and are compacted by writing
-    the current fact store as a fresh sorted snapshot segment (anchor,
-    program, facts) and unlinking everything older, so the log stays
-    proportional to the live state, not to ingest history.
+    the current base facts (the server reads them back from its engine)
+    as a fresh sorted snapshot segment (anchor, program, facts) and
+    unlinking everything older, so the log stays proportional to the
+    live state, not to ingest history.
 
     Recovery ({!open_dir}) scans segments in sequence order, verifies
     every checksum and {b truncates a torn tail instead of failing}: a

@@ -960,6 +960,45 @@ let test_typed_phase_handles () =
   let rd = Relation.begin_read r in
   Relation.Reader.finish rd
 
+(* A resident relation sees a reader or writer per query and per flip for
+   as long as it lives.  Finishing a handle folds its cursors' hint
+   counters into the index totals instead of keeping a record per cursor
+   ever made: the counters stay exact and the heap stays flat. *)
+let test_finished_handles_release_cursors () =
+  let r =
+    Relation.create ~name:"resident" ~arity:2 ~kind:Storage.Btree
+      ~sigs:[ [| 1 |] ] ~stats:None ()
+  in
+  let w = Relation.begin_write r in
+  for i = 0 to 99 do
+    ignore (Relation.Writer.insert w [| i; i |] : bool)
+  done;
+  Relation.Writer.finish w;
+  let hint_ops () =
+    match Relation.hint_counters r with Some (h, m) -> h + m | None -> 0
+  in
+  let probes () =
+    for i = 1 to 20_000 do
+      let rd = Relation.begin_read r in
+      ignore (Relation.Reader.mem rd [| i mod 100; i mod 100 |] : bool);
+      Relation.Reader.finish rd
+    done
+  in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let ops0 = hint_ops () in
+  probes ();
+  check_int "every released probe counted" 20_000 (hint_ops () - ops0);
+  let before = live_words () in
+  probes ();
+  let growth = live_words () - before in
+  (* the relation must outlive the measurement *)
+  check_int "every released probe counted" 40_000 (hint_ops () - ops0);
+  if growth > 100_000 then
+    Alcotest.failf "20000 finished readers left %d live words behind" growth
+
 let test_stale_phase_handles () =
   (* a finished handle is dead: any operation through it must fail loudly
      rather than silently reopen the phase (the bug class this catches is a
@@ -1300,6 +1339,150 @@ let test_parallel_engine_matches_serial () =
                 (List.length got) (List.length want)
           done))
 
+(* ---------------- incremental runs ---------------- *)
+
+(* Three-way differential: a random stratified program (negation
+   included) fed a random sequence of fact batches.  After every batch the
+   resident engine, which applies only the batch, must equal an engine
+   rebuilt from its base facts and the naive reference over every fact
+   so far.  Facts land in derived relations too, so base facts asserted
+   into a relation with rules must survive the rebuild apart from the
+   tuples derived into it.  Seeds cycle through the storage kinds. *)
+let incremental_three_way seed =
+  let prog = random_program seed in
+  if not (stratifiable prog) then None
+  else begin
+    let r = rng (seed + 4242) in
+    let decls = Array.of_list prog.Ast.decls in
+    let random_fact () =
+      let d = decls.(r (Array.length decls)) in
+      (d.Ast.name, Array.init d.Ast.arity (fun _ -> r 5))
+    in
+    let batches =
+      List.init (2 + r 5) (fun _ -> List.init (1 + r 6) (fun _ -> random_fact ()))
+    in
+    let same e reference =
+      List.for_all
+        (fun name ->
+          tuples_sorted (Engine.relation_list e name)
+          = tuples_sorted
+              (Option.value ~default:[] (Hashtbl.find_opt reference name)))
+        (Engine.relations e)
+    in
+    let kind = List.nth Storage.all_kinds (seed mod List.length Storage.all_kinds) in
+    let resident = Engine.create ~kind prog in
+    let so_far = ref [] in
+    let ok =
+      Pool.with_pool 1 @@ fun pool ->
+      List.for_all
+        (fun batch ->
+          List.iter (fun (name, tup) -> Engine.add_fact resident name tup) batch;
+          so_far := !so_far @ batch;
+          Engine.run resident pool;
+          let rebuilt = Engine.create ~kind ~from:resident prog in
+          Engine.run rebuilt pool;
+          let reference = Naive.run prog ~extra_facts:!so_far in
+          same resident reference && same rebuilt reference)
+        batches
+    in
+    Some ok
+  end
+
+let test_incremental_three_way () =
+  let checked = ref 0 and bad = ref [] in
+  let seed = ref 0 in
+  while !checked < 300 do
+    incr seed;
+    match incremental_three_way !seed with
+    | None -> ()
+    | Some ok ->
+      incr checked;
+      if not ok then bad := !seed :: !bad
+  done;
+  if !bad <> [] then
+    Alcotest.failf "%d of %d seeds mismatch, first %d" (List.length !bad)
+      !checked (List.hd (List.rev !bad))
+
+(* Aggregates over a changed relation force their stratum to be
+   recomputed; a positive-only consumer downstream of it must follow. *)
+let test_incremental_aggregates () =
+  let src =
+    {|
+    .decl edge(x:number, y:number)
+    .decl outdeg(x:number, n:number)
+    .decl busy(x:number)
+    .decl calm(x:number)
+    .decl node(x:number)
+    node(x) :- edge(x, _).
+    node(y) :- edge(_, y).
+    outdeg(x, n) :- node(x), n = count : { edge(x, _) }.
+    busy(x) :- outdeg(x, n), n > 1.
+    calm(x) :- node(x), !busy(x).
+    |}
+  in
+  let prog = Parser.parse_string src in
+  let e = Engine.create prog in
+  let facts = ref [] in
+  Pool.with_pool 1 @@ fun pool ->
+  List.iter
+    (fun batch ->
+      List.iter (fun (a, b) -> Engine.add_fact e "edge" [| a; b |]) batch;
+      facts := !facts @ List.map (fun (a, b) -> ("edge", [| a; b |])) batch;
+      Engine.run e pool;
+      let reference = Naive.run prog ~extra_facts:!facts in
+      List.iter
+        (fun name ->
+          check_bool name true
+            (tuples_sorted (Engine.relation_list e name)
+            = tuples_sorted
+                (Option.value ~default:[] (Hashtbl.find_opt reference name))))
+        (Engine.relations e))
+    [ [ (1, 2); (2, 3) ]; [ (1, 3) ]; [ (3, 1); (3, 2) ]; [ (4, 4) ] ]
+
+(* Flip work stays flat as the resident database grows: one fresh
+   [new(v, o)] fact on a points-to database derives exactly one [vpt]
+   tuple whatever the size, so a run that applies only the fact must do
+   the same evaluation work — same rounds, rule evaluations, promoted
+   tuples and storage operations — on a database ten times larger. *)
+let test_incremental_flat_work () =
+  let counters =
+    Telemetry.Counter.[ Eval_iterations; Eval_rule_evals; Eval_delta_tuples ]
+  in
+  let work scale =
+    let cfg = Pointsto_gen.scaled scale in
+    let e = Engine.create ~instrument:true (Pointsto_gen.program cfg) in
+    List.iter
+      (fun (r, t) -> Engine.add_fact e r t)
+      (Pointsto_gen.facts cfg (Rng.create 1));
+    Pool.with_pool 1 @@ fun pool ->
+    Engine.run e pool;
+    let before = Option.get (Engine.stats e) in
+    Telemetry.enable ();
+    Fun.protect ~finally:Telemetry.disable @@ fun () ->
+    let t0 = Telemetry.snapshot () in
+    Engine.add_fact e "new" [| cfg.Pointsto_gen.variables + 1; 0 |];
+    Engine.run e pool;
+    let t1 = Telemetry.snapshot () in
+    let after = Option.get (Engine.stats e) in
+    ( Engine.relation_size e "vpt",
+      List.map (fun c -> Telemetry.get t1 c - Telemetry.get t0 c) counters,
+      Dl_stats.
+        [
+          after.s_inserts - before.s_inserts;
+          after.s_mem_tests - before.s_mem_tests;
+          after.s_lower_bounds - before.s_lower_bounds;
+          after.s_input_tuples - before.s_input_tuples;
+          after.s_produced_tuples - before.s_produced_tuples;
+        ] )
+  in
+  let small_vpt, small_eval, small_ops = work 0.02 in
+  let large_vpt, large_eval, large_ops = work 0.2 in
+  check_bool "the large database is larger" true (large_vpt > 5 * small_vpt);
+  Alcotest.(check (list int)) "rounds, rule evaluations, promoted tuples"
+    small_eval large_eval;
+  Alcotest.(check (list int)) "storage operations" small_ops large_ops;
+  check_int "one promoted tuple" 1 (List.nth large_eval 2)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -1379,6 +1562,8 @@ let () =
           tc "phases allowed" `Quick test_phase_checker_allows_phases;
           tc "typed handles" `Quick test_typed_phase_handles;
           tc "stale handles" `Quick test_stale_phase_handles;
+          tc "finished handles release cursors" `Quick
+            test_finished_handles_release_cursors;
           tc "engine respects phases" `Quick test_engine_respects_two_phases;
           tc "workloads respect phases" `Quick test_workloads_respect_two_phases;
         ] );
@@ -1417,4 +1602,11 @@ let () =
             tc "parallel engine = serial (network)" `Quick
               test_parallel_engine_matches_serial;
           ] );
+      ( "incremental",
+        [
+          tc "incremental = rebuild = naive" `Quick test_incremental_three_way;
+          tc "aggregates and negation downstream" `Quick
+            test_incremental_aggregates;
+          tc "flip work flat in database size" `Quick test_incremental_flat_work;
+        ] );
     ]

@@ -213,7 +213,7 @@ let test_r6_fires () =
     check_fixture ~name:"r6_violation.ml" ~hot:false ~atomic_ok:true
       ~server:true ()
   in
-  (* fs_rows <-, fs_count <-, admit_ingest, install_program *)
+  (* two s_batch conses, admit_ingest, install_program *)
   Alcotest.(check int) "wal-before-ack findings" 4
     (count Lint.rule_wal_before_ack fs)
 

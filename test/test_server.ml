@@ -459,6 +459,165 @@ let test_concurrent_clients () =
   | Some v -> Alcotest.failf "phase_violations=%s" v
   | None -> Alcotest.fail "STATS missing phase_violations"
 
+(* --- the resident engine ------------------------------------------ *)
+
+let ok what = function
+  | Ok (Dl_client.Ok_ _) -> ()
+  | Ok (Dl_client.Err (code, m)) -> Alcotest.failf "%s: %s %s" what code m
+  | Ok _ | Error _ -> Alcotest.failf "%s: bad reply" what
+
+let rows c rel =
+  match Dl_client.query c rel [ "_"; "_" ] with
+  | Ok (Dl_client.Data (_, rows)) -> List.sort compare rows
+  | Ok (Dl_client.Err (code, m)) -> Alcotest.failf "QUERY %s: %s %s" rel code m
+  | Ok _ | Error _ -> Alcotest.failf "QUERY %s: bad reply" rel
+
+let int_field c name =
+  match stats_field c name with
+  | Some v -> int_of_string v
+  | None -> Alcotest.failf "STATS missing %s" name
+
+(* Query symbols are looked up, never interned: with a resident symbol
+   table, interning every unknown query symbol would grow the server
+   forever. *)
+let test_query_symbols_not_interned () =
+  with_server () @@ fun addr ->
+  with_client addr @@ fun c ->
+  ok "RULES"
+    (Dl_client.rules c
+       ".decl kv(k:symbol, v:number)\n.input kv\n\
+        .decl out(k:symbol, v:number)\nout(k, v) :- kv(k, v).\n");
+  ok "ASSERT" (Dl_client.assert_fact c "kv" [ "alpha"; "1" ]);
+  checki "known symbol answers" 1
+    (match Dl_client.query c "out" [ "alpha"; "_" ] with
+    | Ok (Dl_client.Data (_, rows)) -> List.length rows
+    | _ -> Alcotest.fail "QUERY alpha: bad reply");
+  let before = int_field c "symbols" in
+  for i = 1 to 1_000 do
+    match Dl_client.query c "out" [ Printf.sprintf "fresh%d" i; "_" ] with
+    | Ok (Dl_client.Data (_, [])) -> ()
+    | _ -> Alcotest.failf "QUERY fresh%d: expected no rows" i
+  done;
+  checki "symbol count unchanged" before (int_field c "symbols")
+
+let fresh_dir =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    let d =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "test-dlserve-data-%d-%d" (Unix.getpid ()) !n)
+    in
+    (try
+       Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+       Unix.rmdir d
+     with Sys_error _ | Unix.Unix_error _ -> ());
+    d
+
+let with_durable_server dir k =
+  let addr = fresh_addr () in
+  let cfg =
+    {
+      (Dl_server.default_config addr) with
+      Dl_server.workers = 2;
+      flip_pending = 32;
+      flip_interval_ms = 5;
+      check_phases = true;
+      data_dir = Some dir;
+      durability = Wal.D_batch;
+      wal_segment_bytes = 4096;
+      wal_compact_segments = 2;
+    }
+  in
+  match Dl_server.start cfg with
+  | Error m -> Alcotest.failf "server start: %s" m
+  | Ok srv ->
+    Fun.protect ~finally:(fun () -> Dl_server.stop srv) @@ fun () ->
+    with_client addr k
+
+let derived_program rule =
+  ".decl kv(a:number, b:number)\n.input kv\n\
+   .decl out(a:number, b:number)\n.output out\n\
+   .decl pad(a:number)\n.input pad\n" ^ rule
+
+(* A base fact asserted into a relation that also has rules stays apart
+   from the tuples derived into it: a program change drops what the old
+   rules derived, and a snapshot persists only base facts. *)
+let test_derived_relation_snapshot () =
+  let dir = fresh_dir () in
+  (with_durable_server dir @@ fun c ->
+   ok "RULES 1" (Dl_client.rules c (derived_program "out(x, y) :- kv(x, y).\n"));
+   ok "ASSERT kv" (Dl_client.assert_fact c "kv" [ "1"; "2" ]);
+   ok "ASSERT out" (Dl_client.assert_fact c "out" [ "7"; "8" ]);
+   check
+     Alcotest.(list string)
+     "derived and asserted" [ "1\t2"; "7\t8" ] (rows c "out");
+   ok "RULES 2" (Dl_client.rules c (derived_program "out(x, y) :- kv(y, x).\n"));
+   check
+     Alcotest.(list string)
+     "re-derived under the new rule" [ "2\t1"; "7\t8" ] (rows c "out");
+   (* grow the log past its segments until a flip compacts it *)
+   let batch = ref 0 in
+   while int_field c "wal_compactions" = 0 && !batch < 20 do
+     incr batch;
+     ok "LOAD pad"
+       (Dl_client.load c "pad"
+          (List.init 600 (fun i -> string_of_int ((!batch * 1000) + i))));
+     ignore (rows c "out" : string list)
+   done;
+   checkb "the log was compacted" true (int_field c "wal_compactions" > 0);
+   check
+     Alcotest.(list string)
+     "served after compaction" [ "2\t1"; "7\t8" ] (rows c "out"));
+  with_durable_server dir @@ fun c ->
+  check
+    Alcotest.(list string)
+    "recovered" [ "2\t1"; "7\t8" ] (rows c "out");
+  check Alcotest.(list string) "base kv" [ "1\t2" ] (rows c "kv");
+  (* without rules for out, only its base fact is left *)
+  ok "RULES 3" (Dl_client.rules c (derived_program ""));
+  check Alcotest.(list string) "only base facts" [ "7\t8" ] (rows c "out")
+
+(* The fallback path: a flip that fails after the engine's input
+   relations were updated leaves it part-way; the server rebuilds it from
+   its base facts, and the answers equal the acked facts. *)
+let test_failed_flip_rebuilds () =
+  with_server () @@ fun addr ->
+  with_client addr @@ fun c ->
+  ok "RULES"
+    (Dl_client.rules c
+       ".decl kv(a:number, b:number)\n.input kv\n\
+        .decl out(a:number, b:number)\n.decl big(a:number)\n\
+        out(x, y) :- kv(x, y), !big(x).\nbig(x) :- kv(x, y), y > 100.\n");
+  let acked = ref [] in
+  let assert_kv a b =
+    ok "ASSERT" (Dl_client.assert_fact c "kv" [ string_of_int a; string_of_int b ]);
+    if b <= 100 then acked := Printf.sprintf "%d\t%d" a b :: !acked
+  in
+  for i = 1 to 10 do
+    assert_kv i i
+  done;
+  checki "served before the drill" 10 (List.length (rows c "out"));
+  let failures =
+    Fun.protect ~finally:Chaos.disable @@ fun () ->
+    Chaos.configure ~seed:3 [ (Chaos.Point.Server_flip_fail, 1) ];
+    assert_kv 11 11;
+    assert_kv 3 300;
+    (match Dl_client.query c "out" [ "_"; "_" ] with
+    | Ok (Dl_client.Err ("internal", _)) -> ()
+    | _ -> Alcotest.fail "query answered while every flip fails");
+    Chaos.fired Chaos.Point.Server_flip_fail
+  in
+  checkb "flips failed" true (failures >= 3);
+  assert_kv 12 12;
+  acked := List.filter (fun r -> r <> "3\t3") !acked;
+  check
+    Alcotest.(list string)
+    "answers equal the acked facts"
+    (List.sort compare !acked) (rows c "out");
+  checki "rebuilt engine serves every input" 13 (List.length (rows c "kv"))
+
 (* SHUTDOWN drains: the issuing client gets OK, the server exits, and the
    socket stops accepting. *)
 let test_shutdown () =
@@ -503,6 +662,11 @@ let () =
             test_load_reserves_pending;
           tc "batch payload byte cap" `Quick test_batch_bytes_cap;
           tc "concurrent clients exact audit" `Quick test_concurrent_clients;
+          tc "query symbols are not interned" `Quick
+            test_query_symbols_not_interned;
+          tc "derived relations snapshot base facts only" `Quick
+            test_derived_relation_snapshot;
+          tc "failed flip rebuilds the engine" `Quick test_failed_flip_rebuilds;
           tc "shutdown drains" `Quick test_shutdown;
         ] );
     ]

@@ -6,8 +6,9 @@
 # scenario body over both tree instances: a seeded tree, per-key session
 # inserts racing batch merges cut at the tree's separators exactly as the
 # engine's parallel merge cuts them — then the resident query server
-# (client domains under connection drops and forced admission busy,
-# audited against the exactly-acked fact set), and WAL durability
+# (client domains under connection drops, forced admission busy and
+# failed flips that force an engine rebuild, audited against the
+# exactly-acked fact set), and WAL durability
 # (torn-tail appends under wal.write.short, then a kill -9 of a
 # strict-durability server child whose restart must serve exactly the
 # acked rows).
