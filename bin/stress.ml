@@ -19,8 +19,10 @@
      tup   — the tuple B-tree under the same chaos mix (one scenario body
              serves both trees: a seeded tree, per-key session inserts
              racing separator-partitioned batch merges);
-     serve — a resident datalog_serve instance under connection drops and
-             admission-busy faults, driven by concurrent client domains;
+     serve — a resident datalog_serve instance under connection drops,
+             admission-busy faults and failed flips, driven by concurrent
+             client domains, audited through the full relation, each
+             client's slice and sampled keys;
      wal   — durability drills: torn WAL appends (wal.write.short) must
              recover to the cleanly-appended prefix, and a kill -9 of a
              --durability strict server between acks must recover exactly
@@ -90,7 +92,11 @@ let failf fmt = Printf.ksprintf (fun m -> raise (Audit_failure m)) fmt
    so an acked fact is always applied and an unacked one never is.  A
    failed flip leaves the resident engine part-way and the server
    rebuilds it from its base facts — the audit can demand the served
-   relation equal the acked set exactly. *)
+   relation equal the acked set exactly.  The audit reads it three ways:
+   the whole relation ([out _ _]), each client's slice ([out _ w], the
+   filtered fallback: no index of [out] starts with column 1) and 20
+   sampled keys ([out i _], a range scan of the primary); all three must
+   agree with each other and with the acked set. *)
 let serve_program =
   ".decl kv(a:number, b:number)\n.input kv\n\
    .decl out(a:number, b:number)\n.output out\n\
@@ -190,23 +196,57 @@ let serve_run ~domains ~nkeys ~seed r =
        let uncertain = Array.fold_left ( + ) 0 give_ups in
        (Dl_client.with_retry ~attempts:5 ~backoff_ms:5.0 addr @@ fun sess ->
         let rpc f = Dl_client.retry sess f in
-        (match rpc (fun c -> Dl_client.query c "out" [ "_"; "_" ]) with
-         | Ok (Dl_client.Data (_, rows)) ->
-           let served = Hashtbl.create (List.length rows) in
-           List.iter (fun row -> Hashtbl.replace served row ()) rows;
-           List.iter
-             (fun row ->
-               if not (Hashtbl.mem served row) then
-                 failf "acked fact %S missing from served relation" row)
-             expected;
-           let n_expected = List.length expected in
-           let n_served = Hashtbl.length served in
-           if n_served < n_expected || n_served > n_expected + uncertain
-           then
-             failf "served %d tuples, expected %d (+%d uncertain)" n_served
-               n_expected uncertain
-         | Ok (Dl_client.Err (code, m)) -> failf "audit query: %s %s" code m
-         | Ok _ | Error _ -> failf "audit query: bad reply");
+        let query pats =
+          match rpc (fun c -> Dl_client.query c "out" pats) with
+          | Ok (Dl_client.Data (_, rows)) -> List.sort_uniq compare rows
+          | Ok (Dl_client.Err (code, m)) ->
+            failf "audit query out %s: %s %s" (String.concat " " pats) code m
+          | Ok _ | Error _ ->
+            failf "audit query out %s: bad reply" (String.concat " " pats)
+        in
+        let served = query [ "_"; "_" ] in
+        let served_set = Hashtbl.create (List.length served) in
+        List.iter (fun row -> Hashtbl.replace served_set row ()) served;
+        List.iter
+          (fun row ->
+            if not (Hashtbl.mem served_set row) then
+              failf "acked fact %S missing from served relation" row)
+          expected;
+        let n_expected = List.length expected in
+        let n_served = List.length served in
+        if n_served < n_expected || n_served > n_expected + uncertain then
+          failf "served %d tuples, expected %d (+%d uncertain)" n_served
+            n_expected uncertain;
+        (* the indexed paths agree with the full audit: each client's
+           slice through the filtered fallback ([out _ w]), and sampled
+           keys through a range scan of the primary ([out i _]) *)
+        let field k row = List.nth (String.split_on_char '\t' row) k in
+        let agree what pats keep =
+          let want = List.filter keep served and got = query pats in
+          if got <> want then
+            failf "QUERY out %s (%s): %d rows, the full audit has %d"
+              (String.concat " " pats) what (List.length got)
+              (List.length want);
+          got
+        in
+        for w = 0 to domains - 1 do
+          let w_s = string_of_int w in
+          let got = agree "client slice" [ "_"; w_s ] (fun row -> field 1 row = w_s) in
+          let n_acked = List.length acked.(w) in
+          let n = List.length got in
+          if n < n_acked || n > n_acked + give_ups.(w) then
+            failf "client %d: served %d tuples, acked %d (+%d uncertain)" w n
+              n_acked give_ups.(w)
+        done;
+        for j = 0 to 19 do
+          let i = mix seed (1000 + j) mod max 1 nkeys in
+          let i_s = string_of_int i in
+          let got = agree "sampled key" [ i_s; "_" ] (fun row -> field 0 row = i_s) in
+          let owner = ref (-1) in
+          Array.iteri (fun w keys -> if List.mem i keys then owner := w) acked;
+          if !owner >= 0 && got <> [ Printf.sprintf "%d\t%d" i !owner ] then
+            failf "acked key %d: served %d rows" i (List.length got)
+        done;
         (match rpc Dl_client.stats with
          | Ok (Dl_client.Data (_, lines)) ->
            List.iter

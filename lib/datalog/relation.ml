@@ -119,7 +119,7 @@ module Cursor = struct
   type t = {
     rel : rel;
     c_primary : Storage.Index.cursor;
-    c_insert : Storage.Index.cursor array; (* one per underlying index *)
+    c_index : Storage.Index.cursor array; (* one per underlying index *)
     c_scan : (int array * Storage.Index.cursor) array; (* one per signature *)
   }
 
@@ -127,7 +127,7 @@ module Cursor = struct
     {
       rel;
       c_primary = Storage.Index.cursor rel.primary;
-      c_insert = Array.map Storage.Index.cursor rel.distinct;
+      c_index = Array.map Storage.Index.cursor rel.distinct;
       c_scan =
         Array.map
           (fun (cols, idx) -> (cols, Storage.Index.cursor idx))
@@ -146,7 +146,7 @@ module Cursor = struct
     if fresh then
       Array.iter
         (fun cur -> ignore (Storage.Index.c_insert cur tup : bool))
-        c.c_insert;
+        c.c_index;
     fresh
 
   let insert c tup =
@@ -162,7 +162,7 @@ module Cursor = struct
 
   let release c =
     Storage.Index.release c.c_primary;
-    Array.iter Storage.Index.release c.c_insert;
+    Array.iter Storage.Index.release c.c_index;
     Array.iter (fun (_, cur) -> Storage.Index.release cur) c.c_scan
 
   let scan c sig_id bound f =
@@ -171,6 +171,71 @@ module Cursor = struct
       let cols, cur = c.c_scan.(sig_id) in
       Storage.Index.c_scan cur ~cols bound f
     end
+
+  (* The serving index is chosen here and only here (the rule is in the
+     interface).  Ties go to the primary so that its lexicographic row
+     order is kept whenever it serves. *)
+  let query c pat f =
+    let rel = c.rel in
+    if Array.length pat <> rel.arity then
+      invalid_arg
+        (Printf.sprintf "Relation.Reader.query: %d pattern fields, %s has arity %d"
+           (Array.length pat) rel.name rel.arity);
+    let is_bound col = pat.(col) <> None in
+    let value col = Option.get pat.(col) in
+    let bound = List.filter is_bound (List.init rel.arity Fun.id) in
+    let examined = ref 0 in
+    (* range scan of [cur] over the bound prefix [cols]; the bound columns
+       outside it are checked per tuple *)
+    let scan cur cols =
+      let checked =
+        Array.of_list (List.filter (fun col -> not (Array.mem col cols)) bound)
+      in
+      let want = Array.map value checked in
+      Storage.Index.c_scan cur ~cols (Array.map value cols) (fun tup ->
+          incr examined;
+          let ok = ref true in
+          Array.iteri (fun j col -> if tup.(col) <> want.(j) then ok := false) checked;
+          if !ok then f tup)
+    in
+    let nbound = List.length bound in
+    if nbound > 0 && nbound = rel.arity then begin
+      let tup = Array.map Option.get pat in
+      if mem c tup then begin
+        examined := 1;
+        f tup
+      end
+    end
+    else begin
+      (* number of leading columns of [order] that are bound *)
+      let prefix order =
+        let k = ref 0 in
+        while !k < Array.length order && is_bound order.(!k) do incr k done;
+        !k
+      in
+      match Storage.Index.order rel.primary with
+      | Some order ->
+        let best = ref (c.c_primary, order, prefix order) in
+        Array.iteri
+          (fun j idx ->
+            match Storage.Index.order idx with
+            | Some o ->
+              let k = prefix o in
+              let _, _, best_k = !best in
+              if k > best_k then best := (c.c_index.(j), o, k)
+            | None -> ())
+          rel.distinct;
+        let cur, order, k = !best in
+        scan cur (Array.sub order 0 k)
+      | None -> (
+        let cols = Array.of_list bound in
+        match
+          Array.find_index (fun (sig_cols, _) -> sig_cols = cols) rel.secondary
+        with
+        | Some j -> scan (snd c.c_scan.(j)) cols
+        | None -> scan c.c_primary [||])
+    end;
+    !examined
 end
 
 (* ---------------- batch merge ---------------- *)
@@ -293,6 +358,10 @@ module Reader = struct
   let scan r sig_id bound f =
     check_open r.r_rel.name r.r_closed "scan";
     Cursor.scan r.r_cur sig_id bound f
+
+  let query r pat f =
+    check_open r.r_rel.name r.r_closed "query";
+    Cursor.query r.r_cur pat f
 
   let finish r =
     leave_phase r.r_rel Sync.Phase_latch.Read r.r_closed;

@@ -101,7 +101,7 @@ module Writer : sig
   (** Close the phase.  @raise Invalid_argument if already finished. *)
 end
 
-(** Read-phase handle: hinted membership and scans only. *)
+(** Read-phase handle: hinted membership, scans and pattern queries only. *)
 module Reader : sig
   type rel = t
   type t
@@ -112,6 +112,27 @@ module Reader : sig
   (** [scan r sig_id bound f]: enumerate tuples matching [bound] on the
       signature [sig_id] (from {!sig_id}); [-1] with an empty [bound]
       scans the whole relation. *)
+
+  val query : t -> int option array -> (int array -> unit) -> int
+  (** [query r pat f] calls [f] on every tuple matching [pat] ([Some v]:
+      the column equals [v]; [None]: any value) and returns the number of
+      tuples it examined — those the serving index handed to the
+      per-tuple check, so at least the number of matches and at most
+      {!cardinal}.  The serving index is chosen from the relation's own
+      indexes; none is created for a query:
+      - a fully bound pattern is one membership probe;
+      - ordered kinds ({!Storage.shares_indexes}): among the primary
+        (identity order) and every physical secondary (its chain order),
+        the index whose order starts with the most bound columns, ties
+        going to the primary, answers with one lower-bound descent and an
+        early-exit range scan over that prefix; the other bound columns
+        are checked per tuple, so a query costs O(log n + rows) when a
+        prefix covers its bound columns;
+      - hash kinds: the secondary whose signature equals the bound set,
+        else a filtered scan of the primary.
+      Tuples come in the serving index's order: lexicographic whenever
+      the primary serves.
+      @raise Invalid_argument if [pat] does not have the relation's arity. *)
 
   val finish : t -> unit
   (** Close the phase.  @raise Invalid_argument if already finished. *)

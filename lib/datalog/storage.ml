@@ -2,19 +2,12 @@ type kind = Btree | Btree_nohints | Rbtree | Hashset | Bplus | Tbb_hash
 
 let all_kinds = [ Btree; Btree_nohints; Rbtree; Hashset; Bplus; Tbb_hash ]
 
-(* Key module comparing int-array tuples in [cols]-major order, remaining
-   columns in ascending position order.  The comparator is specialised for
-   the common arities: without cross-module inlining every K.compare call is
-   indirect, so shaving the permutation-array loop measurably speeds up all
-   tree-backed indexes. *)
-let ordered_key ~arity ~(cols : int array) : (module Key.ORDERED with type t = int array) =
-  let in_cols = Array.make arity false in
-  Array.iter (fun c -> in_cols.(c) <- true) cols;
-  let rest = ref [] in
-  for p = arity - 1 downto 0 do
-    if not in_cols.(p) then rest := p :: !rest
-  done;
-  let order = Array.append cols (Array.of_list !rest) in
+(* Key module comparing int-array tuples lexicographically in the column
+   order [order] (a permutation of the columns).  The comparator is
+   specialised for the common arities: without cross-module inlining every
+   K.compare call is indirect, so shaving the permutation-array loop
+   measurably speeds up all tree-backed indexes. *)
+let ordered_key (order : int array) : (module Key.ORDERED with type t = int array) =
   let cmp2 p0 p1 a b =
     let x = Array.unsafe_get a p0 and y = Array.unsafe_get b p0 in
     if x < y then -1
@@ -94,6 +87,7 @@ module Index = struct
     i_hint_counters : unit -> (int * int) option;
     i_shape : unit -> Tree_shape.t option; (* B-tree kinds only *)
     i_hint_runs : unit -> int array option; (* hinted B-tree kinds only *)
+    i_order : int array option; (* total column order; ordered kinds only *)
   }
 
   (* Below this many tuples a parallel merge costs more in pool fork-join
@@ -142,33 +136,23 @@ module Index = struct
 
   (* ---------------- ordered kinds ---------------- *)
 
-  let full_order ~arity ~cols =
-    let in_cols = Array.make (max 1 arity) false in
-    Array.iter (fun c -> in_cols.(c) <- true) cols;
-    let rest = ref [] in
-    for p = arity - 1 downto 0 do
-      if not in_cols.(p) then rest := p :: !rest
-    done;
-    Array.append cols (Array.of_list !rest)
-
-  (* extend a (possibly partial) shared order to a total column order *)
-  let extend_order ~arity order =
+  (* total comparison order of an index: the given prefix (a signature,
+     or a possibly partial shared-chain order), then the remaining columns
+     in ascending position order *)
+  let total_order ~arity ~cols order =
+    let prefix = match order with Some o -> o | None -> cols in
     let present = Array.make (max 1 arity) false in
-    Array.iter (fun c -> present.(c) <- true) order;
+    Array.iter (fun c -> present.(c) <- true) prefix;
     let rest = ref [] in
     for p = arity - 1 downto 0 do
       if not present.(p) then rest := p :: !rest
     done;
-    Array.append order (Array.of_list !rest)
+    Array.append prefix (Array.of_list !rest)
 
   let make_btree ~hints ~arity ~cols ~order ~stats =
     (* specialized tuple tree: inlined comparator; the comparison order is
        either cols-major or an explicit shared-chain order *)
-    let order =
-      match order with
-      | Some o -> extend_order ~arity o
-      | None -> full_order ~arity ~cols
-    in
+    let order = total_order ~arity ~cols order in
     let tree = Btree_tuples.create ~arity ~order () in
     (* for hit-rate reporting: the hints of every live cursor's session,
        and the summed counters of the released ones — a resident index
@@ -293,10 +277,12 @@ module Index = struct
             List.fold_left
               (fun acc hr -> merge_runs acc (Some (Btree_tuples.hint_run_hist hr)))
               !released_runs !hint_registry);
+      i_order = Some order;
     }
 
   let make_rbtree ~arity ~cols ~order ~stats =
-    let module K = (val ordered_key ~arity ~cols:(match order with Some o -> o | None -> cols)) in
+    let order = total_order ~arity ~cols order in
+    let module K = (val ordered_key order) in
     let module T = Rbtree.Make (K) in
     let tree = T.create () in
     let scan scratch ~cols bound f =
@@ -342,10 +328,12 @@ module Index = struct
       i_hint_counters = (fun () -> None);
       i_shape = (fun () -> None);
       i_hint_runs = (fun () -> None);
+      i_order = Some order;
     }
 
   let make_bplus ~arity ~cols ~order ~stats =
-    let module K = (val ordered_key ~arity ~cols:(match order with Some o -> o | None -> cols)) in
+    let order = total_order ~arity ~cols order in
+    let module K = (val ordered_key order) in
     let module T = Bplus_tree.Make (K) in
     let tree = T.create () in
     let scan scratch ~cols bound f =
@@ -390,6 +378,7 @@ module Index = struct
       i_hint_counters = (fun () -> None);
       i_shape = (fun () -> None);
       i_hint_runs = (fun () -> None);
+      i_order = Some order;
     }
 
   (* ---------------- hash kinds ---------------- *)
@@ -444,6 +433,7 @@ module Index = struct
         i_hint_counters = (fun () -> None);
       i_shape = (fun () -> None);
       i_hint_runs = (fun () -> None);
+      i_order = None;
       }
     end
     else begin
@@ -498,6 +488,7 @@ module Index = struct
         i_hint_counters = (fun () -> None);
       i_shape = (fun () -> None);
       i_hint_runs = (fun () -> None);
+      i_order = None;
       }
     end
 
@@ -556,6 +547,7 @@ module Index = struct
         i_hint_counters = (fun () -> None);
       i_shape = (fun () -> None);
       i_hint_runs = (fun () -> None);
+      i_order = None;
       }
     end
     else begin
@@ -639,6 +631,7 @@ module Index = struct
         i_hint_counters = (fun () -> None);
       i_shape = (fun () -> None);
       i_hint_runs = (fun () -> None);
+      i_order = None;
       }
     end
 
@@ -756,6 +749,7 @@ module Index = struct
   let hint_counters t = t.i_hint_counters ()
   let shape t = t.i_shape ()
   let hint_runs t = t.i_hint_runs ()
+  let order t = t.i_order
   let is_empty t = t.i_is_empty ()
   exception Phase_violation of string
 
@@ -811,6 +805,7 @@ module Index = struct
       i_hint_counters = t.i_hint_counters;
       i_shape = t.i_shape;
       i_hint_runs = t.i_hint_runs;
+      i_order = t.i_order;
     }
 
   let insert t tup = t.i_insert tup

@@ -136,6 +136,13 @@ module Index : sig
       over every cursor ever created on this index; [None] for unhinted
       kinds or when no cursor was created. *)
 
+  val order : t -> int array option
+  (** The index's total comparison order — a permutation of the columns
+      whose every prefix set is a valid [~cols] for {!c_scan} — for the
+      ordered kinds; [None] for hash kinds.  The primary's order is the
+      identity; a secondary's is its signature or shared-chain order
+      extended by the remaining columns in ascending position. *)
+
   val merge_runs : int array option -> int array option -> int array option
   (** Element-wise sum of two optional {!hint_runs} histograms. *)
 

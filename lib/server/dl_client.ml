@@ -5,8 +5,10 @@
 
 type t = {
   fd : Unix.file_descr;
-  rbuf : Buffer.t;
-  chunk : Bytes.t;
+  mutable buf : Bytes.t; (* unread input is [rd, wr) *)
+  mutable rd : int;
+  mutable wr : int;
+  mutable scanned : int; (* [rd, scanned) holds no newline *)
   mutable alive : bool;
 }
 
@@ -25,27 +27,41 @@ let close t =
 (* Buffered line reading                                            *)
 (* --------------------------------------------------------------- *)
 
-let strip_cr line =
-  let n = String.length line in
-  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-
+(* The newline is searched in place, resuming where the last search
+   stopped, so a reply costs O(its bytes).  Before a read the unread tail
+   moves to the front of the buffer; the buffer doubles only when one
+   line outgrows it. *)
 let rec read_line t =
   if not t.alive then Error "connection closed"
-  else
-    let data = Buffer.contents t.rbuf in
-    match String.index_opt data '\n' with
-    | Some nl ->
-      let line = strip_cr (String.sub data 0 nl) in
-      Buffer.clear t.rbuf;
-      Buffer.add_substring t.rbuf data (nl + 1) (String.length data - nl - 1);
+  else begin
+    let nl = ref t.scanned in
+    while !nl < t.wr && Bytes.unsafe_get t.buf !nl <> '\n' do incr nl done;
+    if !nl < t.wr then begin
+      let stop =
+        if !nl > t.rd && Bytes.get t.buf (!nl - 1) = '\r' then !nl - 1 else !nl
+      in
+      let line = Bytes.sub_string t.buf t.rd (stop - t.rd) in
+      t.rd <- !nl + 1;
+      t.scanned <- t.rd;
       Ok line
-    | None -> (
-      match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+    end
+    else begin
+      let pending = t.wr - t.rd in
+      if pending = Bytes.length t.buf then begin
+        let bigger = Bytes.create (2 * Bytes.length t.buf) in
+        Bytes.blit t.buf t.rd bigger 0 pending;
+        t.buf <- bigger
+      end
+      else if t.rd > 0 then Bytes.blit t.buf t.rd t.buf 0 pending;
+      t.rd <- 0;
+      t.wr <- pending;
+      t.scanned <- pending;
+      match Unix.read t.fd t.buf t.wr (Bytes.length t.buf - t.wr) with
       | 0 ->
         close t;
         Error "connection closed by server"
       | n ->
-        Buffer.add_subbytes t.rbuf t.chunk 0 n;
+        t.wr <- t.wr + n;
         read_line t
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line t
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -53,7 +69,9 @@ let rec read_line t =
         Error "receive timeout"
       | exception e ->
         close t;
-        Error (Printexc.to_string e))
+        Error (Printexc.to_string e)
+    end
+  end
 
 let write_all t s =
   let b = Bytes.of_string s in
@@ -148,7 +166,14 @@ let connect ?(timeout_s = 30.0) addr =
     with
     | () -> (
       let t =
-        { fd; rbuf = Buffer.create 512; chunk = Bytes.create 4096; alive = true }
+        {
+          fd;
+          buf = Bytes.create 4096;
+          rd = 0;
+          wr = 0;
+          scanned = 0;
+          alive = true;
+        }
       in
       (* the greeting is the handshake: anything else is not our server *)
       match read_line t with

@@ -30,6 +30,11 @@
     ERR <code> <message>
     v}
 
+    A [QUERY]'s [DATA] rows are the matching tuples in the order of the
+    index that served the pattern ([Relation.Reader.query]):
+    lexicographic when the relation's primary serves it, which includes
+    every pattern whose bound fields lead, and every all-wildcard one.
+
     Error codes are a closed set ({!err_code}) so clients can dispatch on
     them; hostile input must always yield a structured [ERR], never a
     dropped connection or a crash. *)

@@ -19,7 +19,12 @@
    a RULES install, on recovery and after a failed flip.  Queries are
    fanned out over the pool as concurrent reader phases between flips, so
    the paper's all-writers-or-all-readers discipline holds by construction
-   and [check_phases] can assert it never tears. *)
+   and [check_phases] can assert it never tears.  Each QUERY is one
+   [Relation.Reader.query]: a lower-bound descent and range scan of the
+   relation's index whose order starts with the most bound columns, or a
+   filtered full scan when no index serves the pattern (that module
+   documents the choice); the tuples examined and rows returned are
+   counted into STATS and telemetry. *)
 
 type config = {
   addr : Telemetry_server.addr;
@@ -116,6 +121,8 @@ type state = {
   mutable s_flips : int;
   mutable s_conn_total : int;
   mutable s_phase_violations : int;
+  mutable s_query_examined : int; (* tuples examined by QUERY answers *)
+  mutable s_query_rows : int; (* rows returned by QUERY answers *)
   mutable s_shutting_down : bool;
   mutable s_drain_deadline : int; (* ns; meaningful once shutting down *)
   mutable s_running : bool;
@@ -467,7 +474,7 @@ let[@lint.dispatch
     let run_one i =
       match resolved.(i) with
       | Error _ -> ()
-      | Ok (None, _) -> slots.(i) <- `Rows ([], 0)
+      | Ok (None, _) -> slots.(i) <- `Rows ([], 0, 0)
       | Ok (Some r, ipats) -> (
         match
           let reader = Relation.begin_read r in
@@ -476,21 +483,14 @@ let[@lint.dispatch
             (fun () ->
               let rows = ref [] in
               let n = ref 0 in
-              Relation.Reader.scan reader (-1) [||] (fun tup ->
-                  let ok = ref true in
-                  Array.iteri
-                    (fun j p ->
-                      match p with
-                      | Some v when tup.(j) <> v -> ok := false
-                      | _ -> ())
-                    ipats;
-                  if !ok then begin
+              let examined =
+                Relation.Reader.query reader ipats (fun tup ->
                     rows := row_to_string tup :: !rows;
-                    incr n
-                  end);
-              (List.rev !rows, !n))
+                    incr n)
+              in
+              (List.rev !rows, !n, examined))
         with
-        | rows, n -> slots.(i) <- `Rows (rows, n)
+        | rows, n, examined -> slots.(i) <- `Rows (rows, n, examined)
         | exception Storage.Index.Phase_violation m -> slots.(i) <- `Violation m
         | exception e -> slots.(i) <- `Failed (Printexc.to_string e))
     in
@@ -511,7 +511,11 @@ let[@lint.dispatch
         let c, rel, _, t0 = qs.(i) in
         Telemetry.hist_record Telemetry.Hist.Server_query_ns (now - t0);
         match slot with
-        | `Rows (rows, n) ->
+        | `Rows (rows, n, examined) ->
+          st.s_query_examined <- st.s_query_examined + examined;
+          st.s_query_rows <- st.s_query_rows + n;
+          Telemetry.add Telemetry.Counter.Server_query_examined examined;
+          Telemetry.add Telemetry.Counter.Server_query_rows n;
           respond st c
             (Dl_proto.R_data
                ( Printf.sprintf "%s rows=%d gen=%d" rel n st.s_gen_seq,
@@ -552,6 +556,8 @@ let stats_response st =
       Printf.sprintf "flips=%d" st.s_flips;
       Printf.sprintf "flip_failures=%d" st.s_flip_failures;
       Printf.sprintf "phase_violations=%d" st.s_phase_violations;
+      Printf.sprintf "query_examined=%d" st.s_query_examined;
+      Printf.sprintf "query_rows=%d" st.s_query_rows;
       Printf.sprintf "workers=%d" (Pool.size st.s_pool);
       Printf.sprintf "storage=%s" (Storage.kind_name st.s_cfg.kind);
     ]
@@ -1284,6 +1290,8 @@ let start cfg =
           s_flips = 0;
           s_conn_total = 0;
           s_phase_violations = 0;
+          s_query_examined = 0;
+          s_query_rows = 0;
           s_shutting_down = false;
           s_drain_deadline = max_int;
           s_running = true;

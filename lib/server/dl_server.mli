@@ -39,6 +39,12 @@
     connection only its session.  Phase violations are counted and exposed
     via [STATS] so tests can assert there were none.
 
+    {b Queries.}  Each [QUERY] is one {!Relation.Reader.query}, which
+    answers from the relation's own indexes (a range scan when an index
+    order starts with bound columns, else a filtered scan) and never
+    creates one.  [STATS] reports the cumulative tuples examined and rows
+    returned as [query_examined=] and [query_rows=].
+
     {b Durability.}  With [data_dir] set, admissions are written through a
     {!Wal} before they are acknowledged: RULES installs and fact batches
     are appended at admission, every flip appends a commit marker, and

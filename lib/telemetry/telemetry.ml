@@ -304,6 +304,8 @@ module Counter = struct
     | Server_busy_rejections
     | Server_phase_flips
     | Server_conns
+    | Server_query_examined
+    | Server_query_rows
     (* write-ahead log (lib/server Wal) *)
     | Wal_bytes
     | Wal_records
@@ -322,7 +324,8 @@ module Counter = struct
       Btree_batch_leaves; Btree_batch_splices; Pool_jobs; Pool_busy_ns;
       Pool_wall_ns; Pool_watchdog_trips; Eval_iterations; Eval_rule_evals;
       Eval_delta_tuples; Io_malformed_lines; Server_requests;
-      Server_busy_rejections; Server_phase_flips; Server_conns; Wal_bytes;
+      Server_busy_rejections; Server_phase_flips; Server_conns;
+      Server_query_examined; Server_query_rows; Wal_bytes;
       Wal_records; Wal_fsyncs; Wal_segments; Wal_compactions; Wal_torn_tails;
       Wal_replayed_records;
     ]
@@ -355,13 +358,15 @@ module Counter = struct
     | Server_busy_rejections -> 24
     | Server_phase_flips -> 25
     | Server_conns -> 26
-    | Wal_bytes -> 27
-    | Wal_records -> 28
-    | Wal_fsyncs -> 29
-    | Wal_segments -> 30
-    | Wal_compactions -> 31
-    | Wal_torn_tails -> 32
-    | Wal_replayed_records -> 33
+    | Server_query_examined -> 27
+    | Server_query_rows -> 28
+    | Wal_bytes -> 29
+    | Wal_records -> 30
+    | Wal_fsyncs -> 31
+    | Wal_segments -> 32
+    | Wal_compactions -> 33
+    | Wal_torn_tails -> 34
+    | Wal_replayed_records -> 35
 
   let count = List.length all
 
@@ -393,6 +398,8 @@ module Counter = struct
     | Server_busy_rejections -> "server.busy_rejections"
     | Server_phase_flips -> "server.phase_flips"
     | Server_conns -> "server.conns"
+    | Server_query_examined -> "server.query_examined"
+    | Server_query_rows -> "server.query_rows"
     | Wal_bytes -> "server.wal.bytes"
     | Wal_records -> "server.wal.records"
     | Wal_fsyncs -> "server.wal.fsyncs"
@@ -445,6 +452,9 @@ module Counter = struct
     | Server_phase_flips ->
       "Writer-phase flips (engine generation rebuilds) performed by the server."
     | Server_conns -> "Client connections accepted by the query server."
+    | Server_query_examined ->
+      "Tuples examined by the query server's QUERY answers."
+    | Server_query_rows -> "Rows returned by the query server's QUERY answers."
     | Wal_bytes -> "Bytes appended to the write-ahead log."
     | Wal_records -> "Records appended to the write-ahead log."
     | Wal_fsyncs -> "fsync calls issued by the write-ahead log."

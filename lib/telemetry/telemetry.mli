@@ -103,6 +103,10 @@ module Counter : sig
         (** writer-phase flips: engine generation rebuilds performed by the
             server's admission scheduler *)
     | Server_conns  (** client connections accepted by the query server *)
+    | Server_query_examined
+        (** tuples examined answering [QUERY]s: those the serving index
+            handed to the per-tuple pattern check *)
+    | Server_query_rows  (** rows returned by [QUERY] answers *)
     | Wal_bytes  (** bytes appended to the write-ahead log *)
     | Wal_records  (** records appended to the write-ahead log *)
     | Wal_fsyncs  (** fsync calls issued by the write-ahead log *)

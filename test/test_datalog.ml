@@ -1483,6 +1483,77 @@ let test_incremental_flat_work () =
   Alcotest.(check (list int)) "storage operations" small_ops large_ops;
   check_int "one promoted tuple" 1 (List.nth large_eval 2)
 
+(* ---------------- pattern queries ---------------- *)
+
+(* [Relation.Reader.query] against a filtered [Relation.iter]: every
+   storage kind, arity 1-4, every bound mask, 1-3 secondary signatures
+   (so chain-cover orders and exact-signature hash maps both serve),
+   random contents, probe values present and absent.  The examined count
+   lies between the rows and the cardinality, and equals the rows when
+   an index covers the bound set: a declared signature, or a prefix of
+   the primary's order for the ordered kinds. *)
+let test_query_differential () =
+  let kinds = Array.of_list Storage.all_kinds in
+  for seed = 0 to 239 do
+    let rand = rng (seed + 7) in
+    let kind = kinds.(seed mod Array.length kinds) in
+    let arity = 1 + (seed / Array.length kinds mod 4) in
+    let random_sig () =
+      let cols = List.filter (fun _ -> rand 2 = 0) (List.init arity Fun.id) in
+      Array.of_list (if cols = [] then [ rand arity ] else cols)
+    in
+    let sigs = List.init (1 + rand 3) (fun _ -> random_sig ()) in
+    let r = Relation.create ~name:"q" ~arity ~kind ~sigs ~stats:None () in
+    let dom = 2 + rand 5 in
+    for _ = 1 to rand 300 do
+      ignore (Relation.insert r (Array.init arity (fun _ -> rand dom)) : bool)
+    done;
+    let card = Relation.cardinal r in
+    let covered cols =
+      List.mem cols sigs
+      || Storage.shares_indexes kind
+         && cols = Array.init (Array.length cols) Fun.id
+    in
+    let rd = Relation.begin_read r in
+    for mask = 0 to (1 lsl arity) - 1 do
+      for _ = 1 to 4 do
+        (* values up to dom + 1: some probes are absent *)
+        let pat =
+          Array.init arity (fun i ->
+              if mask land (1 lsl i) <> 0 then Some (rand (dom + 2)) else None)
+        in
+        let matches tup =
+          Array.for_all2
+            (fun p v -> match p with Some x -> x = v | None -> true)
+            pat tup
+        in
+        let want = ref [] in
+        Relation.iter r (fun tup -> if matches tup then want := tup :: !want);
+        let got = ref [] in
+        let examined =
+          Relation.Reader.query rd pat (fun tup -> got := tup :: !got)
+        in
+        let what =
+          Printf.sprintf "seed %d %s arity %d mask %d" seed
+            (Storage.kind_name kind) arity mask
+        in
+        let rows = List.length !got in
+        Alcotest.(check (list (array int)))
+          what (tuples_sorted !want) (tuples_sorted !got);
+        check_bool (what ^ ": examined >= rows") true (examined >= rows);
+        check_bool (what ^ ": examined <= cardinal") true (examined <= card);
+        let bound =
+          Array.of_list
+            (List.filter (fun i -> mask land (1 lsl i) <> 0)
+               (List.init arity Fun.id))
+        in
+        if Array.length bound = arity || covered bound then
+          check_int (what ^ ": served exactly") rows examined
+      done
+    done;
+    Relation.Reader.finish rd
+  done
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -1609,4 +1680,6 @@ let () =
             test_incremental_aggregates;
           tc "flip work flat in database size" `Quick test_incremental_flat_work;
         ] );
+      ( "pattern query",
+        [ tc "query = filtered iter" `Quick test_query_differential ] );
     ]

@@ -618,6 +618,184 @@ let test_failed_flip_rebuilds () =
     (List.sort compare !acked) (rows c "out");
   checki "rebuilt engine serves every input" 13 (List.length (rows c "kv"))
 
+(* --- indexed query serving ------------------------------------------ *)
+
+(* Datalog source of a parsed program, as RULES takes it. *)
+let program_source (p : Ast.program) =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (d : Ast.decl) ->
+      Printf.bprintf b ".decl %s(%s)\n" d.Ast.name
+        (String.concat ", "
+           (List.init d.Ast.arity (fun i -> Printf.sprintf "c%d:number" i)));
+      if d.Ast.is_input then Printf.bprintf b ".input %s\n" d.Ast.name;
+      if d.Ast.is_output then Printf.bprintf b ".output %s\n" d.Ast.name)
+    p.Ast.decls;
+  List.iter
+    (fun r -> Buffer.add_string b (Format.asprintf "%a\n" Ast.pp_rule r))
+    p.Ast.rules;
+  Buffer.contents b
+
+let query_rows c rel pats =
+  match Dl_client.query c rel pats with
+  | Ok (Dl_client.Data (_, rows)) -> List.sort compare rows
+  | _ -> Alcotest.failf "QUERY %s %s: bad reply" rel (String.concat " " pats)
+
+(* The same 100 [QUERY vpt <v> _] on a points-to database at two sizes
+   10x apart: each is a range scan of vpt's primary, so the tuples
+   examined beyond the rows returned stay bounded (at most one boundary
+   tuple per query) instead of growing with |vpt|.  [vpt _ <o>] has no
+   index whose order starts with column 1 and is answered by the
+   documented fallback, a filtered scan of the whole relation. *)
+let test_query_work_flat () =
+  List.iter
+    (fun scale ->
+      with_server () @@ fun addr ->
+      with_client addr @@ fun c ->
+      let pc = Pointsto_gen.scaled scale in
+      ok "RULES" (Dl_client.rules c (program_source (Pointsto_gen.program pc)));
+      let by_rel = Hashtbl.create 8 in
+      List.iter
+        (fun (rel, tup) ->
+          let line =
+            String.concat " " (Array.to_list (Array.map string_of_int tup))
+          in
+          Hashtbl.replace by_rel rel
+            (line :: Option.value ~default:[] (Hashtbl.find_opt by_rel rel)))
+        (Pointsto_gen.facts pc (Rng.create 1));
+      Hashtbl.iter (fun rel lines -> ok "LOAD" (Dl_client.load c rel lines)) by_rel;
+      let all = List.map (String.split_on_char '\t') (query_rows c "vpt" [ "_"; "_" ]) in
+      let size = List.length all in
+      let expect col v =
+        List.sort compare
+          (List.filter_map
+             (fun row ->
+               if List.nth row col = v then Some (String.concat "\t" row) else None)
+             all)
+      in
+      let examined0 = int_field c "query_examined"
+      and rows0 = int_field c "query_rows" in
+      let returned = ref 0 in
+      for v = 0 to 99 do
+        let got = query_rows c "vpt" [ string_of_int v; "_" ] in
+        check
+          Alcotest.(list string)
+          (Printf.sprintf "scale %g: vpt %d _" scale v)
+          (expect 0 (string_of_int v)) got;
+        returned := !returned + List.length got
+      done;
+      let examined = int_field c "query_examined" - examined0
+      and rows = int_field c "query_rows" - rows0 in
+      checki "rows counted" !returned rows;
+      checkb
+        (Printf.sprintf "scale %g (|vpt| = %d): examined %d - rows %d <= 100"
+           scale size examined rows)
+        true
+        (examined - rows <= 100);
+      let o = List.nth (List.hd all) 1 in
+      let examined0 = int_field c "query_examined" in
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "scale %g: vpt _ %s" scale o)
+        (expect 1 o) (query_rows c "vpt" [ "_"; o ]);
+      checki "fallback scans the relation" size
+        (int_field c "query_examined" - examined0))
+    [ 0.02; 0.2 ]
+
+(* --- client framing ------------------------------------------------ *)
+
+(* A scripted peer in place of the server: it greets, then for every
+   request line the client sends it writes [reply i] for the i-th request
+   as the given list of chunks, pausing between them so each chunk
+   arrives in its own read. *)
+let with_scripted_peer reply k =
+  let addr = fresh_addr () in
+  let path =
+    match addr with
+    | Telemetry_server.Unix_sock p -> p
+    | _ -> Alcotest.fail "expected a unix-socket address"
+  in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let peer =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept lfd in
+        let write s =
+          let n = String.length s in
+          let off = ref 0 in
+          while !off < n do
+            off := !off + Unix.write_substring fd s !off (n - !off)
+          done
+        in
+        let ic = Unix.in_channel_of_descr fd in
+        write (P.greeting ^ "\n");
+        let rec serve i =
+          match input_line ic with
+          | _ ->
+            List.iteri
+              (fun j chunk ->
+                if j > 0 then Unix.sleepf 0.0005;
+                write chunk)
+              (reply i);
+            serve (i + 1)
+          | exception End_of_file -> ()
+        in
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> serve 0))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.join peer;
+      Unix.close lfd;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () -> with_client addr k)
+
+let data_reply rows =
+  String.concat ""
+    (Printf.sprintf "DATA %d rows\n" (List.length rows)
+    :: List.map (fun r -> r ^ "\n") rows)
+  ^ "END\n"
+
+(* 100k rows in one reply: the reader must not recopy its buffer per
+   line, and must grow it when a line outgrows it. *)
+let test_client_large_reply () =
+  let rows = List.init 100_000 (fun i -> Printf.sprintf "%d\t%d" i (i * 7)) in
+  let long = String.make 20_000 'x' in
+  let replies = [| [ data_reply rows ]; [ data_reply [ long; "1\t2" ] ] |] in
+  with_scripted_peer (fun i -> replies.(i)) @@ fun c ->
+  (match Dl_client.query c "out" [ "_"; "_" ] with
+  | Ok (Dl_client.Data ("rows", got)) ->
+    checki "row count" 100_000 (List.length got);
+    checkb "rows in order" true (got = rows)
+  | _ -> Alcotest.fail "100k-row reply: bad reply");
+  match Dl_client.query c "out" [ "_"; "_" ] with
+  | Ok (Dl_client.Data (_, [ l; "1\t2" ])) -> checki "long row" 20_000 (String.length l)
+  | _ -> Alcotest.fail "long-row reply: bad reply"
+
+(* The same reply split into two reads at every byte offset, then one
+   read per byte: every framing decision must survive a boundary. *)
+let test_client_split_reads () =
+  let reply = data_reply [ "1\t2"; ""; "3\t4" ] in
+  let n = String.length reply in
+  let script i =
+    if i <= n then [ String.sub reply 0 i; String.sub reply i (n - i) ]
+    else List.init n (fun j -> String.make 1 reply.[j])
+  in
+  with_scripted_peer script @@ fun c ->
+  for i = 0 to n + 1 do
+    match Dl_client.query c "out" [ "_"; "_" ] with
+    | Ok (Dl_client.Data ("rows", [ "1\t2"; ""; "3\t4" ])) -> ()
+    | _ -> Alcotest.failf "split at %d: bad reply" i
+  done
+
+(* A trailing CR is stripped from every line; an interior one is data. *)
+let test_client_crlf () =
+  let reply = "DATA 2 crlf\r\n1\t2\r\na\rb\r\nEND\r\n" in
+  with_scripted_peer (fun _ -> [ reply ]) @@ fun c ->
+  match Dl_client.query c "out" [ "_"; "_" ] with
+  | Ok (Dl_client.Data ("crlf", [ "1\t2"; "a\rb" ])) -> ()
+  | _ -> Alcotest.fail "CRLF reply: bad reply"
+
 (* SHUTDOWN drains: the issuing client gets OK, the server exits, and the
    socket stops accepting. *)
 let test_shutdown () =
@@ -667,6 +845,13 @@ let () =
           tc "derived relations snapshot base facts only" `Quick
             test_derived_relation_snapshot;
           tc "failed flip rebuilds the engine" `Quick test_failed_flip_rebuilds;
+          tc "query work flat in database size" `Quick test_query_work_flat;
           tc "shutdown drains" `Quick test_shutdown;
+        ] );
+      ( "client",
+        [
+          tc "100k-row DATA reply" `Quick test_client_large_reply;
+          tc "replies split across reads" `Quick test_client_split_reads;
+          tc "CRLF stripping" `Quick test_client_crlf;
         ] );
     ]

@@ -8,7 +8,8 @@
 # engine's parallel merge cuts them — then the resident query server
 # (client domains under connection drops, forced admission busy and
 # failed flips that force an engine rebuild, audited against the
-# exactly-acked fact set), and WAL durability
+# exactly-acked fact set through the whole relation, each client's slice
+# and sampled keys), and WAL durability
 # (torn-tail appends under wal.write.short, then a kill -9 of a
 # strict-durability server child whose restart must serve exactly the
 # acked rows).
