@@ -37,8 +37,6 @@ type config = {
   max_threads : int;
   full : bool;
   json : string; (* metrics output of the smoke experiment *)
-  record : string option; (* --record NAME: append to the perf trajectory *)
-  workload : string; (* smoke subset: "btree" | "datalog" | "all" *)
 }
 
 let scaled cfg n = max 1 (int_of_float (float_of_int n *. cfg.scale))
@@ -782,295 +780,66 @@ let ablation_specialization cfg =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* Smoke: telemetry overhead + machine-readable metrics               *)
+(* Smoke: traced run + machine-readable metrics                       *)
 (* ------------------------------------------------------------------ *)
 
 (* A fast end-to-end exercise of the telemetry layer, meant for CI:
-     1. measure counters-on vs telemetry-off insert time (a strictly harder
-        bound than the disabled-path "<5%" target, since the disabled path
-        only pays one load + branch per event site);
-     2. run a small Datalog workload with counters + tracing on and export
-        the Chrome trace;
-     3. write all of it as metrics JSON and re-parse both files, failing
-        loudly on malformed output. *)
+     1. run a small Datalog workload with counters, tracing and the flight
+        recorder on, export the Chrome trace and re-parse it;
+     2. write counters, histograms and tree shapes as metrics JSON and
+        re-parse it;
+     3. fail when a non-chaos run fell back to the pessimistic descent.
+   Any malformed artifact or failed check raises, so the bench exits
+   nonzero.  Timings are not judged here: perfbench owns them. *)
 let smoke cfg =
-  pf "\n== smoke: telemetry overhead + metrics export (workload=%s) ==\n"
-    cfg.workload;
+  pf "\n== smoke: traced run + metrics export ==\n";
   let threads = min 2 cfg.max_threads in
   let read_file f = In_channel.with_open_bin f In_channel.input_all in
-  let run_btree = cfg.workload = "all" || cfg.workload = "btree" in
-  let run_datalog = cfg.workload = "all" || cfg.workload = "datalog" in
-  (* 1. overhead: sequential random inserts, telemetry off vs counters on *)
-  let overhead =
-    if not run_btree then None
-    else begin
-      let pts =
-        random_points { cfg with scale = min cfg.scale 1.0 } 300_000 41
-      in
-      let insert_run () =
-        let t = CB.create () in
-        Array.iter (fun p -> ignore (CB.insert t p : bool)) pts
-      in
-      Telemetry.disable ();
-      Gc.full_major ();
-      let d_off = Bench_util.best_of 3 insert_run in
-      Telemetry.enable ();
-      Gc.full_major ();
-      let d_on = Bench_util.best_of 3 insert_run in
-      Telemetry.disable ();
-      let overhead_pct = (d_on -. d_off) /. d_off *. 100.0 in
-      pf "insert %d points: %.3fs off, %.3fs counters-on (%+.1f%%)\n"
-        (Array.length pts) d_off d_on overhead_pct;
-      Some (Array.length pts, d_off, d_on, overhead_pct)
-    end
-  in
-  (* 1b. batch write path: delta->full sorted-run merge, per-tuple parallel
-     inserts vs the parallel structural merge, on >= 4 domains.  The tree is
-     pre-seeded (so it has internal separators to partition by) and then a
-     large sorted delta is merged — the insert-heavy shape of semi-naive
-     promotion. *)
-  let batch =
-    if not run_btree then None
-    else begin
-      let bdomains = max 4 (min cfg.max_threads 8) in
-      let bpts =
-        random_points { cfg with scale = min cfg.scale 1.0 } 400_000 43
-      in
-      let btuples = Array.map (fun (x, y) -> [| x; y |]) bpts in
-      let nseed = Array.length btuples / 4 in
-      let seed_tuples = Array.sub btuples 0 nseed in
-      let delta = Array.sub btuples nseed (Array.length btuples - nseed) in
-      let cmp2 a b =
-        let c = compare a.(0) b.(0) in
-        if c <> 0 then c else compare a.(1) b.(1)
-      in
-      Array.sort cmp2 delta;
-      let ndelta = Array.length delta in
-      let prep () =
-        let idx =
-          Storage.Index.create Storage.Btree ~arity:2 ~cols:[||] ~stats:None ()
-        in
-        Array.iter (fun tup -> ignore (Storage.Index.insert idx tup : bool))
-          seed_tuples;
-        idx
-      in
-      let d_single, d_batch, batch_ok =
-        Pool.with_pool bdomains (fun pool ->
-            let single idx =
-              Pool.parallel_for_ranges ~label:"bench_single" pool 0 ndelta
-                (fun _w lo hi ->
-                  let cur = Storage.Index.cursor idx in
-                  for i = lo to hi - 1 do
-                    ignore (Storage.Index.c_insert cur delta.(i) : bool)
-                  done)
-            in
-            let batch idx = ignore (Storage.Index.merge ~pool idx delta : int) in
-            (* correctness gate (doubles as warmup): both paths must build the
-               same set *)
-            let card f =
-              let idx = prep () in
-              f idx;
-              Storage.Index.cardinal idx
-            in
-            let cs = card single and cb = card batch in
-            if cs <> cb then
-              failwith
-                (Printf.sprintf "smoke: batch merge built %d tuples, single %d"
-                   cb cs);
-            let best3 f =
-              let best = ref infinity in
-              for _ = 1 to 3 do
-                let idx = prep () in
-                Gc.full_major ();
-                let _, d = Bench_util.time (fun () -> f idx) in
-                if d < !best then best := d
-              done;
-              !best
-            in
-            (best3 single, best3 batch, cs = cb))
-      in
-      ignore (batch_ok : bool);
-      let batch_speedup = d_single /. d_batch in
-      pf
-        "sorted-run merge of %d tuples on %d domains: %.3fs per-tuple, %.3fs \
-         batch (%.2fx)\n"
-        ndelta bdomains d_single d_batch batch_speedup;
-      Some (bdomains, nseed, ndelta, d_single, d_batch, batch_speedup)
-    end
-  in
-  (* 1c. WAL append overhead: the durability tax of the resident server's
-     write-ahead log.  Replays the server's append pattern — fact batches
-     with a commit marker per generation flip — under durability [none]
-     (never fsync) and [batch] (group-commit fsync at each flip), so the
-     ratio is the fsync cost exactly where the server pays it. *)
-  let wal =
-    if not run_btree then None
-    else begin
-      let rec rm_rf path =
-        match (Unix.lstat path).Unix.st_kind with
-        | Unix.S_DIR ->
-          Array.iter
-            (fun e -> rm_rf (Filename.concat path e))
-            (Sys.readdir path);
-          Unix.rmdir path
-        | _ -> Unix.unlink path
-        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-      in
-      let dir =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "bench-wal-%d" (Unix.getpid ()))
-      in
-      let n_facts = 2_000 and per_flip = 100 in
-      let lines =
-        Array.init n_facts (fun i -> Printf.sprintf "%d\t%d" i (i * 7))
-      in
-      let run durability =
-        rm_rf dir;
-        match Wal.open_dir ~durability dir with
-        | Error m -> failwith ("smoke: wal open: " ^ m)
-        | Ok (w, _) ->
-          let append e =
-            match Wal.append w e with
-            | Ok () -> ()
-            | Error m -> failwith ("smoke: wal append: " ^ m)
-          in
-          let _, d =
-            Bench_util.time (fun () ->
-                let seq = ref 0 in
-                Array.iteri
-                  (fun i line ->
-                    append (Wal.Facts ("kv", [ line ]));
-                    if (i + 1) mod per_flip = 0 then begin
-                      incr seq;
-                      append (Wal.Commit !seq)
-                    end)
-                  lines)
-          in
-          Wal.close w;
-          rm_rf dir;
-          d
-      in
-      let d_none = run Wal.D_none in
-      let d_batch = run Wal.D_batch in
-      let wal_overhead = d_batch /. d_none in
-      pf
-        "wal append %d facts (%d per flip): %.3fs none, %.3fs batch (%.2fx)\n"
-        n_facts per_flip d_none d_batch wal_overhead;
-      Some (n_facts, per_flip, d_none, d_batch, wal_overhead)
-    end
-  in
-  (* 2. traced Datalog run, with the flight recorder on: its events ride
+  (* 1. traced Datalog run, with the flight recorder on: its events ride
      into the Chrome trace via the registered provider, and the drained
      rings aggregate into the contention heatmap of the metrics JSON. *)
-  let eval =
-    if not run_datalog then None
-    else begin
-      Telemetry.reset ();
-      Telemetry.enable ~tracing:true ();
-      Flight.enable ();
-      let workload = pointsto_workload { cfg with scale = min cfg.scale 0.2 } in
-      let engine, dt = run_engine ~kind:Storage.Btree ~threads workload in
-      let heat = Tree_shape.heat_of_events (Flight.events ()) in
-      let trace_file = Filename.temp_file "smoke" ".trace.json" in
-      Telemetry.export_trace ~process_name:"bench smoke" trace_file;
-      Flight.disable ();
-      Telemetry.disable ();
-      let trace = Telemetry.Json.of_string (read_file trace_file) in
-      let events =
-        match Telemetry.Json.member "traceEvents" trace with
-        | Some (Telemetry.Json.List l) -> List.length l
-        | _ -> failwith "smoke: trace JSON has no traceEvents list"
-      in
-      if events = 0 then failwith "smoke: trace contains no events";
-      pf "traced pointsto run: %.3fs on %d threads, %d iterations, %d trace \
-          events (%s)\n"
-        dt threads (Engine.iterations engine) events trace_file;
-      Some (engine, dt, trace_file, events, heat)
-    end
+  Telemetry.reset ();
+  Telemetry.enable ~tracing:true ();
+  Flight.enable ();
+  let workload = pointsto_workload { cfg with scale = min cfg.scale 0.2 } in
+  let engine, dt = run_engine ~kind:Storage.Btree ~threads workload in
+  let heat = Tree_shape.heat_of_events (Flight.events ()) in
+  let trace_file = Filename.temp_file "smoke" ".trace.json" in
+  Telemetry.export_trace ~process_name:"bench smoke" trace_file;
+  Flight.disable ();
+  Telemetry.disable ();
+  let trace = Telemetry.Json.of_string (read_file trace_file) in
+  let events =
+    match Telemetry.Json.member "traceEvents" trace with
+    | Some (Telemetry.Json.List l) -> List.length l
+    | _ -> failwith "smoke: trace JSON has no traceEvents list"
   in
-  (* 3. metrics JSON + parse-back.  Counters/histograms snapshot whatever
-     the selected workload ran: the datalog phase resets telemetry first,
-     the btree-only path keeps its counters-on insert run. *)
+  if events = 0 then failwith "smoke: trace contains no events";
+  pf "traced pointsto run: %.3fs on %d threads, %d iterations, %d trace \
+      events (%s)\n"
+    dt threads (Engine.iterations engine) events trace_file;
+  (* 2. metrics JSON + parse-back *)
   let open Telemetry.Json in
   let snap = Telemetry.snapshot () in
   let metrics =
     Obj
-      ([
-         ("schema_version", Int 2);
-         ( "config",
-           Obj
-             [
-               ("threads", Int threads);
-               ("scale", Float cfg.scale);
-               ("workload", String cfg.workload);
-             ] );
-       ]
-      @ (match overhead with
-        | None -> []
-        | Some (npts, d_off, d_on, overhead_pct) ->
-          [
-            ( "overhead",
-              Obj
-                [
-                  ("insert_points", Int npts);
-                  ("insert_off_s", Float d_off);
-                  ("insert_counters_s", Float d_on);
-                  ("overhead_pct", Float overhead_pct);
-                ] );
-          ])
-      @ (match batch with
-        | None -> []
-        | Some (bdomains, nseed, ndelta, d_single, d_batch, batch_speedup) ->
-          [
-            ( "batch",
-              Obj
-                [
-                  ("domains", Int bdomains);
-                  ("seed_tuples", Int nseed);
-                  ("delta_tuples", Int ndelta);
-                  ("single_insert_s", Float d_single);
-                  ("batch_merge_s", Float d_batch);
-                  ("batch_speedup", Float batch_speedup);
-                ] );
-          ])
-      @ (match wal with
-        | None -> []
-        | Some (n_facts, per_flip, d_none, d_batch, wal_overhead) ->
-          [
-            ( "wal",
-              Obj
-                [
-                  ("facts", Int n_facts);
-                  ("facts_per_flip", Int per_flip);
-                  ("append_none_s", Float d_none);
-                  ("append_batch_s", Float d_batch);
-                  ("wal_append_overhead", Float wal_overhead);
-                ] );
-          ])
-      @ (match eval with
-        | None -> []
-        | Some (engine, dt, trace_file, events, heat) ->
-          [
-            ( "eval",
-              Obj
-                [
-                  ("seconds", Float dt);
-                  ("iterations", Int (Engine.iterations engine));
-                ] );
-            ( "tree_shape",
-              Obj
-                (List.map
-                   (fun (rel, sh) -> (rel, Tree_shape.to_json sh))
-                   (Engine.tree_shapes engine)) );
-            ("contention", Tree_shape.heat_to_json heat);
-            ( "trace",
-              Obj [ ("file", String trace_file); ("events", Int events) ] );
-          ])
-      @ [
-          ("counters", Telemetry.counters_json snap);
-          ("histograms", Telemetry.histograms_json snap);
-        ])
+      [
+        ("schema_version", Int 3);
+        ("config", Obj [ ("threads", Int threads); ("scale", Float cfg.scale) ]);
+        ( "eval",
+          Obj
+            [ ("seconds", Float dt); ("iterations", Int (Engine.iterations engine)) ]
+        );
+        ( "tree_shape",
+          Obj
+            (List.map
+               (fun (rel, sh) -> (rel, Tree_shape.to_json sh))
+               (Engine.tree_shapes engine)) );
+        ("contention", Tree_shape.heat_to_json heat);
+        ("trace", Obj [ ("file", String trace_file); ("events", Int events) ]);
+        ("counters", Telemetry.counters_json snap);
+        ("histograms", Telemetry.histograms_json snap);
+      ]
   in
   Out_channel.with_open_bin cfg.json (fun oc ->
       output oc metrics;
@@ -1083,89 +852,16 @@ let smoke cfg =
   | Some (Obj (_ :: _)) -> ()
   | _ -> failwith "smoke: metrics JSON carries no histograms");
   pf "metrics written to %s (parse-back ok)\n" cfg.json;
-  (* 4. optional regression recording: per-run snapshot + history line *)
-  match cfg.record with
-  | None -> ()
-  | Some name ->
-    let safe =
-      String.map
-        (fun c ->
-          match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> c | _ -> '_')
-        name
-    in
-    let snap_file = Printf.sprintf "BENCH_%s.json" safe in
-    let now = Unix.gettimeofday () in
-    Out_channel.with_open_bin snap_file (fun oc ->
-        output oc
-          (Obj
-             [
-               ("name", String name);
-               ("recorded_at", Float now);
-               ("metrics", metrics);
-             ]);
-        output_char oc '\n');
-    let p99 m = Telemetry.hist_quantile (Telemetry.hist_of snap m) 0.99 in
-    let entry =
-      Obj
-        ([
-           ("schema_version", Int 2);
-           ("name", String name);
-           ("recorded_at", Float now);
-           ("workload", String cfg.workload);
-         ]
-        @ (match eval with
-          | None -> []
-          | Some (engine, dt, _, _, _) ->
-            [
-              ("eval_seconds", Float dt);
-              ("iterations", Int (Engine.iterations engine));
-              ( "eval_iteration_p99_ns",
-                Int (p99 Telemetry.Hist.Eval_iteration_ns) );
-            ])
-        @ (match overhead with
-          | None -> []
-          | Some (_, d_off, d_on, overhead_pct) ->
-            [
-              ("insert_off_s", Float d_off);
-              ("insert_counters_s", Float d_on);
-              ("overhead_pct", Float overhead_pct);
-            ])
-        @ (match batch with
-          | None -> []
-          | Some (_, _, _, d_single, d_batch, batch_speedup) ->
-            [
-              ("batch_single_s", Float d_single);
-              ("batch_merge_s", Float d_batch);
-              ("batch_speedup", Float batch_speedup);
-            ])
-        @ (match wal with
-          | None -> []
-          | Some (_, _, d_none, d_batch, wal_overhead) ->
-            [
-              ("wal_none_s", Float d_none);
-              ("wal_batch_s", Float d_batch);
-              ("wal_append_overhead", Float wal_overhead);
-            ])
-        @ [
-            ("btree_insert_p99_ns", Int (p99 Telemetry.Hist.Btree_insert_ns));
-            (* fallback gate: non-chaos runs must report 0 here (checked by
-               tools/regress.sh); the chaos flag exempts deliberate-fault
-               runs *)
-            ( "pessimistic_fallbacks",
-              Int
-                (Telemetry.get snap
-                   Telemetry.Counter.Btree_pessimistic_fallbacks) );
-            ("chaos", Bool (Chaos.active ()));
-          ])
-    in
-    let hist_file = "BENCH_history.jsonl" in
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 hist_file in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output oc entry;
-        output_char oc '\n');
-    pf "recorded run %S -> %s + %s\n" name snap_file hist_file
+  (* 3. bounded retries must not run out in a healthy run; chaos runs
+     force validation failures on purpose and are exempt *)
+  let fallbacks =
+    Telemetry.get snap Telemetry.Counter.Btree_pessimistic_fallbacks
+  in
+  if fallbacks > 0 && not (Chaos.active ()) then
+    failwith
+      (Printf.sprintf
+         "smoke: %d pessimistic fallback descent(s) in a non-chaos run"
+         fallbacks)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                          *)
@@ -1315,18 +1011,12 @@ let run_experiment cfg = function
       (String.concat ", " ("all" :: known_experiments));
     exit 2
 
-let main experiments scale threads full smoke_only json record chaos_spec
-    workload serve_metrics serve_interval =
-  (match workload with
-  | "all" | "btree" | "datalog" -> ()
-  | w ->
-    Printf.eprintf "--smoke-workload: unknown workload %S (btree|datalog|all)\n"
-      w;
-    exit 2);
+let main experiments scale threads full smoke_only json chaos_spec serve_metrics
+    serve_interval =
   (* Shared observability surface; --serve-metrics must not force the
-     telemetry counters on here — the smoke phases keep toggling telemetry
-     themselves (the overhead phase measures the disabled cost), and a
-     window sampled across a reset simply clamps to empty. *)
+     telemetry counters on here — the paper experiments run with telemetry
+     off, the smoke toggles it itself, and a window sampled across a reset
+     simply clamps to empty. *)
   let server =
     Obs_cli.setup ~telemetry_on_serve:false ~chaos:chaos_spec ~flight:false
       ~serve_metrics ~serve_interval ()
@@ -1337,10 +1027,9 @@ let main experiments scale threads full smoke_only json record chaos_spec
     | Some t -> max 1 t
     | None -> max 1 (Domain.recommended_domain_count ())
   in
-  let cfg = { scale; max_threads; full; json; record; workload } in
+  let cfg = { scale; max_threads; full; json } in
   let experiments =
-    (* --record implies the smoke experiment (it is what gets recorded) *)
-    if smoke_only || record <> None then [ "smoke" ]
+    if smoke_only then [ "smoke" ]
     else
       match experiments with
       | [] | [ "all" ] ->
@@ -1408,30 +1097,13 @@ let json_arg =
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Where the smoke experiment writes machine-readable metrics.")
 
-let record_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "record" ] ~docv:"NAME"
-        ~doc:"Run the smoke experiment and record it: write \
-              BENCH_<NAME>.json and append a summary line to \
-              BENCH_history.jsonl (compare runs with tools/regress.sh).")
-
-let workload_arg =
-  Arg.(
-    value & opt string "all"
-    & info [ "smoke-workload" ] ~docv:"W"
-        ~doc:"Smoke workload subset: $(b,btree) (insert overhead + batch \
-              merge), $(b,datalog) (traced evaluation with the flight \
-              recorder on), or $(b,all).  Recorded baselines \
-              (BENCH_btree.json, BENCH_datalog.json) are per-workload.")
-
 let cmd =
   let doc = "regenerate the paper's tables and figures" in
   Cmd.v
     (Cmd.info "bench" ~doc)
     Term.(
       const main $ experiments_arg $ scale_arg $ threads_arg $ full_arg
-      $ smoke_arg $ json_arg $ record_arg $ Obs_cli.chaos_term $ workload_arg
-      $ Obs_cli.serve_metrics_term $ Obs_cli.serve_interval_term)
+      $ smoke_arg $ json_arg $ Obs_cli.chaos_term $ Obs_cli.serve_metrics_term
+      $ Obs_cli.serve_interval_term)
 
 let () = exit (Cmd.eval cmd)

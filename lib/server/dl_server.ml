@@ -1119,40 +1119,6 @@ type t = {
   mutable t_joined : bool;
 }
 
-let resolve_host h =
-  try Unix.inet_addr_of_string h
-  with _ -> (
-    try (Unix.gethostbyname h).Unix.h_addr_list.(0)
-    with _ -> failwith ("cannot resolve host " ^ h))
-
-let bind_listen addr =
-  match addr with
-  | Telemetry_server.Tcp (host, port) ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-       Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
-       Unix.listen fd 64;
-       let bound =
-         match Unix.getsockname fd with
-         | Unix.ADDR_INET (_, p) -> Telemetry_server.Tcp (host, p)
-         | _ -> addr
-       in
-       (fd, bound, None)
-     with e ->
-       (try Unix.close fd with _ -> ());
-       raise e)
-  | Telemetry_server.Unix_sock path ->
-    (try if Sys.file_exists path then Unix.unlink path with _ -> ());
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try
-       Unix.bind fd (Unix.ADDR_UNIX path);
-       Unix.listen fd 64;
-       (fd, addr, Some path)
-     with e ->
-       (try Unix.close fd with _ -> ());
-       raise e)
-
 (* Fold one recovered WAL record into pre-serve state.  Only content the
    live admission path validated is ever logged, so a failure here means
    the log is inconsistent with the running binary (or corruption slid
@@ -1250,7 +1216,7 @@ let start cfg =
     let close_wal () =
       match wal with Some (w, _) -> Wal.close w | None -> ()
     in
-    match bind_listen cfg.addr with
+    match Telemetry_server.bind_listen cfg.addr with
     | exception e ->
       close_wal ();
       Error

@@ -66,7 +66,7 @@ module Counter : sig
     | Btree_pessimistic_fallbacks
         (** descents that exhausted the optimistic retry budget and fell
             back to the pessimistic write-locked descent; [0] in healthy
-            non-chaos runs (gated by tools/regress.sh) *)
+            non-chaos runs ([bench --smoke] fails otherwise) *)
     | Btree_leaf_splits
     | Btree_inner_splits
     | Btree_root_splits  (** splits that grew the tree by one level *)

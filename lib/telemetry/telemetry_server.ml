@@ -788,7 +788,7 @@ let bind_listen addr =
     (try
        Unix.setsockopt fd Unix.SO_REUSEADDR true;
        Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
-       Unix.listen fd 16;
+       Unix.listen fd 64;
        let bound =
          match Unix.getsockname fd with
          | Unix.ADDR_INET (_, p) -> Tcp (host, p)
@@ -804,7 +804,7 @@ let bind_listen addr =
     let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (try
        Unix.bind fd (Unix.ADDR_UNIX path);
-       Unix.listen fd 16;
+       Unix.listen fd 64;
        (fd, addr, Some path)
      with e ->
        (try Unix.close fd with _ -> ());

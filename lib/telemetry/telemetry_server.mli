@@ -46,6 +46,13 @@ val parse_addr : string -> (addr, string) result
 
 val addr_to_string : addr -> string
 
+val bind_listen : addr -> Unix.file_descr * addr * string option
+(** Open a listening socket (backlog 64) on [addr]: returns the fd, the
+    bound address ([Tcp] carries the resolved port when given port 0) and
+    the Unix socket path the owner must unlink on shutdown.  A stale
+    socket file at a [Unix_sock] path is unlinked first.  Raises on
+    failure, closing the fd.  Shared with {!Dl_server}'s listener. *)
+
 (** {1 Lifecycle} *)
 
 type t

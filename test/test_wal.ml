@@ -301,6 +301,31 @@ let test_strict_fsync_fail_rollback () =
   checkb "refused record absent, later append present" true
     (rv.Wal.rv_entries = [ Wal.Rules prog; Wal.Facts ("kv", [ "1 1" ]) ])
 
+(* Group commit, counted exactly: the server's append pattern (fact
+   batches, a commit marker per flip) in one segment, with the fsync
+   count read before [close] adds its own flush.  [D_batch] must pay
+   one fsync per commit — never one per record — and [D_strict] one per
+   append. *)
+let test_group_commit_fsyncs () =
+  let n_facts = 40 and per_flip = 10 in
+  let commits = n_facts / per_flip in
+  let fsyncs durability =
+    let dir = fresh_dir () in
+    let w, _ = open_ok ~segment_bytes:(1 lsl 20) ~durability dir in
+    for i = 1 to n_facts do
+      append_ok w (Wal.Facts ("kv", [ Printf.sprintf "%d %d" i (i * 7) ]));
+      if i mod per_flip = 0 then append_ok w (Wal.Commit (i / per_flip))
+    done;
+    checki "no rotation" 1 (Wal.segments w);
+    let n = Wal.fsyncs w in
+    Wal.close w;
+    n
+  in
+  checki "none: never" 0 (fsyncs Wal.D_none);
+  checki "async: only at rotation and close" 0 (fsyncs Wal.D_async);
+  checki "batch: one per commit" commits (fsyncs Wal.D_batch);
+  checki "strict: one per append" (n_facts + commits) (fsyncs Wal.D_strict)
+
 let test_lockfile () =
   let dir = fresh_dir () in
   let w, _ = open_ok dir in
@@ -496,6 +521,7 @@ let () =
             test_snapshot_tail_equivalence;
           tc "strict fsync failure rolled back" `Quick
             test_strict_fsync_fail_rollback;
+          tc "group commit fsync count" `Quick test_group_commit_fsyncs;
           tc "lockfile" `Quick test_lockfile;
         ] );
       ( "recovery",

@@ -599,23 +599,49 @@ module Make (I : INSTANCE) = struct
     I.check_invariants t;
     check_ilist "contents" [ 1; 2; 9 ] (to_ints t)
 
+  (* The merge must also amortise: [Btree_batch_keys / Btree_batch_leaves]
+     is the keys consumed per leaf write-lock, which the per-key path holds
+     at 1 by definition.  The run is deterministic and the merge runs on
+     one domain, so the ratio is exact; the floor is the value this case
+     measures, rounded down. *)
+  let batch_keys_per_leaf_floor = 2.5 (* measured: 1500 keys / 599 leaves *)
+
   let test_batch_into_populated () =
     let r = rng 11 in
     let t = I.make ~capacity:5 () in
+    let single = I.make ~capacity:5 () in
     let model = ref ISet.empty in
     for _ = 1 to 2_000 do
       let x = r 4000 in
       ins t x;
+      ins single x;
       model := ISet.add x !model
     done;
     let run = Array.init 1500 (fun i -> (i * 3) + 1) in
     let expected_fresh =
       Array.fold_left (fun n x -> if ISet.mem x !model then n else n + 1) 0 run
     in
-    check_int "fresh count" expected_fresh (I.insert_batch t (Array.map k run));
+    Telemetry.reset ();
+    Telemetry.enable ();
+    let fresh =
+      Fun.protect ~finally:Telemetry.disable (fun () ->
+          I.insert_batch t (Array.map k run))
+    in
+    let snap = Telemetry.snapshot () in
+    check_int "fresh count" expected_fresh fresh;
     I.check_invariants t;
     Array.iter (fun x -> model := ISet.add x !model) run;
-    check_ilist "contents match model" (ISet.elements !model) (to_ints t)
+    check_ilist "contents match model" (ISet.elements !model) (to_ints t);
+    Array.iter (ins single) run;
+    check_ilist "same set as per-key inserts" (to_ints single) (to_ints t);
+    let keys = Telemetry.get snap Telemetry.Counter.Btree_batch_keys in
+    let leaves = Telemetry.get snap Telemetry.Counter.Btree_batch_leaves in
+    check_int "every run key offered" (Array.length run) keys;
+    let per_leaf = float_of_int keys /. float_of_int (max 1 leaves) in
+    if per_leaf < batch_keys_per_leaf_floor then
+      Alcotest.failf
+        "batch merge filled %d keys in %d leaf visits (%.3f, floor %.1f)" keys
+        leaves per_leaf batch_keys_per_leaf_floor
 
   let test_separators () =
     let t = of_list (List.init 10_000 Fun.id) in
