@@ -227,8 +227,8 @@ let run_program file storage threads print_rels show_stats show_profile facts_di
   in
   match Storage.kind_of_name storage with
   | None ->
-    Printf.eprintf "unknown storage kind %S (try: btree, btree-nohints, \
-                    rbtree, hashset, bplus, tbb)\n" storage;
+    Printf.eprintf "unknown storage kind %S (try: %s)\n" storage
+      Storage.kind_choices;
     exit 2
   | Some kind -> (
     match Parser.parse_file file with
@@ -393,7 +393,7 @@ let file_arg =
 
 let storage_arg =
   Arg.(value & opt string "btree" & info [ "storage"; "s" ] ~docv:"KIND"
-         ~doc:"Relation storage: btree, btree-nohints, rbtree, hashset, bplus, tbb.")
+         ~doc:("Relation storage: " ^ Storage.kind_choices ^ "."))
 
 let threads_arg =
   Arg.(value & opt int 1 & info [ "threads"; "j" ] ~docv:"N"

@@ -72,10 +72,8 @@ let serve listen storage threads flip_pending flip_interval max_pending
   Fun.protect ~finally:(fun () -> Obs_cli.teardown mon) @@ fun () ->
   match Storage.kind_of_name storage with
   | None ->
-    Printf.eprintf
-      "unknown storage kind %S (try: btree, btree-nohints, rbtree, hashset, \
-       bplus, tbb)\n"
-      storage;
+    Printf.eprintf "unknown storage kind %S (try: %s)\n" storage
+      Storage.kind_choices;
     exit 2
   | Some kind -> (
     match Telemetry_server.parse_addr listen with
@@ -162,8 +160,8 @@ let storage_arg =
     value & opt string "btree"
     & info [ "storage"; "s" ] ~docv:"KIND"
         ~doc:
-          "Relation storage of the resident engine: btree, btree-nohints, \
-           rbtree, hashset, bplus, tbb.")
+          ("Relation storage of the resident engine: " ^ Storage.kind_choices
+         ^ "."))
 
 let threads_arg =
   Arg.(

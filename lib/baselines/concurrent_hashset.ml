@@ -67,55 +67,4 @@ module Make (K : Key.HASHABLE) = struct
               failwith "key stored in wrong segment")
           s.table)
       t.segments
-
-  (* Storage-backend witness.  Order queries degrade to linear scans in
-     hash order ([ordered = false]); [insert]/[insert_batch] stay
-     thread-safe, the scans are quiescent-use like [iter]. *)
-  module As_storage : Storage_intf.S with type elt = key and type t = t =
-  struct
-    type elt = K.t
-    type nonrec t = t
-
-    let create () = create ()
-    let insert = insert
-    let mem = mem
-    let cardinal = cardinal
-    let is_empty t = cardinal t = 0
-    let iter = iter
-
-    let insert_batch t run =
-      let n = Array.length run in
-      for k = 1 to n - 1 do
-        if K.compare run.(k - 1) run.(k) > 0 then
-          invalid_arg "Concurrent_hashset.insert_batch: run not sorted"
-      done;
-      let fresh = ref 0 in
-      Array.iter (fun k -> if insert t k then incr fresh) run;
-      !fresh
-
-    let scan_min t ~above key =
-      let best = ref None in
-      iter
-        (fun k ->
-          let c = K.compare k key in
-          if (if above then c > 0 else c >= 0) then
-            match !best with
-            | Some b when K.compare b k <= 0 -> ()
-            | _ -> best := Some k)
-        t;
-      !best
-
-    let lower_bound t key = scan_min t ~above:false key
-    let upper_bound t key = scan_min t ~above:true key
-
-    exception Stop
-
-    let iter_from f t key =
-      try
-        iter (fun k -> if K.compare k key >= 0 && not (f k) then raise Stop) t
-      with Stop -> ()
-
-    let ordered = false
-    let shape _ = None
-  end
 end

@@ -32,8 +32,4 @@ module Make (K : Key.HASHABLE) : sig
   val fold : ('a -> key -> 'a) -> 'a -> t -> 'a
   val to_list : t -> key list
   val check_invariants : t -> unit
-
-  (** Storage-backend witness: order queries by linear scan,
-      [ordered = false]; inserts stay thread-safe. *)
-  module As_storage : Storage_intf.S with type elt = key and type t = t
 end

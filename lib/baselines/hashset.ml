@@ -90,55 +90,4 @@ module Make (K : Key.HASHABLE) = struct
     if load_factor t > 0.71 then fail "load factor too high: %f" (load_factor t);
     (* every stored key must be findable through its probe sequence *)
     iter (fun k -> if not (mem t k) then fail "key unreachable by probing") t
-
-  (* Storage-backend witness.  Order queries degrade to linear scans and
-     [iter]/[iter_from] enumerate in hash order — [ordered = false] tells
-     callers not to rely on either being fast or sorted. *)
-  module As_storage : Storage_intf.S with type elt = key and type t = t =
-  struct
-    type elt = K.t
-    type nonrec t = t
-
-    let create () = create ()
-    let insert = insert
-    let mem = mem
-    let cardinal = cardinal
-    let is_empty = is_empty
-    let iter = iter
-
-    let insert_batch t run =
-      let n = Array.length run in
-      for k = 1 to n - 1 do
-        if K.compare run.(k - 1) run.(k) > 0 then
-          invalid_arg "Hashset.insert_batch: run not sorted"
-      done;
-      let fresh = ref 0 in
-      Array.iter (fun k -> if insert t k then incr fresh) run;
-      !fresh
-
-    let scan_min t ~above key =
-      let best = ref None in
-      iter
-        (fun k ->
-          let c = K.compare k key in
-          if (if above then c > 0 else c >= 0) then
-            match !best with
-            | Some b when K.compare b k <= 0 -> ()
-            | _ -> best := Some k)
-        t;
-      !best
-
-    let lower_bound t key = scan_min t ~above:false key
-    let upper_bound t key = scan_min t ~above:true key
-
-    exception Stop
-
-    let iter_from f t key =
-      try
-        iter (fun k -> if K.compare k key >= 0 && not (f k) then raise Stop) t
-      with Stop -> ()
-
-    let ordered = false
-    let shape _ = None
-  end
 end

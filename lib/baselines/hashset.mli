@@ -25,8 +25,4 @@ module Make (K : Key.HASHABLE) : sig
 
   val load_factor : t -> float
   val check_invariants : t -> unit
-
-  (** Storage-backend witness: order queries by linear scan,
-      [ordered = false]. *)
-  module As_storage : Storage_intf.S with type elt = key and type t = t
 end

@@ -223,23 +223,4 @@ module Make (K : Key.ORDERED) = struct
     let fresh = ref 0 in
     Array.iter (fun k -> if insert t k then incr fresh) run;
     !fresh
-
-  module As_storage : Storage_intf.S with type elt = key and type t = t =
-  struct
-    type elt = K.t
-    type nonrec t = t
-
-    let create () = create ()
-    let insert = insert
-    let insert_batch = insert_batch
-    let mem = mem
-    let lower_bound = lower_bound
-    let upper_bound = upper_bound
-    let iter = iter
-    let iter_from = iter_from
-    let cardinal = cardinal
-    let is_empty = is_empty
-    let ordered = true
-    let shape _ = None
-  end
 end

@@ -37,9 +37,6 @@ module Make (K : Key.ORDERED) : sig
   val insert_batch : t -> key array -> int
   (** Insert a sorted run (non-decreasing; duplicates skipped); returns the
       fresh-element count.  No amortisation here — a validated insert loop,
-      for {!Storage_intf.S} conformance.
+      the batch path of the sorted index factory in [Storage.Index].
       @raise Invalid_argument when the run is not sorted. *)
-
-  (** Storage-backend witness. *)
-  module As_storage : Storage_intf.S with type elt = key and type t = t
 end

@@ -289,11 +289,6 @@ module type S = sig
   (** Bulk build from a strictly increasing array in O(n), with the node
       fill of {!Leaf_pack.target_fill}.  @raise Invalid_argument if the
       input is not strictly increasing. *)
-
-  (** Witness of the shared storage-backend contract (hints dropped). *)
-  module Storage (_ : sig
-    val ctx : ctx
-  end) : Storage_intf.S with type elt = key and type t = t
 end
 
 (** An instance over a plain ordered key. *)
@@ -302,8 +297,6 @@ module type PLAIN = sig
 
   val create : ?capacity:int -> ?binary_search:bool -> unit -> t
   val of_sorted_array : ?capacity:int -> key array -> t
-
-  module As_storage : Storage_intf.S with type elt = key and type t = t
 end
 
 module Make (L : LOCK) (K : KEY) :
@@ -1775,26 +1768,6 @@ module Make (L : LOCK) (K : KEY) :
   let s_lower_bound s key = bound_h ~strict:false s.s_h s.s_tree key
   let s_upper_bound s key = bound_h ~strict:true s.s_h s.s_tree key
   let s_iter_from f s key = iter_from_h s.s_h f s.s_tree key
-
-  module Storage (C : sig
-    val ctx : ctx
-  end) : Storage_intf.S with type elt = key and type t = t = struct
-    type elt = key
-    type nonrec t = t
-
-    let create () = create C.ctx
-    let insert = insert
-    let insert_batch t run = insert_batch t run
-    let mem = mem
-    let lower_bound = lower_bound
-    let upper_bound = upper_bound
-    let iter = iter
-    let iter_from = iter_from
-    let cardinal = cardinal
-    let is_empty = is_empty
-    let ordered = true
-    let shape t = Some (shape t)
-  end
 end
 
 (* A plain-key instance: no comparator context to carry. *)
@@ -1803,8 +1776,4 @@ struct
   include Make (L) (Plain (K))
 
   let of_sorted_array ?capacity arr = of_sorted_array ?capacity () arr
-
-  module As_storage = Storage (struct
-    let ctx = ()
-  end)
 end

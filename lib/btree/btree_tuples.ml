@@ -53,11 +53,3 @@ let create ?capacity ?(binary_search = true) ~arity ~order () =
   create ?capacity ~binary_search (ctx ~arity ~order)
 
 let arity t = (context t).Tuple.arity
-
-module As_storage (C : sig
-  val arity : int
-  val order : int array
-end) =
-Storage (struct
-  let ctx = ctx ~arity:C.arity ~order:C.order
-end)

@@ -20,9 +20,3 @@ val create :
     one).  @raise Invalid_argument otherwise. *)
 
 val arity : t -> int
-
-(** Storage-backend witness for a fixed arity and order (hints dropped). *)
-module As_storage (_ : sig
-  val arity : int
-  val order : int array
-end) : Storage_intf.S with type elt = int array and type t = t

@@ -108,14 +108,6 @@ module Index = struct
       run
     end
 
-  (* Serial fallback shared by the kinds without a native batch path: sort
-     in the structure's own order, then loop. *)
-  let sort_and_count ~compare ~insert tuples =
-    let run = sorted_run ~compare tuples in
-    let fresh = ref 0 in
-    Array.iter (fun tup -> if insert tup then incr fresh) run;
-    !fresh
-
   (* element-wise sum of equal-length hint-run histograms *)
   let merge_runs a b =
     match (a, b) with
@@ -280,61 +272,21 @@ module Index = struct
       i_order = Some order;
     }
 
-  let make_rbtree ~arity ~cols ~order ~stats =
-    let order = total_order ~arity ~cols order in
-    let module K = (val ordered_key order) in
-    let module T = Rbtree.Make (K) in
-    let tree = T.create () in
-    let scan scratch ~cols bound f =
-      count_scan stats (Array.length cols);
-      if Array.length cols = 0 then T.iter f tree
-      else begin
-        Array.fill scratch 0 arity min_int;
-        Array.iteri (fun i c -> scratch.(c) <- bound.(i)) cols;
-        T.iter_from
-          (fun tup ->
-            if matches ~cols bound tup then begin
-              f tup;
-              true
-            end
-            else false)
-          tree scratch
-      end
-    in
-    let cursor () =
-      let scratch = Array.make (max 1 arity) 0 in
-      {
-        c_insert = (fun tup -> T.insert tree tup);
-        c_mem =
-          (fun tup ->
-            count_mem stats;
-            T.mem tree tup);
-        c_scan = scan scratch;
-        c_release = ignore;
-      }
-    in
-    {
-      i_insert = (fun tup -> T.insert tree tup);
-      i_insert_batch = (fun run -> T.insert_batch tree run);
-      i_merge =
-        (fun _pool tuples ->
-          (* not thread-safe: always a serial sorted loop *)
-          sort_and_count ~compare:K.compare ~insert:(T.insert tree) tuples);
-      i_mem = (fun tup -> T.mem tree tup);
-      i_iter = (fun f -> T.iter f tree);
-      i_cardinal = (fun () -> T.cardinal tree);
-      i_is_empty = (fun () -> T.is_empty tree);
-      i_cursor = cursor;
-      i_hint_counters = (fun () -> None);
-      i_shape = (fun () -> None);
-      i_hint_runs = (fun () -> None);
-      i_order = Some order;
-    }
+  (* Sorted index over a thread-unsafe ordered set functor (rbtree,
+     bplus): the tree is built for this index's total order; scans seek to
+     the bound with [iter_from]; merges are a serial sorted loop. *)
+  module type SORTED = functor (K : Key.ORDERED with type t = int array) -> sig
+    include Set_intf.S with type key = int array
 
-  let make_bplus ~arity ~cols ~order ~stats =
+    val insert_batch : t -> key array -> int
+    val iter_from : (key -> bool) -> t -> key -> unit
+    val is_empty : t -> bool
+  end
+
+  let make_sorted (module F : SORTED) ~arity ~cols ~order ~stats =
     let order = total_order ~arity ~cols order in
     let module K = (val ordered_key order) in
-    let module T = Bplus_tree.Make (K) in
+    let module T = F (K) in
     let tree = T.create () in
     let scan scratch ~cols bound f =
       count_scan stats (Array.length cols);
@@ -369,7 +321,11 @@ module Index = struct
       i_insert_batch = (fun run -> T.insert_batch tree run);
       i_merge =
         (fun _pool tuples ->
-          sort_and_count ~compare:K.compare ~insert:(T.insert tree) tuples);
+          let fresh = ref 0 in
+          Array.iter
+            (fun tup -> if T.insert tree tup then incr fresh)
+            (sorted_run ~compare:K.compare tuples);
+          !fresh);
       i_mem = (fun tup -> T.mem tree tup);
       i_iter = (fun f -> T.iter f tree);
       i_cardinal = (fun () -> T.cardinal tree);
@@ -392,248 +348,140 @@ module Index = struct
 
   module Tuple_tbl = Hashtbl.Make (Tuple_hashed)
 
-  (* sequential hash index: primary = hash set of tuples; secondary = hash
-     multimap from bound values to tuples *)
-  let make_hashset ~arity:_ ~cols ~stats =
+  (* Hash index: the primary is the hash set [H] of tuples; a secondary is
+     a hash multimap from bound values to tuples.  The [concurrent]
+     instance (tbb) stripes the multimap over 64 spin-locked tables and
+     spreads large merges over the pool; the sequential one (hashset) is a
+     single unlocked table. *)
+  let make_hash (module H : Set_intf.S with type key = int array) ~concurrent
+      ~arity:_ ~cols ~order:_ ~stats =
     let ncols = Array.length cols in
-    if ncols = 0 then begin
-      let module H = Hashset.Make (Key.Int_array) in
-      let set = H.create () in
-      let cursor () =
-        {
-          c_insert = (fun tup -> H.insert set tup);
-          c_mem =
-            (fun tup ->
-              count_mem stats;
-              H.mem set tup);
-          c_scan =
-            (fun ~cols:_ _bound f ->
-              count_scan stats ncols;
-              H.iter f set);
-          c_release = ignore;
-        }
-      in
-      {
-        i_insert = (fun tup -> H.insert set tup);
-        i_insert_batch =
-          (fun run ->
-            let fresh = ref 0 in
-            Array.iter (fun tup -> if H.insert set tup then incr fresh) run;
-            !fresh);
-        i_merge =
-          (fun _pool tuples ->
-            let fresh = ref 0 in
-            Array.iter (fun tup -> if H.insert set tup then incr fresh) tuples;
-            !fresh);
-        i_mem = (fun tup -> H.mem set tup);
-        i_iter = (fun f -> H.iter f set);
-        i_cardinal = (fun () -> H.cardinal set);
-        i_is_empty = (fun () -> H.cardinal set = 0);
-        i_cursor = cursor;
-        i_hint_counters = (fun () -> None);
-      i_shape = (fun () -> None);
-      i_hint_runs = (fun () -> None);
-      i_order = None;
-      }
-    end
-    else begin
-      let tbl : int array list ref Tuple_tbl.t = Tuple_tbl.create 1024 in
-      let key_of tup = Array.map (fun c -> tup.(c)) cols in
-      let insert tup =
-        let k = key_of tup in
-        (match Tuple_tbl.find_opt tbl k with
-        | Some bucket -> bucket := tup :: !bucket
-        | None -> Tuple_tbl.add tbl k (ref [ tup ]));
-        true
-      in
-      let scan ~cols:_ bound f =
-        count_scan stats ncols;
-        match Tuple_tbl.find_opt tbl bound with
-        | Some bucket -> List.iter f !bucket
-        | None -> ()
-      in
-      let iter f = Tuple_tbl.iter (fun _ bucket -> List.iter f !bucket) tbl in
-      let cursor () =
-        {
-          c_insert = insert;
-          c_mem =
-            (fun tup ->
-              count_mem stats;
-              match Tuple_tbl.find_opt tbl (key_of tup) with
-              | Some bucket -> List.exists (Key.Int_array.equal tup) !bucket
-              | None -> false);
-          c_scan = scan;
-          c_release = ignore;
-        }
-      in
-      let insert_many run =
-        (* multimap: every insert lands, so freshness is the tuple count *)
-        Array.iter (fun tup -> ignore (insert tup : bool)) run;
-        Array.length run
-      in
-      {
-        i_insert = insert;
-        i_insert_batch = insert_many;
-        i_merge = (fun _pool tuples -> insert_many tuples);
-        i_mem =
+    let insert, mem, scan, iter, cardinal, is_empty =
+      if ncols = 0 then begin
+        let set = H.create () in
+        ( H.insert set,
+          H.mem set,
+          (fun _bound f -> H.iter f set),
+          (fun f -> H.iter f set),
+          (fun () -> H.cardinal set),
+          fun () -> H.cardinal set = 0 )
+      end
+      else begin
+        let nstripes = if concurrent then 64 else 1 in
+        let stripes =
+          Array.init nstripes (fun _ ->
+              ( Olock.Spin.create (),
+                Tuple_tbl.create (if concurrent then 64 else 1024) ))
+        in
+        let locked lock f =
+          if concurrent then Olock.Spin.with_lock lock f else f ()
+        in
+        let stripe_of k =
+          if concurrent then stripes.(Tuple_hashed.hash k land (nstripes - 1))
+          else stripes.(0)
+        in
+        let key_of tup = Array.map (fun c -> tup.(c)) cols in
+        let bucket_of k =
+          let _, tbl = stripe_of k in
+          Tuple_tbl.find_opt tbl k
+        in
+        ( (fun tup ->
+            let k = key_of tup in
+            let lock, tbl = stripe_of k in
+            locked lock (fun () ->
+                match Tuple_tbl.find_opt tbl k with
+                | Some bucket -> bucket := tup :: !bucket
+                | None -> Tuple_tbl.add tbl k (ref [ tup ]));
+            (* multimap: every insert lands *)
+            true),
           (fun tup ->
-            match Tuple_tbl.find_opt tbl (key_of tup) with
+            match bucket_of (key_of tup) with
             | Some bucket -> List.exists (Key.Int_array.equal tup) !bucket
-            | None -> false);
-        i_iter = iter;
-        i_cardinal =
-          (fun () -> Tuple_tbl.fold (fun _ b acc -> acc + List.length !b) tbl 0);
-        i_is_empty = (fun () -> Tuple_tbl.length tbl = 0);
-        i_cursor = cursor;
-        i_hint_counters = (fun () -> None);
-      i_shape = (fun () -> None);
-      i_hint_runs = (fun () -> None);
-      i_order = None;
-      }
-    end
-
-  (* concurrent hash index: primary = lock-striped hash set; secondary =
-     lock-striped hash multimap *)
-  let make_tbb ~arity:_ ~cols ~stats =
-    let ncols = Array.length cols in
-    if ncols = 0 then begin
-      let module H = Concurrent_hashset.Make (Key.Int_array) in
-      let set = H.create () in
-      let cursor () =
-        {
-          c_insert = (fun tup -> H.insert set tup);
-          c_mem =
-            (fun tup ->
-              count_mem stats;
-              H.mem set tup);
-          c_scan =
-            (fun ~cols:_ _bound f ->
-              count_scan stats ncols;
-              H.iter f set);
-          c_release = ignore;
-        }
-      in
-      let merge pool tuples =
-        let n = Array.length tuples in
-        match pool with
-        | Some p when Pool.size p > 1 && n >= merge_parallel_cutoff ->
-          (* inserts are thread-safe; no order to exploit, just spread *)
-          let fresh = Sync.Counter.make 0 in
-          Pool.parallel_for_ranges ~label:"merge" p 0 n (fun _w lo hi ->
-              let f = ref 0 in
-              for i = lo to hi - 1 do
-                if H.insert set tuples.(i) then incr f
-              done;
-              Sync.Counter.add fresh !f);
-          Sync.Counter.get fresh
-        | _ ->
-          let fresh = ref 0 in
-          Array.iter (fun tup -> if H.insert set tup then incr fresh) tuples;
-          !fresh
-      in
-      {
-        i_insert = (fun tup -> H.insert set tup);
-        i_insert_batch =
-          (fun run ->
-            let fresh = ref 0 in
-            Array.iter (fun tup -> if H.insert set tup then incr fresh) run;
-            !fresh);
-        i_merge = merge;
-        i_mem = (fun tup -> H.mem set tup);
-        i_iter = (fun f -> H.iter f set);
-        i_cardinal = (fun () -> H.cardinal set);
-        i_is_empty = (fun () -> H.cardinal set = 0);
-        i_cursor = cursor;
-        i_hint_counters = (fun () -> None);
-      i_shape = (fun () -> None);
-      i_hint_runs = (fun () -> None);
-      i_order = None;
-      }
-    end
-    else begin
-      let nstripes = 64 in
-      let stripes =
-        Array.init nstripes (fun _ ->
-            (Olock.Spin.create (), Tuple_tbl.create 64))
-      in
-      let key_of tup = Array.map (fun c -> tup.(c)) cols in
-      let stripe_of k = Tuple_hashed.hash k land (nstripes - 1) in
-      let insert tup =
-        let k = key_of tup in
-        let lock, tbl = stripes.(stripe_of k) in
-        Olock.Spin.with_lock lock (fun () ->
-            match Tuple_tbl.find_opt tbl k with
-            | Some bucket -> bucket := tup :: !bucket
-            | None -> Tuple_tbl.add tbl k (ref [ tup ]));
-        true
-      in
-      let scan ~cols:_ bound f =
-        count_scan stats ncols;
-        let _, tbl = stripes.(stripe_of bound) in
-        match Tuple_tbl.find_opt tbl bound with
-        | Some bucket -> List.iter f !bucket
-        | None -> ()
-      in
-      let mem tup =
-        let k = key_of tup in
-        let _, tbl = stripes.(stripe_of k) in
-        match Tuple_tbl.find_opt tbl k with
-        | Some bucket -> List.exists (Key.Int_array.equal tup) !bucket
-        | None -> false
-      in
-      let iter f =
-        Array.iter
-          (fun (_, tbl) -> Tuple_tbl.iter (fun _ b -> List.iter f !b) tbl)
-          stripes
-      in
-      let cursor () =
-        {
-          c_insert = insert;
-          c_mem =
-            (fun tup ->
-              count_mem stats;
-              mem tup);
-          c_scan = scan;
-          c_release = ignore;
-        }
-      in
-      let insert_many run =
-        Array.iter (fun tup -> ignore (insert tup : bool)) run;
-        Array.length run
-      in
-      let merge pool tuples =
-        let n = Array.length tuples in
-        match pool with
-        | Some p when Pool.size p > 1 && n >= merge_parallel_cutoff ->
-          Pool.parallel_for_ranges ~label:"merge" p 0 n (fun _w lo hi ->
-              for i = lo to hi - 1 do
-                ignore (insert tuples.(i) : bool)
-              done);
-          n
-        | _ -> insert_many tuples
-      in
-      {
-        i_insert = insert;
-        i_insert_batch = insert_many;
-        i_merge = merge;
-        i_mem = mem;
-        i_iter = iter;
-        i_cardinal =
+            | None -> false),
+          (fun bound f ->
+            match bucket_of bound with
+            | Some bucket -> List.iter f !bucket
+            | None -> ()),
+          (fun f ->
+            Array.iter
+              (fun (_, tbl) -> Tuple_tbl.iter (fun _ b -> List.iter f !b) tbl)
+              stripes),
           (fun () ->
             Array.fold_left
               (fun acc (_, tbl) ->
                 Tuple_tbl.fold (fun _ b acc -> acc + List.length !b) tbl acc)
-              0 stripes);
-        i_is_empty =
-          (fun () ->
-            Array.for_all (fun (_, tbl) -> Tuple_tbl.length tbl = 0) stripes);
-        i_cursor = cursor;
-        i_hint_counters = (fun () -> None);
+              0 stripes),
+          fun () ->
+            Array.for_all (fun (_, tbl) -> Tuple_tbl.length tbl = 0) stripes )
+      end
+    in
+    let insert_many run =
+      let fresh = ref 0 in
+      Array.iter (fun tup -> if insert tup then incr fresh) run;
+      !fresh
+    in
+    let merge pool tuples =
+      let n = Array.length tuples in
+      match pool with
+      | Some p
+        when concurrent && Pool.size p > 1 && n >= merge_parallel_cutoff ->
+        (* inserts are thread-safe; no order to exploit, just spread *)
+        let fresh = Sync.Counter.make 0 in
+        Pool.parallel_for_ranges ~label:"merge" p 0 n (fun _w lo hi ->
+            let f = ref 0 in
+            for i = lo to hi - 1 do
+              if insert tuples.(i) then incr f
+            done;
+            Sync.Counter.add fresh !f);
+        Sync.Counter.get fresh
+      | _ -> insert_many tuples
+    in
+    let cursor () =
+      {
+        c_insert = insert;
+        c_mem =
+          (fun tup ->
+            count_mem stats;
+            mem tup);
+        c_scan =
+          (fun ~cols:_ bound f ->
+            count_scan stats ncols;
+            scan bound f);
+        c_release = ignore;
+      }
+    in
+    {
+      i_insert = insert;
+      i_insert_batch = insert_many;
+      i_merge = merge;
+      i_mem = mem;
+      i_iter = iter;
+      i_cardinal = cardinal;
+      i_is_empty = is_empty;
+      i_cursor = cursor;
+      i_hint_counters = (fun () -> None);
       i_shape = (fun () -> None);
       i_hint_runs = (fun () -> None);
       i_order = None;
-      }
-    end
+    }
+
+  module Seq_hashset = struct
+    include Hashset.Make (Key.Int_array)
+
+    let create () = create ()
+  end
+
+  module Tbb_hashset = struct
+    include Concurrent_hashset.Make (Key.Int_array)
+
+    let create () = create ()
+  end
+
+  module Sorted_bplus (K : Key.ORDERED with type t = int array) = struct
+    include Bplus_tree.Make (K)
+
+    let create () = create ()
+  end
 
   (* ---------------- backend dispatch table ---------------- *)
 
@@ -687,7 +535,7 @@ module Index = struct
         let aliases = [ "rbtree"; "rbtset" ]
         let thread_safe_insert = false
         let shares_indexes = true
-        let make = make_rbtree
+        let make = make_sorted (module Rbtree.Make)
       end);
       (module struct
         let kind = Hashset
@@ -695,7 +543,7 @@ module Index = struct
         let aliases = [ "hashset" ]
         let thread_safe_insert = false
         let shares_indexes = false
-        let make ~arity ~cols ~order:_ ~stats = make_hashset ~arity ~cols ~stats
+        let make = make_hash (module Seq_hashset) ~concurrent:false
       end);
       (module struct
         let kind = Bplus
@@ -703,7 +551,7 @@ module Index = struct
         let aliases = [ "bplus"; "google"; "google btree" ]
         let thread_safe_insert = false
         let shares_indexes = true
-        let make = make_bplus
+        let make = make_sorted (module Sorted_bplus)
       end);
       (module struct
         let kind = Tbb_hash
@@ -711,7 +559,7 @@ module Index = struct
         let aliases = [ "tbb"; "tbb hashset"; "tbb_hash" ]
         let thread_safe_insert = true
         let shares_indexes = false
-        let make ~arity ~cols ~order:_ ~stats = make_tbb ~arity ~cols ~stats
+        let make = make_hash (module Tbb_hashset) ~concurrent:true
       end);
     ]
 
@@ -840,3 +688,9 @@ let kind_of_name s =
     (fun (module B : Index.BACKEND) ->
       if List.mem s B.aliases then Some B.kind else None)
     Index.backends
+
+let kind_choices =
+  String.concat ", "
+    (List.map
+       (fun (module B : Index.BACKEND) -> List.hd B.aliases)
+       Index.backends)

@@ -33,6 +33,10 @@ val all_kinds : kind list
 val kind_name : kind -> string
 val kind_of_name : string -> kind option
 
+val kind_choices : string
+(** The canonical spelling of every kind, comma-separated in {!all_kinds}
+    order (["btree, btree-nohints, ..."]), for CLI docs and errors. *)
+
 val thread_safe_insert : kind -> bool
 (** Whether [insert] may be called concurrently without external locking. *)
 
@@ -41,9 +45,13 @@ val shares_indexes : kind -> bool
     chain (tree kinds, via an explicit [order]); hash multimaps serve
     exactly one signature each.
 
-    All per-kind metadata ([kind_name], {!thread_safe_insert}, this) is
-    answered by one internal backend table — a first-class module per kind
-    also holding its index factory — rather than per-call matches. *)
+    All per-kind metadata ([kind_name], {!kind_choices},
+    {!thread_safe_insert}, this) is answered by one internal backend table
+    — a first-class module per kind also holding its index factory —
+    rather than per-call matches.  The six kinds share three factories:
+    the specialized tuple B-tree (both B-tree kinds), a sorted factory
+    over an ordered set functor (rbtree, bplus), and a hash factory over a
+    hash set (hashset, tbb). *)
 
 module Index : sig
   type t
@@ -68,11 +76,12 @@ module Index : sig
       one signature). *)
 
   val insert : t -> int array -> bool
-  (** Add a tuple (the array is not retained for hash kinds and retained
-      as-is for tree kinds; callers must not mutate tuples after insertion).
-      Returns [true] iff new.  Only meaningful as a freshness signal on the
-      primary index; secondary indexes always contain exactly the tuples of
-      the primary. *)
+  (** Add a tuple.  Every kind retains the inserted array as-is (tree
+      nodes, hash slots and multimap buckets all store it), so callers
+      must not mutate a tuple after inserting it.  Returns [true] iff new.
+      Only meaningful as a freshness signal on the primary index;
+      secondary indexes always contain exactly the tuples of the
+      primary. *)
 
   val insert_batch : t -> int array array -> int
   (** [insert_batch t run] adds a run of tuples sorted in {e this index's}
@@ -84,10 +93,11 @@ module Index : sig
       @raise Invalid_argument when the run is not sorted (ordered kinds). *)
 
   val merge : ?pool:Pool.t -> t -> int array array -> int
-  (** [merge ?pool t tuples] inserts an {e unsorted} tuple array: sorts a
-      private copy in the index's own order and feeds it to the batch
-      path.  With a pool of more than one worker and enough tuples,
-      thread-safe kinds run the merge in parallel — the B-tree kinds
+  (** [merge ?pool t tuples] inserts an {e unsorted} tuple array.  The
+      ordered kinds sort a private copy in the index's own order (unless
+      the input already is) and insert the run in order; hash kinds insert
+      in input order.  With a pool of more than one worker and enough
+      tuples, thread-safe kinds run the merge in parallel — the B-tree kinds
       partition the run by the tree's internal separators so every
       partition descends into a disjoint subtree and batch-inserts with
       its own hints (the parallel structural merge); concurrent hash kinds

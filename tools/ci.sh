@@ -86,6 +86,12 @@ print("ci: metrics JSON ok (v%d):" % d["schema_version"], sys.argv[1])
 PY
 fi
 
+echo "== every storage kind through the figure path (Fig. 5a/5b) =="
+# Runs all six relation storages (both B-tree kinds and the four paper
+# baselines) through the bench's Fig. 5 evaluations at a tiny scale; only
+# the exit status is checked, no timing is judged.
+dune exec bench/main.exe -- fig5a fig5b --scale 0.05 --threads 2
+
 echo "== query-server selftest (datalog_serve + datalog_cli --connect) =="
 # Start the resident query server with live telemetry, drive it with the
 # one-shot CLI in --connect mode (install program, batch-load facts, query
