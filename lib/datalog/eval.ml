@@ -25,15 +25,21 @@ let cmp_holds op x y =
 (* Per-worker execution context for one (sub-)plan: one entry per step.
    Aggregate steps carry a nested context over the same environment.  All
    body relations are accessed through typed read-phase handles — the
-   worker cannot accidentally write them. *)
+   worker cannot accidentally write them.  A step that touches no relation
+   (comparison, binding, aggregate) holds no handle. *)
 type wctx = {
   env : int array;
   steps : Plan.step array;
-  step_readers : Relation.Reader.t array;
+  step_readers : Relation.Reader.t option array;
   step_sigids : int array;
   step_scratch : int array array;
   step_sub : wctx option array; (* Some for SAgg *)
 }
+
+let reader ctx i =
+  match Array.unsafe_get ctx.step_readers i with
+  | Some r -> r
+  | None -> assert false
 
 (* Execute steps [i..]; [emit] fires once per complete match of the plan. *)
 let rec exec ctx i ~emit =
@@ -43,7 +49,7 @@ let rec exec ctx i ~emit =
     | Plan.SMatch m ->
       let bound = ctx.step_scratch.(i) in
       Array.iteri (fun j s -> bound.(j) <- value ctx.env s) m.m_bound;
-      Relation.Reader.scan ctx.step_readers.(i) ctx.step_sigids.(i) bound
+      Relation.Reader.scan (reader ctx i) ctx.step_sigids.(i) bound
         (fun tup ->
           let nb = Array.length m.m_binds in
           for b = 0 to nb - 1 do
@@ -60,7 +66,7 @@ let rec exec ctx i ~emit =
     | Plan.SNeg n ->
       let probe = ctx.step_scratch.(i) in
       Array.iteri (fun j s -> probe.(j) <- value ctx.env s) n.n_bound;
-      if not (Relation.Reader.mem ctx.step_readers.(i) probe) then
+      if not (Relation.Reader.mem (reader ctx i) probe) then
         exec ctx (i + 1) ~emit
     | Plan.SCmp c ->
       if cmp_holds c.c_op (value ctx.env c.c_lhs) (value ctx.env c.c_rhs) then
@@ -146,6 +152,9 @@ type t = {
       (* per stratum: read through negation or inside an aggregate *)
   recursive : Plan.crule list array;
       (* per stratum: the delta versions over the stratum's own predicates *)
+  direct : bool array;
+      (* per stratum: no rule reads a predicate of the stratum, so its rules
+         insert straight into the full relations of their heads *)
   computed : bool array; (* per stratum: has reached its fixed point once *)
   mutable loaded_program : bool;
   mutable iterations : int;
@@ -185,6 +194,10 @@ let create ?(check_phases = false) (plan : Plan.t) ~kind ~stats ~profile =
   let rel ~sigs p = new_relation ~check_phases ~kind ~stats plan ~sigs p in
   let deps = Array.map deps_of_rules plan.Plan.seed_rules in
   let stratum_of = plan.Plan.strat.Stratify.stratum_of in
+  let reads_own s =
+    let pos, neg = deps.(s) in
+    List.exists (fun q -> stratum_of.(q) = s) (pos @ neg)
+  in
   {
     plan;
     kind;
@@ -208,6 +221,7 @@ let create ?(check_phases = false) (plan : Plan.t) ~kind ~stats ~profile =
             (fun (cr : Plan.crule) -> stratum_of.(cr.cr_delta) = s)
             rules)
         plan.Plan.delta_rules;
+    direct = Array.init (Array.length deps) (fun s -> not (reads_own s));
     computed = Array.make (Array.length plan.Plan.seed_rules) false;
     loaded_program = false;
     iterations = 0;
@@ -318,17 +332,22 @@ let run t ~pool batch =
       t.prof := (cr, tm, n) :: !(t.prof);
       (tm, n)
   in
+  (* the tuples a direct stratum's rules gained this round, by head: each
+     worker hands in its own list as it closes *)
+  let gained = Array.make npreds [] in
+  let gained_lock = Mutex.create () in
   (* Evaluate one compiled rule version, reading delta relations where the
-     plan says so, writing into news.(head). *)
+     plan says so, writing into news.(head) — or, in a direct stratum,
+     into the head's full relation. *)
   let eval_rule_timed (cr : Plan.crule) =
+    let match_rel (m : Plan.match_step) =
+      if m.m_delta then the deltas.(m.m_pred) else fulls.(m.m_pred)
+    in
     let step_rel step =
       match step with
-      | Plan.SMatch m ->
-        if m.m_delta then the deltas.(m.m_pred) else fulls.(m.m_pred)
-      | Plan.SNeg n -> fulls.(n.n_pred)
-      | Plan.SCmp _ | Plan.SBind _ | Plan.SAgg _ ->
-        (* these steps touch no relation; any placeholder works *)
-        fulls.(cr.cr_head)
+      | Plan.SMatch m -> Some (match_rel m)
+      | Plan.SNeg n -> Some fulls.(n.n_pred)
+      | Plan.SCmp _ | Plan.SBind _ | Plan.SAgg _ -> None
     in
     (* resolve signature ids once per rule evaluation; workers then only
        create cursors *)
@@ -336,7 +355,7 @@ let run t ~pool batch =
       Array.map
         (fun step ->
           match step with
-          | Plan.SMatch m -> Relation.sig_id (step_rel step) m.m_sig
+          | Plan.SMatch m -> Relation.sig_id (match_rel m) m.m_sig
           | Plan.SNeg _ | Plan.SCmp _ | Plan.SBind _ | Plan.SAgg _ -> -1)
         steps
     in
@@ -356,9 +375,12 @@ let run t ~pool batch =
         step_readers =
           Array.map
             (fun st ->
-              let r = Relation.begin_read (step_rel st) in
-              handles := (fun () -> Relation.Reader.finish r) :: !handles;
-              r)
+              Option.map
+                (fun rel ->
+                  let r = Relation.begin_read rel in
+                  handles := (fun () -> Relation.Reader.finish r) :: !handles;
+                  r)
+                (step_rel st))
             steps;
         step_sigids = sigids_of steps;
         step_scratch = Array.map (fun st -> Array.make (scratch_len st) 0) steps;
@@ -373,25 +395,49 @@ let run t ~pool batch =
     in
     (* per-worker context + emit: build the head tuple, dedup against full,
        insert into new.  Body relations are read handles, the head's new
-       relation is the only write handle. *)
+       relation is the only write handle.  In a direct stratum nothing
+       reads the head's full relation, so the worker inserts there and
+       keeps the tuples that were fresh: one descent instead of a probe,
+       an insert into new and a merge. *)
+    let head = cr.cr_head in
+    let direct = t.direct.(stratum_of.(head)) in
     let make_worker () =
       let handles = ref [] in
       let ctx =
         make_steps_ctx handles (Array.make (max 1 cr.cr_nslots) 0) cr.cr_steps
       in
-      let head_writer = Relation.begin_write (the news.(cr.cr_head)) in
-      let full_head_reader = Relation.begin_read fulls.(cr.cr_head) in
-      let emit () =
-        let tup = Array.map (fun s -> value ctx.env s) cr.cr_head_src in
-        if not (Relation.Reader.mem full_head_reader tup) then
-          ignore (Relation.Writer.insert head_writer tup : bool)
-      in
-      let close () =
-        Relation.Writer.finish head_writer;
-        Relation.Reader.finish full_head_reader;
-        List.iter (fun f -> f ()) !handles
-      in
-      (ctx, emit, close)
+      let head_tuple () = Array.map (fun s -> value ctx.env s) cr.cr_head_src in
+      if direct then begin
+        let writer = Relation.begin_write fulls.(head) in
+        let fresh = ref [] in
+        let emit () =
+          let tup = head_tuple () in
+          if Relation.Writer.insert writer tup then fresh := tup :: !fresh
+        in
+        let close () =
+          Relation.Writer.finish writer;
+          List.iter (fun f -> f ()) !handles;
+          if !fresh <> [] then
+            Mutex.protect gained_lock (fun () ->
+                gained.(head) <- !fresh :: gained.(head))
+        in
+        (ctx, emit, close)
+      end
+      else begin
+        let head_writer = Relation.begin_write (the news.(head)) in
+        let full_head_reader = Relation.begin_read fulls.(head) in
+        let emit () =
+          let tup = head_tuple () in
+          if not (Relation.Reader.mem full_head_reader tup) then
+            ignore (Relation.Writer.insert head_writer tup : bool)
+        in
+        let close () =
+          Relation.Writer.finish head_writer;
+          Relation.Reader.finish full_head_reader;
+          List.iter (fun f -> f ()) !handles
+        in
+        (ctx, emit, close)
+      end
     in
     (* [close] runs under [Fun.protect]: a worker that dies mid-rule (a
        phase violation, an injected fault) must still release its phase
@@ -404,7 +450,7 @@ let run t ~pool batch =
       Fun.protect ~finally:close (fun () -> exec ctx 0 ~emit)
     | Plan.SMatch m ->
       (* materialise the outer scan, then partition it over the pool *)
-      let outer_rel = step_rel cr.cr_steps.(0) in
+      let outer_rel = match_rel m in
       let bound = Array.map (value [||]) m.m_bound in
       (* outer bound sources are constants only: the first literal has no
          previously bound variables; [value] with an empty env would fail on
@@ -448,28 +494,39 @@ let run t ~pool batch =
   in
   (* merge new into full, returning the number of promoted tuples (the
      iteration's delta cardinality; 0 means fixed point); [track] also
-     records them as the predicate's gain in this run *)
-  let promote ~track stratum =
+     records them as the predicate's gain in this run.  A direct stratum
+     has no new relations: its rules already inserted into full, and only
+     what they gained is counted and recorded. *)
+  let promote ~track s stratum =
     let total = ref 0 in
+    let gain p arr =
+      total := !total + Array.length arr;
+      if track then added.(p) <- arr :: added.(p)
+    in
     Array.iter
       (fun p ->
-        let n = the news.(p) in
-        if not (Relation.is_empty n) then begin
-          let tuples = ref [] and cnt = ref 0 in
-          Relation.iter n (fun tup ->
-              tuples := tup :: !tuples;
-              incr cnt);
-          total := !total + !cnt;
-          let arr = Array.make !cnt [||] in
-          List.iteri (fun i tup -> arr.(i) <- tup) !tuples;
-          (* delta -> full structural merge through the batch write path:
-             serial for small deltas and thread-unsafe kinds, partitioned
-             over the pool otherwise *)
-          ignore (write fulls.(p) arr : int);
-          if track then added.(p) <- arr :: added.(p)
-        end;
-        deltas.(p) <- news.(p);
-        news.(p) <- Some (fresh_rel p))
+        if t.direct.(s) then begin
+          List.iter (fun l -> gain p (Array.of_list l)) gained.(p);
+          gained.(p) <- []
+        end
+        else begin
+          let n = the news.(p) in
+          if not (Relation.is_empty n) then begin
+            let tuples = ref [] and cnt = ref 0 in
+            Relation.iter n (fun tup ->
+                tuples := tup :: !tuples;
+                incr cnt);
+            let arr = Array.make !cnt [||] in
+            List.iteri (fun i tup -> arr.(i) <- tup) !tuples;
+            (* delta -> full structural merge through the batch write path:
+               serial for small deltas and thread-unsafe kinds, partitioned
+               over the pool otherwise *)
+            ignore (write fulls.(p) arr : int);
+            gain p arr
+          end;
+          deltas.(p) <- news.(p);
+          news.(p) <- Some (fresh_rel p)
+        end)
       stratum;
     if !total > 0 then Telemetry.add Telemetry.Counter.Eval_delta_tuples !total;
     !total
@@ -538,7 +595,8 @@ let run t ~pool batch =
               deltas.(q) <- Some r
             end)
           (if recompute then [] else first_round);
-        Array.iter (fun p -> news.(p) <- Some (fresh_rel p)) stratum;
+        if not t.direct.(s) then
+          Array.iter (fun p -> news.(p) <- Some (fresh_rel p)) stratum;
         (* one fixed-point round: evaluate [rules], promote, report delta *)
         let round rules =
           (* histogram timing is counter-gated, span timing trace-gated *)
@@ -550,7 +608,7 @@ let run t ~pool batch =
           incr iterations;
           Telemetry.bump Telemetry.Counter.Eval_iterations;
           let t_promote = Telemetry.span_start () in
-          let delta = promote ~track:(not recompute) stratum in
+          let delta = promote ~track:(not recompute) s stratum in
           Telemetry.span_end ~cat:"eval" "eval.promote" t_promote;
           Telemetry.span_end
             ~args:

@@ -22,7 +22,11 @@
     (delta) scan across the worker pool; every worker drives the storage
     layer through its own hint-carrying cursors, and produced tuples are
     inserted into the shared [new] relations concurrently — the
-    parallelisation scheme of the paper's section 2. *)
+    parallelisation scheme of the paper's section 2.  As in Soufflé, only
+    a stratum that reads its own relations has [new] and [delta]
+    relations: in any other stratum nothing reads a head while its rules
+    run, so the workers insert straight into the head's full relation and
+    keep what was fresh. *)
 
 type rule_profile = {
   rp_rule : string;       (** pretty-printed source rule *)

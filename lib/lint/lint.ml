@@ -33,7 +33,7 @@
 
    R4 hygiene: [Obj.magic] is banned everywhere; in the hot modules
       (lib/btree/{btree_core,btree,btree_seq,btree_tuples,key,leaf_pack}.ml,
-      lib/datalog/{eval,storage,relation}.ml) the polymorphic [compare]
+      lib/datalog/{eval,storage,relation,symtab}.ml) the polymorphic [compare]
       (bare or [Stdlib.compare]) and polymorphic comparison operators
       applied to tuple literals are banned — use [Key.compare] or a
       three-way tuple comparator.
@@ -153,6 +153,7 @@ let hot_modules =
     "eval.ml";
     "storage.ml";
     "relation.ml";
+    "symtab.ml";
   ]
 
 let default_hot path = List.mem (Filename.basename (normalize path)) hot_modules

@@ -69,8 +69,15 @@ let is_ident s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
+(* [int_of_string] accepts only an optional sign then a digit (a base
+   prefix starts with [0] too), so any other first byte is a symbol; the
+   check skips the exception [int_of_string_opt] raises and catches
+   inside for every symbol token. *)
 let value_of_token t =
-  match int_of_string_opt t with Some i -> V_int i | None -> V_sym t
+  match if t = "" then ' ' else t.[0] with
+  | '0' .. '9' | '-' | '+' -> (
+    match int_of_string_opt t with Some i -> V_int i | None -> V_sym t)
+  | _ -> V_sym t
 
 let pat_of_token t = if t = "_" then P_any else P_val (value_of_token t)
 

@@ -75,22 +75,53 @@ let header_len = 9 (* len:u32le crc:u32le type:u8 *)
    rather than attempting a gigantic allocation. *)
 let max_record_len = 64 * 1024 * 1024
 
-(* CRC-32 (IEEE 802.3), table-driven; values stay within 32 bits so
-   plain int arithmetic is exact. *)
-let crc_table =
+(* CRC-32 (IEEE 802.3), slicing-by-8: table [k] (entries [256k ..
+   256k + 255]) advances a byte through k further zero bytes, so eight
+   lookups fold eight bytes at once; the tail goes a byte per step
+   through table 0, the classic bytewise table.  Values stay within 32
+   bits, so plain int arithmetic is exact. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.((256 * (k - 1)) + n) in
+         t.((256 * k) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+       done
+     done;
+     t)
 
 let crc32 b off len =
-  let t = Lazy.force crc_table in
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Wal.crc32";
+  let t = Lazy.force crc_tables in
+  let tbl k i = Array.unsafe_get t ((256 * k) + (i land 0xFF)) in
   let c = ref 0xFFFFFFFF in
-  for i = off to off + len - 1 do
-    c := t.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  let i = ref off in
+  let stop8 = off + (len land lnot 7) in
+  while !i < stop8 do
+    let lo = !c lxor (Int32.to_int (Bytes.get_int32_le b !i) land 0xFFFFFFFF) in
+    let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) land 0xFFFFFFFF in
+    c :=
+      tbl 7 lo
+      lxor tbl 6 (lo lsr 8)
+      lxor tbl 5 (lo lsr 16)
+      lxor tbl 4 (lo lsr 24)
+      lxor tbl 3 hi
+      lxor tbl 2 (hi lsr 8)
+      lxor tbl 1 (hi lsr 16)
+      lxor tbl 0 (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = stop8 to off + len - 1 do
+    c := tbl 0 (!c lxor Char.code (Bytes.unsafe_get b j)) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 

@@ -205,6 +205,62 @@ let test_index_stats_counting () =
       check_int (label "mem tests") 1 s.Dl_stats.s_mem_tests)
     Storage.all_kinds
 
+(* ---------------- symbol table ---------------- *)
+
+(* [Symtab] against a [Hashtbl] model over 100k+ symbols: the empty
+   string, long strings sharing a 140-byte prefix, strings that differ
+   only in their last byte, and repeats.  Ids are dense, in first-seen
+   order, and stable; [find_opt] never grows the table. *)
+let test_symtab_model () =
+  let t = Symtab.create () and model = Hashtbl.create 1024 in
+  let prefix = String.make 140 'p' in
+  let st = Random.State.make [| 17 |] in
+  let candidates =
+    Array.concat
+      [
+        [| ""; "a"; prefix |];
+        Array.init 40_000 (fun i -> Printf.sprintf "%s%08d" prefix i);
+        (* groups of 256 that differ only in their last byte *)
+        Array.init 30_000 (fun i ->
+            Printf.sprintf "%s%d.%c" prefix (i / 256) (Char.chr (i mod 256)));
+        Array.init 256 (fun c -> prefix ^ String.make 1 (Char.chr c));
+        Array.init 40_000 (fun i -> string_of_int (i * 7919));
+      ]
+  in
+  let check_one s =
+    let want =
+      match Hashtbl.find_opt model s with
+      | Some id -> id
+      | None ->
+        let id = Hashtbl.length model in
+        check_bool "absent before intern" true (Symtab.find_opt t s = None);
+        Hashtbl.add model s id;
+        id
+    in
+    check_int "intern" want (Symtab.intern t s)
+  in
+  Array.iter check_one candidates;
+  (* repeats, in random order *)
+  for _ = 1 to 50_000 do
+    check_one candidates.(Random.State.int st (Array.length candidates))
+  done;
+  let n = Hashtbl.length model in
+  check_bool "at least 100k symbols" true (n >= 100_000);
+  check_int "size" n (Symtab.size t);
+  Hashtbl.iter
+    (fun s id ->
+      check_bool "find_opt" true (Symtab.find_opt t s = Some id);
+      check_bool "name" true (String.equal (Symtab.name t id) s))
+    model;
+  check_bool "absent" true (Symtab.find_opt t (prefix ^ "never") = None);
+  check_int "find_opt does not grow" n (Symtab.size t);
+  List.iter
+    (fun id ->
+      match Symtab.name t id with
+      | _ -> Alcotest.failf "name of unallocated id %d" id
+      | exception Not_found -> ())
+    [ -1; n; n + 1 ]
+
 (* ---------------- end-to-end evaluation ---------------- *)
 
 let tc_src =
@@ -1390,7 +1446,7 @@ let incremental_three_way seed =
         (Engine.relations e)
     in
     let kind = List.nth Storage.all_kinds (seed mod List.length Storage.all_kinds) in
-    let resident = Engine.create ~kind prog in
+    let resident = Engine.create ~kind ~check_phases:true prog in
     let so_far = ref [] in
     let ok =
       Pool.with_pool 1 @@ fun pool ->
@@ -1399,7 +1455,7 @@ let incremental_three_way seed =
           List.iter (fun (name, tup) -> Engine.add_fact resident name tup) batch;
           so_far := !so_far @ batch;
           Engine.run resident pool;
-          let rebuilt = Engine.create ~kind ~from:resident prog in
+          let rebuilt = Engine.create ~kind ~check_phases:true ~from:resident prog in
           Engine.run rebuilt pool;
           let reference = Naive.run prog ~extra_facts:!so_far in
           same resident reference && same rebuilt reference)
@@ -1503,6 +1559,106 @@ let test_incremental_flat_work () =
   Alcotest.(check (list int)) "storage operations" small_ops large_ops;
   check_int "one promoted tuple" 1 (List.nth large_eval 2)
 
+(* A non-recursive stratum inserts its heads straight into their full
+   relations: on the bulk-load program, a batch of 1000 fresh [kv] rows
+   derives 1000 [byv] tuples with 1000 inserts, every one fresh, and not
+   one membership probe against [byv]. *)
+let test_direct_insert_op_counts () =
+  let prog =
+    Parser.parse_string
+      ".decl kv(k:symbol, v:number)\n.decl byv(v:number, k:symbol)\n\
+       byv(v, k) :- kv(k, v)."
+  in
+  let e = Engine.create ~instrument:true ~check_phases:true prog in
+  let rows lo n =
+    Array.init n (fun i ->
+        let k = Printf.sprintf "key_%06d_%s" (lo + i) (String.make 40 'x') in
+        [| Engine.intern e k; (lo + i) mod 97 |])
+  in
+  Engine.add_fact_run e "kv" (rows 0 5000);
+  Pool.with_pool 1 @@ fun pool ->
+  Engine.run e pool;
+  let before = Option.get (Engine.stats e) in
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  let t0 = Telemetry.snapshot () in
+  Engine.add_fact_run e "kv" (rows 5000 1000);
+  Engine.run e pool;
+  let t1 = Telemetry.snapshot () in
+  let after = Option.get (Engine.stats e) in
+  check_int "byv" 6000 (Engine.relation_size e "byv");
+  check_int "membership probes" 0 (after.s_mem_tests - before.s_mem_tests);
+  check_int "inserts" 1000 (after.s_inserts - before.s_inserts);
+  check_int "produced" 1000
+    (after.s_produced_tuples - before.s_produced_tuples);
+  check_int "delta tuples" 1000
+    (Telemetry.get t1 Telemetry.Counter.Eval_delta_tuples
+    - Telemetry.get t0 Telemetry.Counter.Eval_delta_tuples)
+
+(* Direct insertion from two domains: batches of at least 64 fresh edges
+   make the delta rule of the non-recursive [flip] split its outer scan
+   over the pool, so both workers insert into [flip] at once.  [flip]
+   has a positive reader downstream ([hub], [reach]: each seeded with
+   what [flip] gained) and a negated one ([quiet]); [hub] is direct too
+   and carries a comparison, a step that opens no relation.  Every
+   storage kind, under phase checking, after every batch, equals the
+   naive reference. *)
+let test_direct_insert_parallel_differential () =
+  let prog =
+    Parser.parse_string
+      {|
+      .decl e(x:number, y:number)
+      .decl flip(x:number, y:number)
+      .decl hub(x:number)
+      .decl reach(x:number, y:number)
+      .decl node(x:number)
+      .decl quiet(x:number)
+      flip(y, x) :- e(x, y).
+      hub(x) :- flip(x, y), y > 20.
+      reach(x, y) :- flip(x, y).
+      reach(x, z) :- reach(x, y), flip(y, z).
+      node(x) :- e(x, _).
+      node(y) :- e(_, y).
+      quiet(x) :- node(x), !hub(x).
+      |}
+  in
+  let r = rng 99 in
+  let seen = Hashtbl.create 1024 in
+  let batch n =
+    let out = ref [] in
+    while List.length !out < n do
+      let edge = (r 40, r 40) in
+      if not (Hashtbl.mem seen edge) then begin
+        Hashtbl.add seen edge ();
+        out := ("e", [| fst edge; snd edge |]) :: !out
+      end
+    done;
+    !out
+  in
+  let batches = List.map batch [ 64; 100; 64; 150 ] in
+  Pool.with_pool 2 @@ fun pool ->
+  List.iter
+    (fun kind ->
+      let e = Engine.create ~kind ~check_phases:true prog in
+      let so_far = ref [] in
+      List.iteri
+        (fun i b ->
+          List.iter (fun (name, tup) -> Engine.add_fact e name tup) b;
+          so_far := !so_far @ b;
+          Engine.run e pool;
+          let reference = Naive.run prog ~extra_facts:!so_far in
+          List.iter
+            (fun name ->
+              Alcotest.(check (list (array int)))
+                (Printf.sprintf "%s, batch %d, %s" (Storage.kind_name kind) i
+                   name)
+                (tuples_sorted
+                   (Option.value ~default:[] (Hashtbl.find_opt reference name)))
+                (tuples_sorted (Engine.relation_list e name)))
+            (Engine.relations e))
+        batches)
+    Storage.all_kinds
+
 (* ---------------- pattern queries ---------------- *)
 
 (* [Relation.Reader.query] against a filtered [Relation.iter]: every
@@ -1599,6 +1755,7 @@ let () =
           tc "signature scan" `Quick test_index_signature_scan;
           tc "empty scan" `Quick test_index_empty_scan;
           tc "stats counting" `Quick test_index_stats_counting;
+          tc "symbol table = Hashtbl model" `Quick test_symtab_model;
         ] );
       ( "evaluation",
         [
@@ -1699,6 +1856,9 @@ let () =
           tc "aggregates and negation downstream" `Quick
             test_incremental_aggregates;
           tc "flip work flat in database size" `Quick test_incremental_flat_work;
+          tc "direct insertion op counts" `Quick test_direct_insert_op_counts;
+          tc "direct insertion from two domains = naive" `Quick
+            test_direct_insert_parallel_differential;
         ] );
       ( "pattern query",
         [ tc "query = filtered iter" `Quick test_query_differential ] );

@@ -71,6 +71,44 @@ let test_parse_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty fact line parsed")
 
+(* A fact field is an integer exactly when [int_of_string] takes it,
+   whatever shortcut the parser uses to tell symbols apart: every token
+   parses as the plain definition below says, alone on a fact line and
+   all on one line, and through ASSERT. *)
+let test_value_of_token_equivalence () =
+  let reference t =
+    match int_of_string_opt t with Some i -> P.V_int i | None -> P.V_sym t
+  in
+  let corpus =
+    [
+      "0x1F"; "+3"; "-0b11"; "1_000"; "0u12"; "007"; "_"; "-"; "+"; "--1";
+      "1e3"; "9223372036854775808"; "-9223372036854775808"; "42"; "-7"; "0";
+      "x"; "abc"; "_x"; "x1"; "0abc"; "-abc"; "+x"; "1-"; "0o17"; "-0x"; "\xff";
+      "key_000017_3f2a9c04b1d8e6f7a0c3b5d2e9f1a4c7"; "keyA_000001_z";
+    ]
+  in
+  let value = Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (P.value_to_string v)) ( = ) in
+  List.iter
+    (fun tok ->
+      match P.parse_fact tok with
+      | Ok [| v |] -> check value tok (reference tok) v
+      | _ -> Alcotest.failf "%S did not parse as one field" tok)
+    corpus;
+  (match P.parse_fact (String.concat " " corpus) with
+  | Ok vs ->
+    check (Alcotest.list value) "one line" (List.map reference corpus)
+      (Array.to_list vs)
+  | Error m -> Alcotest.failf "corpus line: %s" m);
+  (match P.parse_request ("ASSERT kv " ^ String.concat " " corpus) with
+  | Ok (P.Assert_ ("kv", vs)) ->
+    check (Alcotest.list value) "assert" (List.map reference corpus)
+      (Array.to_list vs)
+  | _ -> Alcotest.fail "ASSERT over the corpus did not parse");
+  (* the tokenizer never yields an empty field: an empty line is no fact *)
+  match P.parse_fact "" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "empty fact line parsed"
+
 (* Deterministic byte-string fuzz: totality means no exception, ever. *)
 let test_parse_total_fuzz () =
   let st = ref 0x2545F4914F6CDD1D in
@@ -826,6 +864,7 @@ let () =
           tc "verbs parse" `Quick test_parse_verbs;
           tc "malformed requests rejected" `Quick test_parse_errors;
           tc "parse is total under fuzz" `Quick test_parse_total_fuzz;
+          tc "int fields as int_of_string" `Quick test_value_of_token_equivalence;
           tc "response round-trip" `Quick test_response_roundtrip;
           tc "error codes closed set" `Quick test_err_codes;
         ] );

@@ -108,6 +108,172 @@ let test_roundtrip () =
   checki "committed seq is last commit" 2 rv.Wal.rv_committed_seq;
   checkb "clean tail" false rv.Wal.rv_torn_tail
 
+(* --- checksums and the on-disk format ------------------------------ *)
+
+(* The plain bitwise CRC-32 (IEEE), the reference every record checksum
+   must equal, however the log computes it. *)
+let reference_crc s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+(* A segment image built by hand: magic, then per record
+   len:u32le crc:u32le type:u8 payload. *)
+let segment_image records =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "DLWAL001";
+  List.iter
+    (fun (ty, payload, crc) ->
+      Buffer.add_int32_le b (Int32.of_int (String.length payload));
+      Buffer.add_int32_le b (Int32.of_int crc);
+      Buffer.add_char b ty;
+      Buffer.add_string b payload)
+    records;
+  Buffer.contents b
+
+let write_segment dir seq image =
+  Unix.mkdir dir 0o755;
+  Out_channel.with_open_bin
+    (Filename.concat dir (Printf.sprintf "wal-%08d.log" seq))
+    (fun oc -> output_string oc image)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* The record checksum covers [type · payload]: a record whose type byte
+   and payload spell "123456789" must carry the standard check value
+   0xCBF43926.  Put in a non-final segment, such a record passes the
+   checksum and is refused only for its unknown type; one bit off in
+   the stored checksum and it is refused for the checksum. *)
+let test_crc_check_value () =
+  checki "reference check value" 0xCBF43926 (reference_crc "123456789");
+  let refusal crc =
+    let dir = fresh_dir () in
+    write_segment dir 1 (segment_image [ ('1', "23456789", crc) ]);
+    Out_channel.with_open_bin (Filename.concat dir "wal-00000002.log")
+      (fun oc -> output_string oc "DLWAL001");
+    match Wal.open_dir ~durability:Wal.D_none dir with
+    | Ok (w, _) ->
+      Wal.close w;
+      Alcotest.fail "a record of unknown type was accepted"
+    | Error m -> m
+  in
+  let m = refusal 0xCBF43926 in
+  checkb ("checksum accepted: " ^ m) true (contains m "unknown record type");
+  let m = refusal (0xCBF43926 lxor 1) in
+  checkb ("checksum refused: " ^ m) true (contains m "checksum mismatch")
+
+(* Records of random lengths, so they start at random offsets of the
+   segment image: the log's checksum of each agrees with the reference,
+   both on what it writes and on what it accepts at recovery. *)
+let test_crc_random_records () =
+  let st = ref 0x1E3779B97F4A7C15 in
+  let next bound =
+    let x = !st in
+    let x = x lxor (x lsl 13) in
+    let x = x lxor (x lsr 7) in
+    let x = x lxor (x lsl 17) in
+    st := x;
+    (x land max_int) mod bound
+  in
+  let payloads =
+    List.init 300 (fun i ->
+        let len = if i < 40 then i else next 400 in
+        String.init len (fun _ -> Char.chr (next 256)))
+  in
+  let entries = List.map (fun p -> Wal.Rules p) payloads in
+  (* what the log writes *)
+  let dir = fresh_dir () in
+  let w, _ = open_ok dir in
+  List.iter (append_ok w) entries;
+  Wal.close w;
+  let image =
+    In_channel.with_open_bin
+      (Filename.concat dir (List.hd (seg_files dir)))
+      In_channel.input_all
+  in
+  let pos = ref 8 in
+  List.iter
+    (fun p ->
+      let len = Int32.to_int (String.get_int32_le image !pos) in
+      let crc = Int32.to_int (String.get_int32_le image (!pos + 4)) land 0xFFFFFFFF in
+      checki "record length" (String.length p) len;
+      checki
+        (Printf.sprintf "written crc at offset %d, length %d" !pos len)
+        (reference_crc (String.sub image (!pos + 8) (1 + len)))
+        crc;
+      pos := !pos + 9 + len)
+    payloads;
+  checki "segment fully walked" (String.length image) !pos;
+  (* what the log accepts *)
+  let dir = fresh_dir () in
+  write_segment dir 1
+    (segment_image
+       (List.map (fun p -> ('R', p, reference_crc ("R" ^ p))) payloads));
+  let w, rv = open_ok dir in
+  Wal.close w;
+  checkb "no record refused" false rv.Wal.rv_torn_tail;
+  checkb "every record recovered" true (rv.Wal.rv_entries = entries)
+
+(* Two segments written by an earlier build of the log and checked in:
+   the on-disk format and the checksums must stay readable as they are.
+   The entries are those the images were written from. *)
+let fixture_entries =
+  let row i =
+    Printf.sprintf "k%s%d %d"
+      (String.make (i * 13 mod 29) (Char.chr (97 + (i mod 26))))
+      i
+      ((i * 7) - 50)
+  in
+  [
+    Wal.Rules
+      ".decl kv(k:symbol, v:number)\n.decl byv(v:number, k:symbol)\nbyv(v, k) :- kv(k, v).";
+    Wal.Facts ("kv", List.init 150 row);
+    Wal.Commit 1;
+    Wal.Facts ("kv", List.init 150 (fun i -> row (i + 150)));
+    Wal.Commit 2;
+    Wal.Facts ("kv", [ "solo 1" ]);
+    Wal.Facts ("kv", []);
+    Wal.Commit 3;
+    Wal.Anchor 3;
+    Wal.Rules ".decl kv(k:symbol, v:number)";
+    Wal.Facts ("kv", List.init 7 (fun i -> row (i + 300)));
+    Wal.Commit 4;
+  ]
+
+(* cwd is test/ under `dune runtest` but the workspace root under
+   `dune exec test/test_wal.exe`. *)
+let fixture_dir =
+  if Sys.file_exists "wal_fixtures" then "wal_fixtures"
+  else Filename.concat "test" "wal_fixtures"
+
+let test_checked_in_segments () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  List.iter
+    (fun f ->
+      let data =
+        In_channel.with_open_bin (Filename.concat fixture_dir f)
+          In_channel.input_all
+      in
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+          output_string oc data))
+    (seg_files fixture_dir);
+  let w, rv = open_ok dir in
+  Wal.close w;
+  checki "segments" 2 rv.Wal.rv_segments;
+  checkb "clean" false rv.Wal.rv_torn_tail;
+  checki "committed seq" 4 rv.Wal.rv_committed_seq;
+  checkb "entries as written" true (rv.Wal.rv_entries = fixture_entries)
+
 (* A crash mid-append leaves a prefix of a record; recovery must keep
    the valid prefix of the log, physically truncate the tail, and say
    so — never fail. *)
@@ -513,6 +679,9 @@ let () =
           tc "durability names" `Quick test_durability_names;
           tc "empty dir" `Quick test_empty_dir;
           tc "record round-trip" `Quick test_roundtrip;
+          tc "crc check value" `Quick test_crc_check_value;
+          tc "crc of random records" `Quick test_crc_random_records;
+          tc "checked-in segments recover" `Quick test_checked_in_segments;
           tc "torn tail truncated" `Quick test_torn_tail;
           tc "trailing garbage truncated" `Quick test_trailing_garbage;
           tc "corrupt mid-log refused" `Quick test_corrupt_mid_log_refused;
