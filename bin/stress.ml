@@ -273,9 +273,12 @@ let serve_run ~domains ~nkeys ~seed r =
 (* wal scenario: durability drills on throwaway data dirs.
 
    Phase 1 (wal.write.short armed): drive a {!Wal} directly, appending
-   fact records until the failpoint tears one mid-write.  Reopening the
-   dir must then recover exactly the cleanly-appended prefix — the torn
-   tail silently truncated and flagged, never an error.
+   fact records until the failpoint tears one mid-write.  In half the
+   runs the first half of the records is appended unarmed and compacted
+   into a snapshot segment before the armed appends, so the tear lands
+   in a snapshot's tail.  Reopening the dir must then recover exactly
+   the cleanly-appended prefix, in order — the torn tail silently
+   truncated and flagged, never an error.
 
    Phase 2 (chaos quiet): crash-kill-recover differential.  A child
    process (this binary re-exec'd with the hidden --wal-child flag; a
@@ -330,7 +333,22 @@ let wal_run ~nkeys ~seed r =
   | Ok (w, rv0) ->
     if rv0.Wal.rv_entries <> [] then failf "fresh wal dir not empty";
     let budget = max 16 (min 64 nkeys) in
+    (* Half the runs (a seeded coin) append the first half of the budget
+       with the tear disarmed — at 1 in 4 it would almost always fire
+       first — and compact there, the appended prefix as the snapshot,
+       so the armed appends that follow tear the tail of a snapshot
+       segment; the others tear a fresh segment.  The snapshot keeps
+       the prefix's order, which the exact-list check below relies on. *)
+    let snapshot = rng_next st land 1 = 0 in
+    let points = Chaos.armed_points () and chaos_seed = Chaos.seed () in
+    if snapshot then Chaos.disable ();
     for i = 0 to budget - 1 do
+      if snapshot && i = budget / 2 then begin
+        (match Wal.compact w ~seq:i [ ("kv", List.rev !appended) ] with
+        | Ok () -> ()
+        | Error m -> failf "wal compact: %s" m);
+        Chaos.configure ~seed:chaos_seed points
+      end;
       if not !torn then
         let line = Printf.sprintf "%d\t%d" i (rng_next st mod 1000) in
         match Wal.append w (Wal.Facts ("kv", [ line ])) with
@@ -348,7 +366,8 @@ let wal_run ~nkeys ~seed r =
         rv.Wal.rv_entries
     in
     if got <> List.rev !appended then
-      failf "torn-tail recovery: %d records, expected %d" (List.length got)
+      failf "torn-tail recovery: %d lines, expected the %d appended, in order"
+        (List.length got)
         (List.length !appended);
     if !torn && not rv.Wal.rv_torn_tail then
       failf "torn tail not flagged by recovery");

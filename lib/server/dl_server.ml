@@ -249,7 +249,10 @@ let fact_line vals =
     (Array.to_list (Array.map Dl_proto.value_to_string vals))
 
 (* The base facts of every declared relation, read back from the engine
-   in protocol surface form — what a snapshot segment stores.  Values in
+   in protocol surface form — what a snapshot segment stores: one
+   iterator per relation over [Engine.iter_base], which the WAL drains
+   into bounded records as it writes, so no copy of the facts is ever
+   held.  Values in
    a column that was admitted a symbol are rendered through the engine's
    symbol table; the engine holds derived tuples apart, so none of them
    is persisted as a base fact. *)
@@ -257,7 +260,7 @@ let saw_int = 1
 let saw_sym = 2
 
 let snapshot_facts st e =
-  List.filter_map
+  List.map
     (fun (rel, arity) ->
       let kinds =
         Option.value (Hashtbl.find_opt st.s_col_kinds rel)
@@ -284,10 +287,10 @@ let snapshot_facts st e =
             Dl_proto.V_sym name
           | _ -> Dl_proto.V_int v
       in
-      let lines = ref [] in
-      Engine.iter_base e rel (fun tup ->
-          lines := fact_line (Array.mapi render tup) :: !lines);
-      if !lines = [] then None else Some (rel, !lines))
+      ( rel,
+        fun emit ->
+          Engine.iter_base e rel (fun tup ->
+              emit (fact_line (Array.mapi render tup))) ))
     st.s_decls
 
 (* After a successful flip: mark the group-commit point (the fsync that
@@ -305,7 +308,7 @@ let wal_flip st e =
     | Error _ -> st.s_wal_errors <- st.s_wal_errors + 1);
     if Wal.should_compact w then
       match
-        Wal.compact w ?program:st.s_program_text ~seq:st.s_gen_seq
+        Wal.compact_iter w ?program:st.s_program_text ~seq:st.s_gen_seq
           (snapshot_facts st e)
       with
       | Ok () -> ()

@@ -70,10 +70,18 @@ let magic = "DLWAL001"
 let magic_len = String.length magic
 let header_len = 9 (* len:u32le crc:u32le type:u8 *)
 
-(* A record larger than this cannot have been written by us (the
-   protocol caps one LOAD at 16 MiB of payload); treat as corruption
+(* A record larger than this cannot have been written by us, because
+   every writer is bounded: an appended fact batch is one LOAD, which the
+   protocol caps at [Dl_proto.max_batch_bytes] (16 MiB) of payload, and
+   a snapshot cuts its facts into records of at most
+   [snapshot_record_bytes] (below).  Treat a larger length as corruption
    rather than attempting a gigantic allocation. *)
 let max_record_len = 64 * 1024 * 1024
+
+(* Payload bound of one snapshot fact record: several protocol lines
+   ([Dl_proto.max_line] is 64 KiB), so a record always holds whole
+   lines, and far below [max_record_len]. *)
+let snapshot_record_bytes = 256 * 1024
 
 (* CRC-32 (IEEE 802.3), slicing-by-8: table [k] (entries [256k ..
    256k + 255]) advances a byte through k further zero bytes, so eight
@@ -601,39 +609,84 @@ let append t e =
 let should_compact t =
   (not t.w_closed) && t.w_segments > t.w_compact_segments
 
-let compact t ?program ~seq facts =
+(* Write the snapshot facts to [fd] as a run of bounded ['F'] records,
+   relations in name order and each relation's lines in the order its
+   iterator emits them.  One record buffer is reused throughout: header
+   space, then the type byte and the payload, so the checksum runs over
+   it in place.  A record is cut before its payload would pass
+   [snapshot_record_bytes]; only a single line longer than that makes
+   a record larger (the buffer grows to fit it). *)
+let write_snapshot_facts fd facts =
+  let buf = ref (Bytes.create (header_len + snapshot_record_bytes)) in
+  let len = ref 0 (* payload bytes in the buffer *) in
+  let add s =
+    let n = String.length s in
+    if header_len + !len + n > Bytes.length !buf then begin
+      let b = Bytes.create (header_len + !len + n) in
+      Bytes.blit !buf 0 b 0 (header_len + !len);
+      buf := b
+    end;
+    Bytes.blit_string s 0 !buf (header_len + !len) n;
+    len := !len + n
+  in
+  let flush () =
+    let b = !buf in
+    put_u32 b 0 !len;
+    Bytes.set b 8 'F';
+    put_u32 b 4 (crc32 b 8 (1 + !len));
+    write_all fd b 0 (header_len + !len)
+  in
+  List.iter
+    (fun (rel, iter) ->
+      (* the payload holds a line once it is longer than [rel] *)
+      let start () =
+        len := 0;
+        add rel
+      in
+      start ();
+      iter (fun line ->
+          if
+            !len > String.length rel
+            && !len + 1 + String.length line > snapshot_record_bytes
+          then begin
+            flush ();
+            start ()
+          end;
+          add "\n";
+          add line);
+      if !len > String.length rel then flush ())
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) facts)
+
+let compact_iter t ?program ~seq facts =
   if t.w_closed then Error "wal: closed"
   else
+    let nseq = t.w_seg_seq + 1 in
+    let final = seg_path t.w_dir nseq in
+    let tmp = final ^ ".tmp" in
     match
-      let nseq = t.w_seg_seq + 1 in
-      let final = seg_path t.w_dir nseq in
-      let tmp = final ^ ".tmp" in
       let fd =
         Unix.openfile tmp
           [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
           0o644
       in
-      let size = ref magic_len in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with _ -> ())
-        (fun () ->
-          write_all fd (Bytes.of_string magic) 0 magic_len;
-          let put e =
-            let b = encode_record e in
-            write_all fd b 0 (Bytes.length b);
-            size := !size + Bytes.length b
-          in
-          put (Anchor seq);
-          (match program with Some p -> put (Rules p) | None -> ());
-          List.iter
-            (fun (rel, lines) ->
-              if lines <> [] then
-                put (Facts (rel, List.sort String.compare lines)))
-            (List.sort (fun (a, _) (b, _) -> String.compare a b) facts);
-          (* the snapshot must be on disk before anything older goes
-             away, whatever the durability mode — unlinking is the
-             irreversible step *)
-          Unix.fsync fd);
+      let size =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with _ -> ())
+          (fun () ->
+            write_all fd (Bytes.of_string magic) 0 magic_len;
+            let put e =
+              let b = encode_record e in
+              write_all fd b 0 (Bytes.length b)
+            in
+            put (Anchor seq);
+            (match program with Some p -> put (Rules p) | None -> ());
+            write_snapshot_facts fd facts;
+            (* the snapshot must be on disk before anything older goes
+               away, whatever the durability mode — unlinking is the
+               irreversible step *)
+            Unix.fsync fd;
+            (Unix.fstat fd).Unix.st_size)
+      in
       Unix.rename tmp final;
       fsync_dir t.w_dir;
       (try Unix.close t.w_fd with _ -> ());
@@ -645,7 +698,7 @@ let compact t ?program ~seq facts =
       t.w_fd <-
         Unix.openfile final [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ] 0o644;
       t.w_seg_seq <- nseq;
-      t.w_seg_bytes <- !size;
+      t.w_seg_bytes <- size;
       t.w_segments <- 1;
       t.w_torn <- false;
       t.w_compactions <- t.w_compactions + 1;
@@ -654,7 +707,14 @@ let compact t ?program ~seq facts =
     with
     | () -> Ok ()
     | exception e ->
+      (* a failure before the rename leaves a partial temp file; the old
+         log is untouched and stays the live one *)
+      (try Unix.unlink tmp with _ -> ());
       Error (Printf.sprintf "wal: compact: %s" (Printexc.to_string e))
+
+let compact t ?program ~seq facts =
+  compact_iter t ?program ~seq
+    (List.map (fun (rel, lines) -> (rel, fun emit -> List.iter emit lines)) facts)
 
 let close t =
   if not t.w_closed then begin

@@ -18,11 +18,11 @@
     generation-flip commit marker, ['A'] a snapshot anchor (resets
     replay state — everything before it is superseded).
 
-    Segments rotate at a size threshold and are compacted by writing
+    Segments rotate at a size threshold and are compacted by streaming
     the current base facts (the server reads them back from its engine)
-    as a fresh sorted snapshot segment (anchor, program, facts) and
-    unlinking everything older, so the log stays proportional to the
-    live state, not to ingest history.
+    into a fresh snapshot segment (anchor, program, bounded fact
+    records) and unlinking everything older, so the log stays
+    proportional to the live state, not to ingest history.
 
     Recovery ({!open_dir}) scans segments in sequence order, verifies
     every checksum and {b truncates a torn tail instead of failing}: a
@@ -137,16 +137,41 @@ val should_compact : t -> bool
     checks after each flip — compacting at a flip boundary snapshots
     exactly the committed state. *)
 
+val compact_iter :
+  t ->
+  ?program:string ->
+  seq:int ->
+  (string * ((string -> unit) -> unit)) list ->
+  (unit, string) result
+(** [compact_iter t ~program ~seq facts] rewrites the log as one
+    snapshot segment — {!Anchor}[ seq], the program, then the facts of
+    each [(rel, iter)], where [iter emit] calls [emit line] once per
+    fact — written to a temp file, fsynced, atomically renamed, and only
+    then are older segments unlinked, so a crash at any point leaves
+    either the old log or the new one intact.
+
+    The facts stream: relations are written in name order, each one's
+    lines in the order its iterator emits them (not sorted), as a run
+    of ordinary {!Facts} records whose payload is cut before it would
+    pass {!snapshot_record_bytes}.  Nothing holds more than one record
+    of facts at a time.  A relation that emits no line gets no record.
+
+    [Error] (an IO failure, or an exception raised by an iterator)
+    leaves the old log live and appendable and removes the temp file.
+    On success, clears a chaos-torn handle: the snapshot re-establishes
+    a valid log from in-memory state. *)
+
 val compact :
   t -> ?program:string -> seq:int -> (string * string list) list ->
   (unit, string) result
-(** [compact t ~program ~seq facts] rewrites the log as one snapshot
-    segment — {!Anchor}[ seq], the program, then each [(rel, lines)]
-    with relations and lines sorted — written to a temp file, fsynced,
-    atomically renamed, and only then are older segments unlinked, so a
-    crash at any point leaves either the old log or the new one intact.
-    Clears a chaos-torn handle: the snapshot re-establishes a valid log
-    from in-memory state. *)
+(** {!compact_iter} over lists: [(rel, lines)] writes [lines] in list
+    order. *)
+
+val snapshot_record_bytes : int
+(** Payload bound of a snapshot fact record (256 KiB): several
+    [Dl_proto.max_line]s, so records hold whole lines, and far below
+    what recovery accepts.  A record passes it only when one line
+    alone does. *)
 
 val close : t -> unit
 (** Flush per the durability mode, close, release the lock.  Idempotent. *)

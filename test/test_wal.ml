@@ -440,6 +440,124 @@ let test_snapshot_tail_equivalence () =
     (fold_state rv.Wal.rv_entries = fold_state (List.rev !history));
   checki "gen counter resumes past the tail" 3 rv.Wal.rv_committed_seq
 
+(* The records of a segment file as (type, payload length), walked by
+   their headers: magic, then len:u32le · crc:u32le · type:u8 · payload. *)
+let segment_records path =
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let rec walk off acc =
+    if off >= String.length data then List.rev acc
+    else
+      let len = Int32.to_int (String.get_int32_le data off) land 0xFFFFFFFF in
+      walk (off + 9 + len) ((data.[off + 8], len) :: acc)
+  in
+  walk 8 []
+
+(* A snapshot is written as a run of bounded records, never one record
+   per relation: the reader refuses records past its length limit, so a
+   large enough relation would otherwise make its own snapshot
+   unrecoverable.  8k lines of 140 bytes render to over three times the
+   bound. *)
+let test_snapshot_records_bounded () =
+  let dir = fresh_dir () in
+  let prog = ".decl kv(a:symbol, b:number)\n.input kv\n" in
+  let row i = Printf.sprintf "k%04d%s %05d" i (String.make 129 'k') (i * 3) in
+  (* in descending order, so a writer that sorted them would show *)
+  let lines = List.init 8000 (fun i -> row (7999 - i)) in
+  checkb "a line renders to 140 bytes" true
+    (List.for_all (fun l -> String.length l = 140) lines);
+  let w, _ = open_ok dir in
+  let history = ref [] in
+  let app e =
+    append_ok w e;
+    history := e :: !history
+  in
+  app (Wal.Rules prog);
+  List.iteri
+    (fun b chunk -> app (Wal.Facts ("kv", chunk)); app (Wal.Commit (b + 1)))
+    [
+      List.filteri (fun i _ -> i < 4000) lines;
+      List.filteri (fun i _ -> i >= 4000) lines;
+    ];
+  (match Wal.compact w ~program:prog ~seq:2 [ ("kv", lines); ("none", []) ] with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "compact: %s" m);
+  (match seg_files dir with
+  | [ seg ] ->
+    let recs = segment_records (Filename.concat dir seg) in
+    List.iter
+      (fun (ty, len) ->
+        if len > Wal.snapshot_record_bytes then
+          Alcotest.failf "%C record of %d payload bytes passes the bound %d" ty
+            len Wal.snapshot_record_bytes)
+      recs;
+    let facts = List.filter (fun (ty, _) -> ty = 'F') recs in
+    checkb
+      (Printf.sprintf "snapshot spans >= 3 fact records (%d)" (List.length facts))
+      true
+      (List.length facts >= 3);
+    checkb "anchor and program come first" true
+      (List.map fst recs = [ 'A'; 'R' ] @ List.map fst facts)
+  | segs -> Alcotest.failf "expected one snapshot segment, found %d" (List.length segs));
+  app (Wal.Facts ("kv", [ row 8000; row 3 ]));
+  app (Wal.Commit 3);
+  Wal.close w;
+  let w, rv = open_ok dir in
+  Wal.close w;
+  checkb "lines come back in iterator order" true
+    (List.concat_map
+       (function Wal.Facts ("kv", ls) -> ls | _ -> [])
+       rv.Wal.rv_entries
+    = lines @ [ row 8000; row 3 ]);
+  checkb "snapshot+tail replay equals full replay" true
+    (fold_state rv.Wal.rv_entries = fold_state (List.rev !history))
+
+(* Rendering runs inside compaction, so an iterator that raises is a
+   failed compaction: the old log stays live, complete and appendable,
+   and the partial temp file is removed at once, not at the next
+   compaction or recovery. *)
+let test_failed_compaction_contained () =
+  let dir = fresh_dir () in
+  let prog = ".decl kv(a:number, b:number)\n.input kv\n" in
+  let w, _ = open_ok dir in
+  let history = ref [] in
+  let app e =
+    append_ok w e;
+    history := e :: !history
+  in
+  app (Wal.Rules prog);
+  for b = 1 to 4 do
+    app (Wal.Facts ("kv", List.init 50 (fun i -> Printf.sprintf "%d %d" b i)));
+    app (Wal.Commit b)
+  done;
+  let compactions = Wal.compactions w and segments = Wal.segments w in
+  (* enough lines before the failure that records reach the temp file *)
+  let failing emit =
+    for i = 0 to 9999 do
+      if i = 5000 then failwith "render failed";
+      emit (Printf.sprintf "%d %s" i (String.make 120 'x'))
+    done
+  in
+  (match
+     Wal.compact_iter w ~program:prog ~seq:4
+       [ ("kv", fun emit -> emit "1 0"); ("kw", failing) ]
+   with
+  | Ok () -> Alcotest.fail "compaction with a failing iterator succeeded"
+  | Error _ -> ());
+  checki "wal_compactions unchanged" compactions (Wal.compactions w);
+  checki "segments unchanged" segments (Wal.segments w);
+  checkb "no temp file left" false
+    (Array.exists
+       (fun f -> Filename.check_suffix f ".log.tmp")
+       (Sys.readdir dir));
+  app (Wal.Facts ("kv", [ "5 5" ]));
+  app (Wal.Commit 5);
+  Wal.close w;
+  let w, rv = open_ok dir in
+  Wal.close w;
+  checkb "clean recovery" false rv.Wal.rv_torn_tail;
+  checkb "old log recovers every entry and the later appends" true
+    (rv.Wal.rv_entries = List.rev !history)
+
 (* Under strict durability a record whose fsync failed must not survive
    in the log: the server refuses the admission on the error, so a
    recovery replaying the record would diverge from acked state.  The
@@ -688,6 +806,9 @@ let () =
           tc "chaos recover corrupt" `Quick test_chaos_recover_corrupt;
           tc "snapshot+tail equivalence" `Quick
             test_snapshot_tail_equivalence;
+          tc "snapshot records bounded" `Quick test_snapshot_records_bounded;
+          tc "failed compaction contained" `Quick
+            test_failed_compaction_contained;
           tc "strict fsync failure rolled back" `Quick
             test_strict_fsync_fail_rollback;
           tc "group commit fsync count" `Quick test_group_commit_fsyncs;
