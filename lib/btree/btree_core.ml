@@ -24,10 +24,13 @@
    - splits write-lock the ancestor path bottom-up (re-checking the parent
      pointer after each acquisition, since a concurrent split of the parent
      may have moved the child), perform the split, and unlock top-down.  A
-     new inner sibling is write-locked from birth until the path is
-     released (the Blink-tree latching rule): the children it receives point
-     at it before it is linked, and a writer holding one of them must not be
-     able to latch it early.
+     new sibling is write-locked from birth (the Blink-tree latching rule):
+     an inner one until it is linked, because the children it receives
+     point at it before that and a writer holding one of them must not be
+     able to latch it early; a leaf one so that the splitting writer goes
+     on writing in whichever half covers its key, without a re-descent;
+   - [insert] and [insert_batch] share this one write path: a single
+     insert is a sorted run of one key.
 
    Memory-model note.  Payload fields ([keys], [nkeys], [children], [parent],
    [position]) are plain mutable fields read racily during optimistic
@@ -616,11 +619,13 @@ module Make (L : LOCK) (K : KEY) :
   (* Split a full, write-locked node around its median; returns
      [(median, right_sibling)].  Children moved to the right sibling get
      their parent/position fields updated — both are covered by the old
-     parent's lock, which we hold.  An inner sibling is returned
-     write-locked: from the moment its children point at it, a writer
-     holding one of them may read the pointer and latch it in
-     [lock_parent], so it must stay latched until it is linked and
-     consistent.  The caller releases it ([insert_into_parent]). *)
+     parent's lock, which we hold.  The sibling is returned write-locked
+     (the Blink-tree latching rule): an inner sibling because, from the
+     moment its children point at it, a writer holding one of them may read
+     the pointer and latch it in [lock_parent], so it must stay latched
+     until it is linked and consistent ([insert_into_parent] releases it);
+     a leaf sibling so that the writer that split it can keep filling it
+     ([split_returning]).  Latching a node nobody can reach never blocks. *)
   let split_node t node =
     let leaf = is_leaf node in
     Telemetry.bump
@@ -630,11 +635,11 @@ module Make (L : LOCK) (K : KEY) :
     let mid = cap / 2 in
     let median = node.keys.(mid) in
     let right = alloc t ~leaf in
+    L.start_write right.lock;
     let rcount = cap - mid - 1 in
     Array.blit node.keys (mid + 1) right.keys 0 rcount;
     right.nkeys <- rcount;
     if not leaf then begin
-      L.start_write right.lock;
       Array.blit node.children (mid + 1) right.children 0 (rcount + 1);
       for i = 0 to rcount do
         let c = right.children.(i) in
@@ -694,12 +699,13 @@ module Make (L : LOCK) (K : KEY) :
       end
       else link_sibling p cur right median
 
-  (* Split the full leaf [node] (write-locked by the caller, who also
-     releases that lock afterwards, cf. Algorithm 1 line 41).  Returns the
-     separator that moved up and the new right sibling: the left half keeps
-     the keys below the separator, so the batch path uses it as the new
-     exclusive upper bound to keep filling without re-descending, and the
-     hinted insert continues in whichever half covers its key. *)
+  (* Split the full leaf [node], write-locked by the caller.  Returns the
+     separator that moved up and the new right sibling, both halves still
+     write-locked: the caller keeps filling the half its key falls in and
+     releases the other (cf. Algorithm 1 line 41).  The left half keeps the
+     keys below the separator, which becomes its new exclusive bound; the
+     right half inherits the old leaf's bound, exact because nobody else
+     could reach the sibling before it was linked. *)
   let split_returning t node =
     let path = lock_path t node in
     (* chaos: widen the window during which the ancestor path is
@@ -711,11 +717,20 @@ module Make (L : LOCK) (K : KEY) :
     unlock_path t path;
     (median, right)
 
-  let split t node = ignore (split_returning t node : key * node)
+  (* ------------------------------------------------------------------ *)
+  (* The write path (Algorithm 1)                                       *)
+  (* ------------------------------------------------------------------ *)
 
-  (* ------------------------------------------------------------------ *)
-  (* Insertion (Algorithm 1)                                            *)
-  (* ------------------------------------------------------------------ *)
+  (* Every write — [insert], [insert_batch] and their session forms — runs
+     the same three parts.  A {e target} names where a key goes: [locate]
+     finds it by descent, [hinted] by the cached leaf of section 3.2.  Both
+     apply Alg. 1's duplicate rule (a key found in any node under a lease
+     that is still valid is a duplicate, and no write permit is taken) and
+     otherwise return the leaf write-locked together with the exclusive
+     upper bound of its key range.  [fill] then puts a sorted run into that
+     leaf up to the bound, splitting in place; a single insert is a run of
+     one key.  The bound stays authoritative while the permit is held,
+     because a node's range only shrinks when that node itself splits. *)
 
   (* Safely create the root node of an empty tree (Algorithm 1, lines 2-9). *)
   let ensure_root t =
@@ -731,13 +746,6 @@ module Make (L : LOCK) (K : KEY) :
       end
     done
 
-  (* Insert [key] at index [idx] of the write-locked, non-full leaf. *)
-  let insert_in_leaf leaf idx key =
-    let n = leaf.nkeys in
-    Array.blit leaf.keys idx leaf.keys (idx + 1) (n - idx);
-    leaf.keys.(idx) <- key;
-    leaf.nkeys <- n + 1
-
   let restart_budget_v = ref 16
 
   let set_restart_budget n =
@@ -745,6 +753,43 @@ module Make (L : LOCK) (K : KEY) :
     restart_budget_v := n
 
   let restart_budget () = !restart_budget_v
+
+  (* [Dup n]: the key is present ([n] is the leaf holding it, or [sentinel]
+     when it was found in an inner node).  [Leaf]: [leaf] is write-locked,
+     the key is absent from it, belongs at index [idx] and is below [hi]
+     ([None]: no bound, the rightmost spine).  [level]/[bucket] are the
+     leaf's flight-recorder identity: its depth and the root-child index the
+     descent took, or -1/-1 for a hinted leaf.  [Miss]: only from
+     [hinted]. *)
+  type target =
+    | Dup of node
+    | Leaf of {
+        leaf : node;
+        idx : int;
+        hi : key option;
+        level : int;
+        bucket : int;
+      }
+    | Miss
+
+  (* Alg. 1 at a leaf read under [lease] ([n] keys): a key found there is a
+     duplicate if the lease still holds; otherwise the lease is upgraded to
+     the write permit, and the CAS certifies that the leaf is unchanged
+     since the search, so the key is still absent. *)
+  let[@inline] claim t leaf lease n key hi level bucket =
+    let idx, found = search t leaf.keys n key in
+    if found then
+      if L.valid leaf.lock lease then Dup leaf
+      else begin
+        Flight.record Flight.Ev.Validation_fail level bucket 0;
+        Miss
+      end
+    else if L.try_upgrade_to_write leaf.lock lease then
+      Leaf { leaf; idx; hi; level; bucket }
+    else begin
+      Flight.record Flight.Ev.Upgrade_fail level bucket 0;
+      Miss
+    end
 
   (* Acquire the root node's write permit while holding nothing, then
      confirm it still is the root: replacing the root requires write-locking
@@ -758,7 +803,7 @@ module Make (L : LOCK) (K : KEY) :
       acquire_root t
     end
 
-  (* Hand-over-hand step of the pessimistic descents: holding [cur]'s write
+  (* Hand-over-hand step of the pessimistic descent: holding [cur]'s write
      permit we read the child's raw version [v], release [cur], and
      re-acquire the child by CAS on [v].  The CAS certifies the child is
      unchanged since it was observed under [cur]'s permit, exactly like an
@@ -776,55 +821,40 @@ module Make (L : LOCK) (K : KEY) :
       false
     end
 
-  let timed_fallback f t key =
-    Telemetry.bump Telemetry.Counter.Btree_pessimistic_fallbacks;
-    Flight.record Flight.Ev.Fallback !restart_budget_v 0 0;
-    let t0 = Telemetry.hist_time () in
-    let r = f t key in
-    Telemetry.hist_end Telemetry.Hist.Btree_fallback_ns t0;
-    r
-
-  (* Pessimistic fallback insertion: every level is visited under that
-     node's write permit, so leases cannot go stale.  [level]/[bucket] are
-     flight-recorder node identity: depth from the root and the root-child
-     index the descent took (-1 above the first branch). *)
-  let rec insert_pessimistic t key =
-    let rec go cur level bucket =
-      let idx, found = search t cur.keys cur.nkeys key in
+  (* The pessimistic fallback of [locate]: every level is visited under
+     that node's write permit, so leases cannot go stale and the bound is
+     exact. *)
+  let rec pessimistic t key =
+    let rec go cur hi level bucket =
+      let n = cur.nkeys in
+      let idx, found = search t cur.keys n key in
       if found then begin
         L.abort_write cur.lock;
-        (false, sentinel)
+        Dup (if is_leaf cur then cur else sentinel)
       end
-      else if not (is_leaf cur) then begin
-        let next = cur.children.(idx) in
-        let bucket = if level = 0 then idx else bucket in
-        if step_down cur next level bucket then go next (level + 1) bucket
-        else insert_pessimistic t key
-      end
-      else if cur.nkeys >= t.capacity then begin
-        (* bottom-up split: only the leaf permit is held, same discipline as
-           the optimistic path *)
-        Flight.record Flight.Ev.Split level bucket 0;
-        split t cur;
-        L.end_write cur.lock;
-        insert_pessimistic t key
-      end
+      else if is_leaf cur then Leaf { leaf = cur; idx; hi; level; bucket }
       else begin
-        insert_in_leaf cur idx key;
-        L.end_write cur.lock;
-        (true, cur)
+        let next = cur.children.(idx) in
+        let hi = if idx < n then Some cur.keys.(idx) else hi in
+        let bucket = if level = 0 then idx else bucket in
+        if step_down cur next level bucket then go next hi (level + 1) bucket
+        else pessimistic t key
       end
     in
-    go (acquire_root t) 0 (-1)
+    go (acquire_root t) None 0 (-1)
 
-  (* Full insertion: optimistic descent from the root.  Returns whether the
-     key was new, plus the leaf finally touched (to refresh hints); the leaf
-     is [sentinel] when the duplicate was discovered in an inner node.
-     [attempts] counts optimistic restarts; past the budget the descent
-     degrades to [insert_pessimistic]. *)
-  let rec insert_slow t key attempts =
-    if attempts >= !restart_budget_v then
-      timed_fallback insert_pessimistic t key
+  (* The target of [key] by descent from the root: optimistic, carrying the
+     exclusive bound down (the last separator passed).  [attempts] counts
+     restarts; past the budget the descent falls back to [pessimistic]. *)
+  let rec locate t key attempts =
+    if attempts >= !restart_budget_v then begin
+      Telemetry.bump Telemetry.Counter.Btree_pessimistic_fallbacks;
+      Flight.record Flight.Ev.Fallback !restart_budget_v 0 0;
+      let t0 = Telemetry.hist_time () in
+      let r = pessimistic t key in
+      Telemetry.hist_end Telemetry.Hist.Btree_fallback_ns t0;
+      r
+    end
     else begin
       (* Obtain the root and a lease on it, validating the root pointer
          (Algorithm 1, lines 13-17). *)
@@ -832,7 +862,7 @@ module Make (L : LOCK) (K : KEY) :
       let cur = t.root in
       let cur_lease = L.start_read cur.lock in
       if L.end_read t.root_lock root_lease then
-        descend t key cur cur_lease 0 (-1) attempts
+        descend t key cur cur_lease None 0 (-1) attempts
       else restart t key attempts
     end
 
@@ -840,7 +870,7 @@ module Make (L : LOCK) (K : KEY) :
     (* optimistic descent observed a concurrent write: back to the root *)
     Telemetry.bump Telemetry.Counter.Btree_restarts;
     Flight.record Flight.Ev.Restart (attempts + 1) 0 0;
-    insert_slow t key (attempts + 1)
+    locate t key (attempts + 1)
 
   and invalid t key level bucket attempts =
     Flight.record Flight.Ev.Validation_fail level bucket 0;
@@ -851,115 +881,181 @@ module Make (L : LOCK) (K : KEY) :
      separators partition the key space — or -1 above the first branch.
      Both tag the flight-recorder contention events, so post-mortem
      heatmaps can name the level and key region where leases died. *)
-  and descend t key cur cur_lease level bucket attempts =
+  and descend t key cur cur_lease hi level bucket attempts =
     (* chaos: stretch the read phase so concurrent writers invalidate the
        lease — drives the restart counter and the fallback *)
     Chaos.yield_if Chaos.Point.Btree_descent_yield;
     let n = clamped_nkeys cur in
-    let idx, found = search t cur.keys n key in
-    if found then
-      (* already present — if the observation was consistent *)
-      if L.valid cur.lock cur_lease then (false, sentinel)
-      else invalid t key level bucket attempts
-    else if not (is_leaf cur) then begin
-      let next = cur.children.(idx) in
-      if not (L.valid cur.lock cur_lease) then
-        invalid t key level bucket attempts
+    if is_leaf cur then
+      match claim t cur cur_lease n key hi level bucket with
+      | Miss -> restart t key attempts
+      | r -> r
+    else begin
+      let idx, found = search t cur.keys n key in
+      if found then
+        (* already present — if the observation was consistent *)
+        if L.valid cur.lock cur_lease then Dup sentinel
+        else invalid t key level bucket attempts
       else begin
-        let next_lease = L.start_read next.lock in
+        let next = cur.children.(idx) in
+        let hi = if idx < n then Some cur.keys.(idx) else hi in
         if not (L.valid cur.lock cur_lease) then
           invalid t key level bucket attempts
-        else
-          descend t key next next_lease (level + 1)
-            (if level = 0 then idx else bucket)
-            attempts
+        else begin
+          let next_lease = L.start_read next.lock in
+          if not (L.valid cur.lock cur_lease) then
+            invalid t key level bucket attempts
+          else
+            descend t key next next_lease hi (level + 1)
+              (if level = 0 then idx else bucket)
+              attempts
+        end
       end
     end
-    else if not (L.try_upgrade_to_write cur.lock cur_lease) then begin
-      Flight.record Flight.Ev.Upgrade_fail level bucket 0;
-      restart t key attempts
-    end
-    else if cur.nkeys >= t.capacity then begin
-      Flight.record Flight.Ev.Split level bucket 0;
-      split t cur;
-      L.end_write cur.lock;
-      (* a split is progress, not a failed validation: same budget *)
-      insert_slow t key attempts
-    end
+
+  (* The target of [key] at the cached [leaf], when that leaf covers it;
+     its own last key then bounds the fill (the leaf is authoritative only
+     up to there unless it is rightmost).  Hinted attempts have no descent,
+     so their flight events carry the -1/-1 "hinted leaf" identity. *)
+  let[@inline] hinted t leaf key =
+    if leaf == sentinel then Miss
     else begin
-      (* The upgrade CAS certifies the node is unchanged since the lease, so
-         [idx] computed above is still accurate. *)
-      insert_in_leaf cur idx key;
-      L.end_write cur.lock;
-      (true, cur)
+      let lease = L.start_read leaf.lock in
+      let n = clamped_nkeys leaf in
+      if not (covers t leaf n key && L.valid leaf.lock lease) then Miss
+      else
+        claim t leaf lease n key
+          (if leaf.rightmost then None else Some leaf.keys.(n - 1))
+          (-1) (-1)
     end
 
-  (* [Done (fresh, leaf)]: [leaf] holds the key now (the next hint). *)
-  type hint_attempt = Done of bool * node | Fallback
+  (* [hinted] at [leaf], else [locate]; a session ([hints]) counts the
+     hinted attempt as an insert-hint hit or miss. *)
+  let[@inline] target hints t leaf key =
+    match (hints, hinted t leaf key) with
+    | None, Miss -> locate t key 0
+    | None, r -> r
+    | Some h, Miss ->
+      h.h_insert_misses <- h.h_insert_misses + 1;
+      miss h;
+      locate t key 0
+    | Some h, r ->
+      h.h_insert_hits <- h.h_insert_hits + 1;
+      hit h;
+      r
 
-  (* One attempt to insert directly at the hinted leaf.  Hinted attempts
-     have no descent, so their flight events carry the -1/-1 "hinted leaf"
-     node identity. *)
-  let rec try_insert_at t leaf key =
-    let lease = L.start_read leaf.lock in
-    let n = clamped_nkeys leaf in
-    if not (covers t leaf n key && L.valid leaf.lock lease) then Fallback
-    else begin
-      let idx, found = search t leaf.keys n key in
-      if found then
-        if L.valid leaf.lock lease then Done (false, leaf)
+  (* A batch's position in its run and its fresh keys so far. *)
+  type progress = { mutable next : int; mutable fresh : int }
+
+  (* Whether [k] falls below the gap at [idx] of the [nk]-key leaf [l]
+     whose exclusive bound is [hi]. *)
+  let in_gap t l idx nk hi k =
+    if idx < nk then t.cmp k l.keys.(idx) < 0
+    else match hi with None -> true | Some b -> t.cmp k b < 0
+
+  (* The leaf-write step: put [key], then the sorted rest of its run
+     [run.(next ..)] (up to exclusive index [stop]), into the write-locked
+     [leaf] while keys stay below its exclusive bound [hi]; a single insert
+     passes an empty rest.  The loop keeps the target's certificate as its
+     invariant: the current key is absent from the current leaf, belongs at
+     [idx] and is below the bound.  The key and the run keys after it that
+     fall into the same inter-key gap are spliced with two blits.  A full
+     leaf splits in place and the fill continues in whichever half covers
+     the key: the left half bounded by the separator, or the new right
+     sibling with the old bound — no re-descent.  Every fill writes its
+     first key, so it releases with [end_write].  Returns the leaf written
+     last (the next hint).  A batch passes its [progress], which the fill
+     advances, and counts one splice per gap group and one leaf per leaf
+     it writes. *)
+  let fill ?batch t key run next stop leaf idx hi level bucket =
+    let key = ref key and leaf = ref leaf and idx = ref idx and hi = ref hi in
+    let i = ref next and fresh = ref 0 and filling = ref true in
+    while !filling do
+      let l = !leaf in
+      let nk = l.nkeys in
+      if nk >= t.capacity then begin
+        (* Bottom-up split locking starts from this leaf — for a hinted
+           leaf, the very compatibility property of section 3.2. *)
+        Flight.record Flight.Ev.Split level bucket 0;
+        let median, right = split_returning t l in
+        if t.cmp !key median < 0 then begin
+          L.end_write right.lock;
+          hi := Some median
+        end
         else begin
-          Flight.record Flight.Ev.Validation_fail (-1) (-1) 0;
-          Fallback
-        end
-      else if not (L.try_upgrade_to_write leaf.lock lease) then begin
-        Flight.record Flight.Ev.Upgrade_fail (-1) (-1) 0;
-        Fallback
-      end
-      else if leaf.nkeys >= t.capacity then begin
-        (* Bottom-up split locking starts from the hinted leaf — the very
-           compatibility property of section 3.2.  The key then belongs to
-           the left half (still ours; [idx] is within it) or to the right. *)
-        Flight.record Flight.Ev.Split (-1) (-1) 0;
-        let median, right = split_returning t leaf in
-        if t.cmp key median < 0 then begin
-          insert_in_leaf leaf idx key;
-          L.end_write leaf.lock;
-          Done (true, leaf)
-        end
-        else begin
-          L.end_write leaf.lock;
-          try_insert_at t right key
-        end
+          L.end_write l.lock;
+          leaf := right;
+          if Option.is_some batch then
+            Telemetry.bump Telemetry.Counter.Btree_batch_leaves
+        end;
+        idx := fst (search t !leaf.keys !leaf.nkeys !key)
       end
       else begin
-        insert_in_leaf leaf idx key;
-        L.end_write leaf.lock;
-        Done (true, leaf)
+        let at = !idx in
+        let room = t.capacity - nk in
+        let prev = ref !key and j = ref !i in
+        while
+          !j < stop && !j - !i + 1 < room
+          && t.cmp !prev run.(!j) < 0
+          && in_gap t l at nk !hi run.(!j)
+        do
+          prev := run.(!j);
+          incr j
+        done;
+        let rest = !j - !i in
+        Array.blit l.keys at l.keys (at + 1 + rest) (nk - at);
+        l.keys.(at) <- !key;
+        if rest > 0 then Array.blit run !i l.keys (at + 1) rest;
+        l.nkeys <- nk + 1 + rest;
+        fresh := !fresh + 1 + rest;
+        if Option.is_some batch then
+          Telemetry.bump Telemetry.Counter.Btree_batch_splices;
+        i := !j;
+        (* the next run key below the bound and absent from the leaf; a
+           key equal to the bound is a live separator, hence present *)
+        let seeking = ref true in
+        while !filling && !seeking do
+          if !i >= stop then filling := false
+          else begin
+            let k = run.(!i) in
+            let c = match !hi with None -> -1 | Some b -> t.cmp k b in
+            if c > 0 then filling := false
+            else begin
+              incr i;
+              if c < 0 then begin
+                let at, found = search t l.keys l.nkeys k in
+                if not found then begin
+                  key := k;
+                  idx := at;
+                  seeking := false
+                end
+              end
+            end
+          end
+        done
       end
-    end
+    done;
+    L.end_write !leaf.lock;
+    (match batch with
+    | Some p ->
+      p.next <- !i;
+      p.fresh <- p.fresh + !fresh
+    | None -> ());
+    !leaf
 
+  let hint_leaf hints =
+    match hints with Some h -> h.insert_leaf | None -> sentinel
+
+  (* A single insert: a one-key fill.  The hint follows the leaf the key
+     landed in; a duplicate leaves it alone. *)
   let insert_op hints t key =
     ensure_root t;
-    match hints with
-    | None -> fst (insert_slow t key 0)
-    | Some h ->
-      let attempt =
-        if h.insert_leaf == sentinel then Fallback
-        else try_insert_at t h.insert_leaf key
-      in
-      (match attempt with
-      | Done (b, leaf) ->
-        h.h_insert_hits <- h.h_insert_hits + 1;
-        hit h;
-        h.insert_leaf <- leaf;
-        b
-      | Fallback ->
-        h.h_insert_misses <- h.h_insert_misses + 1;
-        miss h;
-        let inserted, leaf = insert_slow t key 0 in
-        if leaf != sentinel then h.insert_leaf <- leaf;
-        inserted)
+    match target hints t (hint_leaf hints) key with
+    | Leaf { leaf; idx; hi; level; bucket } ->
+      let leaf = fill t key [||] 0 0 leaf idx hi level bucket in
+      (match hints with Some h -> h.insert_leaf <- leaf | None -> ());
+      true
+    | Dup _ | Miss -> false
 
   let insert_h hints t key =
     let t0 = Telemetry.hist_start Telemetry.Hist.Btree_insert_ns in
@@ -967,176 +1063,13 @@ module Make (L : LOCK) (K : KEY) :
     Telemetry.hist_end Telemetry.Hist.Btree_insert_ns t0;
     r
 
-  (* ------------------------------------------------------------------ *)
-  (* Batch insertion (sorted runs)                                      *)
-  (* ------------------------------------------------------------------ *)
-
-  (* The batch path extends the hint mechanism from "retry the last leaf"
-     to "fill the current leaf up to its upper bound": one descent acquires
-     the target leaf's write permit together with the exclusive upper bound
-     of the leaf's responsibility range (the last separator the descent
-     passed on the way down), then consumes run keys until the first key at
-     or past that bound.  The bound snapshot stays authoritative while the
-     leaf's write permit is held, because a node's range only shrinks when
-     that node itself splits — which our permit excludes.  Runs of keys
-     falling into the same inter-key gap are spliced with two blits
-     ([Leaf_pack.splice]); a full leaf is split in place and filling
-     continues in the left half while the run allows it (multi-split). *)
-
-  type batch_target = Bt_dup | Bt_leaf of node * key option
-
-  (* Pessimistic twin of [batch_locate]: the hand-over-hand step of
-     [insert_pessimistic], carrying the exclusive upper bound down and
-     returning the leaf still write-locked.  The bound snapshot is exact
-     here — every separator was read under its node's write permit. *)
-  let rec batch_pessimistic t key =
-    let rec go cur hi level bucket =
-      if is_leaf cur then Bt_leaf (cur, hi)
-      else
-        let n = cur.nkeys in
-        let idx, found = search t cur.keys n key in
-        if found then begin
-          L.abort_write cur.lock;
-          Bt_dup
-        end
-        else begin
-          let next = cur.children.(idx) in
-          let hi = if idx < n then Some cur.keys.(idx) else hi in
-          let bucket = if level = 0 then idx else bucket in
-          if step_down cur next level bucket then go next hi (level + 1) bucket
-          else batch_pessimistic t key
-        end
-    in
-    go (acquire_root t) None 0 (-1)
-
-  (* Write-lock the leaf responsible for [key], carrying its exclusive
-     upper bound down the descent ([None] on the rightmost spine).  [Bt_dup]
-     means [key] was found in an inner node.  Same retry budget as the
-     single-key descent. *)
-  let rec batch_locate t key attempts =
-    if attempts >= !restart_budget_v then
-      timed_fallback batch_pessimistic t key
-    else begin
-      let root_lease = L.start_read t.root_lock in
-      let cur = t.root in
-      let cur_lease = L.start_read cur.lock in
-      if L.end_read t.root_lock root_lease then
-        batch_descend t key cur cur_lease None 0 (-1) attempts
-      else batch_restart t key attempts
-    end
-
-  and batch_restart t key attempts =
-    Telemetry.bump Telemetry.Counter.Btree_restarts;
-    Flight.record Flight.Ev.Restart (attempts + 1) 0 0;
-    batch_locate t key (attempts + 1)
-
-  and batch_invalid t key level bucket attempts =
-    Flight.record Flight.Ev.Validation_fail level bucket 0;
-    batch_restart t key attempts
-
-  (* [level]/[bucket] as in [descend]: flight-recorder node identity. *)
-  and batch_descend t key cur cur_lease hi level bucket attempts =
-    Chaos.yield_if Chaos.Point.Btree_descent_yield;
-    if is_leaf cur then
-      if L.try_upgrade_to_write cur.lock cur_lease then Bt_leaf (cur, hi)
-      else begin
-        Flight.record Flight.Ev.Upgrade_fail level bucket 0;
-        batch_restart t key attempts
-      end
-    else begin
-      let n = clamped_nkeys cur in
-      let idx, found = search t cur.keys n key in
-      if found then
-        if L.valid cur.lock cur_lease then Bt_dup
-        else batch_invalid t key level bucket attempts
-      else begin
-        let next = cur.children.(idx) in
-        let hi = if idx < n then Some cur.keys.(idx) else hi in
-        if not (L.valid cur.lock cur_lease) then
-          batch_invalid t key level bucket attempts
-        else begin
-          let next_lease = L.start_read next.lock in
-          if not (L.valid cur.lock cur_lease) then
-            batch_invalid t key level bucket attempts
-          else
-            batch_descend t key next next_lease hi (level + 1)
-              (if level = 0 then idx else bucket)
-              attempts
-        end
-      end
-    end
-
-  (* Consume [run.(i0 ..)] (up to exclusive index [stop_idx]) into the
-     write-locked [leaf] while keys stay below [limit]; returns the next
-     unconsumed index and the fresh count, releasing the write permit. *)
-  let batch_fill t run i0 stop_idx leaf limit0 =
-    let fresh = ref 0 in
-    let i = ref i0 in
-    let limit = ref limit0 in
-    let stop = ref false in
-    while (not !stop) && !i < stop_idx do
-      let key = run.(!i) in
-      let cmp_limit = match !limit with None -> -1 | Some b -> t.cmp key b in
-      if cmp_limit = 0 then incr i (* equals a live separator: duplicate *)
-      else if cmp_limit > 0 then stop := true
-      else begin
-        let nk = leaf.nkeys in
-        let idx, found = search t leaf.keys nk key in
-        if found then incr i
-        else if nk >= t.capacity then begin
-          Flight.record Flight.Ev.Split (-1) (-1) 0;
-          let median, _ = split_returning t leaf in
-          if t.cmp key median < 0 then limit := Some median
-          else stop := true (* the rest of the run re-descends *)
-        end
-        else begin
-          (* splice the whole gap group in two blits *)
-          let gap_hi = if idx < nk then Some leaf.keys.(idx) else !limit in
-          let in_gap k =
-            match gap_hi with None -> true | Some b -> t.cmp k b < 0
-          in
-          let room = t.capacity - nk in
-          let j = ref (!i + 1) in
-          while
-            !j - !i < room && !j < stop_idx
-            && t.cmp run.(!j - 1) run.(!j) < 0
-            && in_gap run.(!j)
-          do
-            incr j
-          done;
-          let glen = !j - !i in
-          Leaf_pack.splice ~keys:leaf.keys ~nkeys:nk ~at:idx ~src:run
-            ~src_pos:!i ~len:glen;
-          leaf.nkeys <- nk + glen;
-          fresh := !fresh + glen;
-          Telemetry.bump Telemetry.Counter.Btree_batch_splices;
-          i := !j
-        end
-      end
-    done;
-    L.end_write leaf.lock;
-    (!i, !fresh)
-
-  (* Hinted fast path: upgrade the cached leaf when it covers [key]; its own
-     last key then bounds the fill (the leaf is authoritative only up to
-     there unless it is rightmost). *)
-  let batch_hinted t h key =
-    let leaf = h.insert_leaf in
-    if leaf == sentinel then None
-    else
-      let lease = L.start_read leaf.lock in
-      if
-        covers t leaf (clamped_nkeys leaf) key
-        && L.valid leaf.lock lease
-        && L.try_upgrade_to_write leaf.lock lease
-      then
-        Some
-          (leaf, if leaf.rightmost then None else Some leaf.keys.(leaf.nkeys - 1))
-      else None
-
+  (* A sorted run: one target per leaf visit, each filled up to its bound.
+     The last leaf visited — filled, or holding a duplicate — is tried
+     first for the next key, so a run of duplicates costs one probe per
+     key, not one descent; in a session it is also the hint. *)
   let insert_batch_op hints t run pos len =
-    let stop_idx = pos + len in
-    for k = pos + 1 to stop_idx - 1 do
+    let stop = pos + len in
+    for k = pos + 1 to stop - 1 do
       if t.cmp run.(k - 1) run.(k) > 0 then
         invalid_arg "Btree.insert_batch: run not sorted"
     done;
@@ -1144,45 +1077,21 @@ module Make (L : LOCK) (K : KEY) :
     else begin
       ensure_root t;
       Telemetry.add Telemetry.Counter.Btree_batch_keys len;
-      let fresh = ref 0 in
-      let i = ref pos in
-      while !i < stop_idx do
-        let key = run.(!i) in
-        let hinted =
-          match hints with
-          | None -> None
-          | Some h ->
-            let r = batch_hinted t h key in
-            if Option.is_some r then begin
-              h.h_insert_hits <- h.h_insert_hits + 1;
-              hit h
-            end
-            else begin
-              h.h_insert_misses <- h.h_insert_misses + 1;
-              miss h
-            end;
-            r
-        in
-        let target =
-          match hinted with
-          | Some _ -> hinted
-          | None -> (
-            match batch_locate t key 0 with
-            | Bt_dup ->
-              incr i;
-              None
-            | Bt_leaf (leaf, hi) -> Some (leaf, hi))
-        in
-        match target with
-        | None -> ()
-        | Some (leaf, limit) ->
+      let p = { next = pos; fresh = 0 } and last = ref (hint_leaf hints) in
+      while p.next < stop do
+        let key = run.(p.next) in
+        match target hints t !last key with
+        | Leaf { leaf; idx; hi; level; bucket } ->
           Telemetry.bump Telemetry.Counter.Btree_batch_leaves;
-          let i', f = batch_fill t run !i stop_idx leaf limit in
-          (match hints with Some h -> h.insert_leaf <- leaf | None -> ());
-          i := i';
-          fresh := !fresh + f
+          last :=
+            fill ~batch:p t key run (p.next + 1) stop leaf idx hi level bucket
+        | Dup leaf ->
+          p.next <- p.next + 1;
+          if leaf != sentinel then last := leaf
+        | Miss -> assert false (* [locate] never misses *)
       done;
-      !fresh
+      (match hints with Some h -> h.insert_leaf <- !last | None -> ());
+      p.fresh
     end
 
   let insert_batch_h hints ?(pos = 0) ?len t run =

@@ -1,11 +1,10 @@
-(* Shared leaf-packing conventions of the bulk write paths.
+(* Leaf-packing conventions of the bulk build.
 
-   Both [of_sorted_array] (bulk build) and [insert_batch] (sorted-run batch
-   insert) fill leaves from sorted input; they must agree on how full a
-   freshly packed node may be and how a sorted slice is spliced into a
-   partially filled key array, or a bulk-built tree and a batch-grown tree
-   would diverge in shape and invariants.  This module is that single point
-   of agreement. *)
+   [of_sorted_array] packs each node to [target_fill] and copies sorted
+   slices in with [splice].  The leaf-write step of the tree's write path
+   splices the same way, two blits per gap group whatever its length, but
+   inline: its group starts with the key its target certified, which a
+   single insert does not hold in an array. *)
 
 (* Number of keys a bulk operation packs into a node of the given capacity:
    3/4 full, leaving headroom so the first few later point inserts do not

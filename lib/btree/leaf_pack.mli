@@ -1,7 +1,5 @@
-(** Shared leaf-packing conventions of the bulk write paths
-    ([of_sorted_array] bulk build and [insert_batch] sorted-run insert).
-    Keeping both on one helper is what guarantees they agree on
-    capacity/fill conventions. *)
+(** Leaf-packing conventions of the bulk build ([of_sorted_array]): how
+    full it packs a node and how it copies a sorted slice in. *)
 
 val target_fill : capacity:int -> int
 (** Keys a bulk build packs per node: 3/4 of [capacity] (at least 1),

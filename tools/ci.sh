@@ -92,6 +92,13 @@ echo "== every storage kind through the figure path (Fig. 5a/5b) =="
 # the exit status is checked, no timing is judged.
 dune exec bench/main.exe -- fig5a fig5b --scale 0.05 --threads 2
 
+echo "== the paper's insert paths through the figure path (Fig. 3a/3b) =="
+# Hinted and unhinted single inserts on both B-tree kinds (Btree,
+# Btree_seq), plus the merge ablation, which fails unless the hinted
+# insert_all and a plain insert loop build trees of equal cardinality.
+# Exit status only; no timing is judged.
+dune exec bench/main.exe -- fig3a fig3b ablation-merge --scale 0.01 --threads 2
+
 echo "== query-server selftest (datalog_serve + datalog_cli --connect) =="
 # Start the resident query server with live telemetry, drive it with the
 # one-shot CLI in --connect mode (install program, batch-load facts, query
