@@ -1,12 +1,9 @@
-(** Live telemetry service: a monitor domain with an in-process scrape
-    endpoint.
-
-    One extra domain periodically samples the telemetry registry (counters,
-    latency histograms, flight contention heat, registered gauges) into an
-    allocation-bounded ring of {e windowed deltas} — so a scraper sees
-    rates and recent p50/p99, not just cumulative totals since process
-    start — and serves them over a minimal HTTP/1.0 listener on a TCP or
-    Unix socket:
+(** Live telemetry service.  One extra domain periodically samples the
+    telemetry registry (counters, latency histograms, flight contention
+    heat, registered gauges) into an allocation-bounded ring of {e windowed
+    deltas} — so a scraper sees rates and recent p50/p99, not just
+    cumulative totals since process start — and serves them over a minimal
+    HTTP/1.0 listener on a TCP or Unix socket:
 
     - [/metrics]        Prometheus exposition: cumulative counters and
                         histograms plus per-window rate/quantile gauges.
@@ -26,14 +23,13 @@
                         [Pool_failure] (latched until [Health.reset]).
     - [/trace]          recent flight-recorder events.
 
-    The monitor runs entirely on its own domain: the window ring is
-    domain-confined state (never shared, so it needs no synchronization —
-    the discipline the R1 lint fixtures illustrate), and the only
+    The monitor is a {!Reactor} domain: the window ring is domain-confined
+    (the discipline the R1 lint fixtures illustrate), and the only
     cross-domain traffic is the racy-but-defined sampling reads plus a
-    mutex-protected provider/health registry touched on cold paths only.
-    When no server is started, nothing runs and no hot path changes: the
-    health hooks cost one atomic bump on cold paths (watchdog join, failure
-    aggregation) that are themselves off the hot path. *)
+    mutex-protected provider/health registry on cold paths.  A scrape is a
+    nonblocking line handler, so a slow or silent client never stalls
+    sampling or other scrapes; one not done within 2 s is closed.  When no
+    server is started, nothing runs and no hot path changes. *)
 
 (** {1 Addresses} *)
 

@@ -137,7 +137,8 @@ then
   exit 1
 fi
 # scrape every telemetry endpoint while the server is resident and
-# validate the payloads (python3 optional)
+# validate the payloads (python3 optional); one silent client stays
+# connected throughout, and any scrape slower than 1 s fails
 if command -v python3 >/dev/null 2>&1; then
   if ! SOCK="$SRV_MSOCK" python3 <<'PY'
 import json, os, socket, time
@@ -146,6 +147,7 @@ sock_path = os.environ["SOCK"]
 
 
 def fetch(path):
+    t0 = time.monotonic()
     s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     s.settimeout(5.0)
     s.connect(sock_path)
@@ -154,6 +156,9 @@ def fetch(path):
     while chunk := s.recv(65536):
         buf += chunk
     s.close()
+    took = time.monotonic() - t0
+    if took > 1.0:
+        raise SystemExit(f"ci: server {path} took {took:.2f} s to scrape")
     head, _, body = buf.partition(b"\r\n\r\n")
     status = int(head.split(b" ", 2)[1])
     return status, body.decode()
@@ -166,6 +171,10 @@ for _ in range(100):
     time.sleep(0.05)
 else:
     raise SystemExit("ci: server telemetry socket never appeared")
+
+# a connected client that never sends its request must stall no scrape
+silent = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+silent.connect(sock_path)
 
 # let at least one sampling window complete so /snapshot.json is non-empty
 time.sleep(0.25)
@@ -200,6 +209,7 @@ for path, schema in (("/snapshot.json", "telemetry_window/1"),
         raise SystemExit(f"ci: server {path} schema {doc.get('schema')!r}")
 if json.loads(fetch("/snapshot.json")[1])["window"]["seq"] < 1:
     raise SystemExit("ci: no completed window after warmup")
+silent.close()
 print(f"ci: server telemetry endpoints ok ({samples} exposition samples)")
 PY
   then
