@@ -803,7 +803,7 @@ let smoke cfg =
   Flight.enable ();
   let workload = pointsto_workload { cfg with scale = min cfg.scale 0.2 } in
   let engine, dt = run_engine ~kind:Storage.Btree ~threads workload in
-  let heat = Tree_shape.heat_of_events (Flight.events ()) in
+  let heat = Flight.heat_of_events (Flight.events ()) in
   let trace_file = Filename.temp_file "smoke" ".trace.json" in
   Telemetry.export_trace ~process_name:"bench smoke" trace_file;
   Flight.disable ();
@@ -835,7 +835,7 @@ let smoke cfg =
             (List.map
                (fun (rel, sh) -> (rel, Tree_shape.to_json sh))
                (Engine.tree_shapes engine)) );
-        ("contention", Tree_shape.heat_to_json heat);
+        ("contention", Flight.heat_to_json heat);
         ("trace", Obj [ ("file", String trace_file); ("events", Int events) ]);
         ("counters", Telemetry.counters_json snap);
         ("histograms", Telemetry.histograms_json snap);

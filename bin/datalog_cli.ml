@@ -49,7 +49,7 @@ let write_prometheus engine snap path =
   | None -> ());
   (* Contention heatmap from the flight recorder, when it ran. *)
   (if Flight.enabled () then
-     let heat = Tree_shape.heat_of_events (Flight.events ()) in
+     let heat = Flight.heat_of_events (Flight.events ()) in
      List.iter
        (fun ((level, bucket), counts) ->
          Array.iteri
@@ -61,25 +61,25 @@ let write_prometheus engine snap path =
                     root-child key bucket (level/bucket -1 = hinted leaf)."
                  ~labels:
                    [
-                     ("class", Tree_shape.heat_classes.(cls));
+                     ("class", Flight.heat_classes.(cls));
                      ("level", string_of_int level);
                      ("bucket", string_of_int bucket);
                    ]
                  "repro_contention_events_total" (float_of_int n))
            counts)
-       heat.Tree_shape.heat_cells;
+       heat.Flight.heat_cells;
      Telemetry.Prom.counter prom
        ~help:"Flight-recorder root restarts (untagged)."
        "repro_contention_restarts_total"
-       (float_of_int heat.Tree_shape.heat_restarts);
+       (float_of_int heat.Flight.heat_restarts);
      Telemetry.Prom.counter prom
        ~help:"Flight-recorder pessimistic fallbacks (untagged)."
        "repro_contention_fallbacks_total"
-       (float_of_int heat.Tree_shape.heat_fallbacks);
+       (float_of_int heat.Flight.heat_fallbacks);
      Telemetry.Prom.counter prom
        ~help:"Summed contended write-lock wait observed by the recorder."
        "repro_contention_lock_wait_seconds_total"
-       (float_of_int heat.Tree_shape.heat_lock_wait_ns /. 1e9));
+       (float_of_int heat.Flight.heat_lock_wait_ns /. 1e9));
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -370,8 +370,8 @@ let run_program file storage threads print_rels show_stats show_profile facts_di
           | _ -> ());
           if Flight.enabled () then
             Format.printf "contention heatmap (flight recorder):@.%a@."
-              Tree_shape.pp_heat
-              (Tree_shape.heat_of_events (Flight.events ()))
+              Flight.pp_heat
+              (Flight.heat_of_events (Flight.events ()))
         end;
         if Chaos.active () then
           Format.printf "%a@." Chaos.pp_fired ();

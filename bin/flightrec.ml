@@ -161,8 +161,8 @@ let print_header path src =
   end
 
 let print_heat src =
-  let heat = Tree_shape.heat_of_events src.src_events in
-  Format.printf "@.%a@." Tree_shape.pp_heat heat
+  let heat = Flight.heat_of_events src.src_events in
+  Format.printf "@.%a@." Flight.pp_heat heat
 
 let describe (e : Flight.event) =
   let open Flight in

@@ -62,171 +62,3 @@ let pp fmt s =
       s.fill_deciles;
     Format.fprintf fmt "]"
   end
-
-(* ------------------------------------------------------------------ *)
-(* Contention heatmap                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Aggregation of flight-recorder contention events into per-level ×
-   key-bucket hotspot tables.  Node identity is (level, bucket): depth
-   from the root and the root-child index the descent took — the root
-   separators genuinely partition the key space, so the bucket is a real
-   key range.  Level/bucket -1 marks hinted-leaf events (no descent). *)
-
-let heat_classes = [| "validation_fail"; "upgrade_fail"; "split" |]
-
-type heat = {
-  heat_cells : ((int * int) * int array) list;
-      (* ((level, bucket), counts indexed like [heat_classes]), sorted *)
-  heat_restarts : int;
-  heat_fallbacks : int;
-  heat_lock_waits : int;
-  heat_lock_wait_ns : int; (* summed measured wait of contended writes *)
-}
-
-let heat_class_of_kind = function
-  | Flight.Ev.Validation_fail -> Some 0
-  | Flight.Ev.Upgrade_fail -> Some 1
-  | Flight.Ev.Split -> Some 2
-  | _ -> None
-
-let heat_of_events evs =
-  let cells : (int * int, int array) Hashtbl.t = Hashtbl.create 32 in
-  let restarts = ref 0 in
-  let fallbacks = ref 0 in
-  let lock_waits = ref 0 in
-  let lock_wait_ns = ref 0 in
-  List.iter
-    (fun (e : Flight.event) ->
-      match e.Flight.e_kind with
-      | Flight.Ev.Restart -> incr restarts
-      | Flight.Ev.Fallback -> incr fallbacks
-      | Flight.Ev.Lock_wait ->
-        incr lock_waits;
-        lock_wait_ns := !lock_wait_ns + e.Flight.e_a1
-      | k -> (
-        match heat_class_of_kind k with
-        | None -> ()
-        | Some cls ->
-          let key = (e.Flight.e_a1, e.Flight.e_a2) in
-          let counts =
-            match Hashtbl.find_opt cells key with
-            | Some c -> c
-            | None ->
-              let c = Array.make (Array.length heat_classes) 0 in
-              Hashtbl.add cells key c;
-              c
-          in
-          counts.(cls) <- counts.(cls) + 1))
-    evs;
-  {
-    heat_cells =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) cells []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
-    heat_restarts = !restarts;
-    heat_fallbacks = !fallbacks;
-    heat_lock_waits = !lock_waits;
-    heat_lock_wait_ns = !lock_wait_ns;
-  }
-
-(* Per-level rollup of the tagged cells, sorted by level (level -1 =
-   hinted-leaf events, printed as "hint"). *)
-let heat_levels h =
-  let levels : (int, int array) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun ((level, _), counts) ->
-      let acc =
-        match Hashtbl.find_opt levels level with
-        | Some a -> a
-        | None ->
-          let a = Array.make (Array.length heat_classes) 0 in
-          Hashtbl.add levels level a;
-          a
-      in
-      Array.iteri (fun i c -> acc.(i) <- acc.(i) + c) counts)
-    h.heat_cells;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) levels []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let hottest_level h =
-  List.fold_left
-    (fun best (level, counts) ->
-      let total = Array.fold_left ( + ) 0 counts in
-      match best with
-      | Some (_, bt) when bt >= total -> best
-      | _ -> if total > 0 then Some (level, total) else best)
-    None (heat_levels h)
-  |> Option.map fst
-
-let heat_total h =
-  List.fold_left
-    (fun acc (_, counts) -> acc + Array.fold_left ( + ) 0 counts)
-    0 h.heat_cells
-
-let level_label level = if level < 0 then "hint" else string_of_int level
-
-let pp_heat fmt h =
-  if
-    heat_total h = 0 && h.heat_restarts = 0 && h.heat_fallbacks = 0
-    && h.heat_lock_waits = 0
-  then Format.fprintf fmt "no contention events"
-  else begin
-    Format.fprintf fmt "@[<v>per-level contention:@,";
-    Format.fprintf fmt "  %-6s %12s %12s %12s@," "level" "validation"
-      "upgrade" "split";
-    List.iter
-      (fun (level, counts) ->
-        Format.fprintf fmt "  %-6s %12d %12d %12d@," (level_label level)
-          counts.(0) counts.(1) counts.(2))
-      (heat_levels h);
-    (match hottest_level h with
-    | Some l -> Format.fprintf fmt "hottest level: %s@," (level_label l)
-    | None -> ());
-    let hot_cells =
-      List.filter
-        (fun ((level, _), _) -> level >= 0)
-        h.heat_cells
-      |> List.sort (fun (_, a) (_, b) ->
-             compare
-               (Array.fold_left ( + ) 0 b)
-               (Array.fold_left ( + ) 0 a))
-    in
-    (match hot_cells with
-    | [] -> ()
-    | _ ->
-      Format.fprintf fmt "hot cells (level, key bucket):@,";
-      List.iteri
-        (fun i ((level, bucket), counts) ->
-          if i < 8 then
-            Format.fprintf fmt "  L%d b%-4d v=%d u=%d s=%d@," level bucket
-              counts.(0) counts.(1) counts.(2))
-        hot_cells);
-    Format.fprintf fmt
-      "untagged: restarts=%d fallbacks=%d lock_waits=%d (%.3f ms waited)@]"
-      h.heat_restarts h.heat_fallbacks h.heat_lock_waits
-      (float_of_int h.heat_lock_wait_ns /. 1e6)
-  end
-
-let heat_to_json h =
-  Telemetry.Json.Obj
-    [
-      ( "classes",
-        Telemetry.Json.List
-          (Array.to_list
-             (Array.map (fun c -> Telemetry.Json.String c) heat_classes)) );
-      ( "cells",
-        Telemetry.Json.List
-          (List.map
-             (fun ((level, bucket), counts) ->
-               Telemetry.Json.Obj
-                 [
-                   ("level", Telemetry.Json.Int level);
-                   ("bucket", Telemetry.Json.Int bucket);
-                   ("counts", int_array_json counts);
-                 ])
-             h.heat_cells) );
-      ("restarts", Telemetry.Json.Int h.heat_restarts);
-      ("fallbacks", Telemetry.Json.Int h.heat_fallbacks);
-      ("lock_waits", Telemetry.Json.Int h.heat_lock_waits);
-      ("lock_wait_ns", Telemetry.Json.Int h.heat_lock_wait_ns);
-    ]

@@ -23,41 +23,3 @@ type t = {
 val empty : capacity:int -> t
 val to_json : t -> Telemetry.Json.t
 val pp : Format.formatter -> t -> unit
-
-(** {1 Contention heatmap}
-
-    Aggregation of flight-recorder contention events ({!Flight.event})
-    into per-level × key-bucket hotspot tables: where in the tree leases
-    died, upgrades lost, and splits landed.  Node identity is the (level,
-    root-child bucket) pair the b-tree descent stamps onto its events;
-    [(-1, -1)] marks hinted-leaf events (no descent ran). *)
-
-val heat_classes : string array
-(** Tagged event classes, in cell-count order:
-    [validation_fail], [upgrade_fail], [split]. *)
-
-type heat = {
-  heat_cells : ((int * int) * int array) list;
-      (** ((level, bucket), counts indexed like {!heat_classes}), sorted *)
-  heat_restarts : int;  (** untagged: root restarts *)
-  heat_fallbacks : int;  (** untagged: pessimistic fallbacks *)
-  heat_lock_waits : int;  (** untagged: contended write acquisitions *)
-  heat_lock_wait_ns : int;  (** summed measured wait of contended writes *)
-}
-
-val heat_of_events : Flight.event list -> heat
-
-val heat_levels : heat -> (int * int array) list
-(** Per-level rollup of the tagged cells, sorted by level. *)
-
-val hottest_level : heat -> int option
-(** Level with the most tagged contention events; [None] when quiet. *)
-
-val heat_total : heat -> int
-(** Total tagged events across all cells. *)
-
-val level_label : int -> string
-(** ["hint"] for negative levels, the decimal level otherwise. *)
-
-val pp_heat : Format.formatter -> heat -> unit
-val heat_to_json : heat -> Telemetry.Json.t

@@ -29,7 +29,6 @@ let add_fact_run t name run =
   end
 
 let add_fact t name tup = add_fact_run t name [| tup |]
-let add_facts t name tups = add_fact_run t name (Array.of_list tups)
 
 let iter_base t name f =
   let p = pred_id_exn t name in

@@ -37,10 +37,6 @@ val add_fact : t -> string -> int array -> unit
 (** Queue an input tuple for the next {!run}.
     @raise Invalid_argument on unknown predicate or wrong arity. *)
 
-val add_facts : t -> string -> int array list -> unit
-(** Queue a batch of tuples at once; like {!add_fact_run} on the list
-    converted to an array. *)
-
 val add_fact_run : t -> string -> int array array -> unit
 (** Queue a whole run of tuples in one chunk, before the first {!run} or
     between runs.  At {!run} the chunks of a predicate are grouped and fed

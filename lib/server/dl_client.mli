@@ -28,11 +28,6 @@ val request : t -> string -> (reply, string) result
     closed/dropped connection, timeout, or a garbled reply; protocol-level
     rejections come back as [Ok (Err _)]. *)
 
-val send_payload : t -> string -> string list -> (reply, string) result
-(** [send_payload t header lines]: a header announcing
-    [List.length lines] payload lines, then the lines.  The caller formats
-    the header ({!load} / {!rules} are the common wrappers). *)
-
 (** {2 Reconnect/retry sessions}
 
     A {!session} wraps an address with a lazily-established connection

@@ -82,7 +82,6 @@ let value_of_token t =
 let pat_of_token t = if t = "_" then P_any else P_val (value_of_token t)
 
 let value_to_string = function V_int i -> string_of_int i | V_sym s -> s
-let pat_to_string = function P_any -> "_" | P_val v -> value_to_string v
 
 (* [rel(a,b,c)] sugar: when the argument tail of ASSERT/QUERY starts with
    a token containing '(', re-split the whole tail on '(' ',' ')'.  A

@@ -84,7 +84,6 @@ val parse_fact : string -> (value array, string) result
 (** Parse one [LOAD] payload line (whitespace-separated fields).  Total. *)
 
 val value_to_string : value -> string
-val pat_to_string : pat -> string
 
 (** Closed error-code set carried by [ERR] responses. *)
 type err_code =

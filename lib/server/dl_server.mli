@@ -8,8 +8,9 @@
     concurrent {b reader phases} between them.
     The two phases never overlap by construction: both run from the single
     server domain, which owns every connection, the admission queue and the
-    engine, multiplexed over one [Unix.select] (the telemetry monitor-domain
-    idiom — domain-confined state, no synchronisation on the hot path).
+    engine: it runs on {!Reactor}, the one select loop the telemetry
+    monitor runs on too (domain-confined state, no synchronisation on the
+    hot path).
 
     {b Generations.}  A writer phase is a {e generation flip}: the pending
     batch goes to the one resident engine through the batch write path,

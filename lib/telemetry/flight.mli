@@ -146,3 +146,32 @@ val load : string -> dump
 
 val dump_events : dump -> event list
 (** All events of a loaded dump, merged oldest-first. *)
+
+(** {1 Contention heatmap}
+
+    Aggregation of flight-recorder contention events ({!event})
+    into per-level × key-bucket hotspot tables: where in the tree leases
+    died, upgrades lost, and splits landed.  Node identity is the (level,
+    root-child bucket) pair the b-tree descent stamps onto its events;
+    [(-1, -1)] marks hinted-leaf events (no descent ran). *)
+
+val heat_classes : string array
+(** Tagged event classes, in cell-count order:
+    [validation_fail], [upgrade_fail], [split]. *)
+
+type heat = {
+  heat_cells : ((int * int) * int array) list;
+      (** ((level, bucket), counts indexed like {!heat_classes}), sorted *)
+  heat_restarts : int;  (** untagged: root restarts *)
+  heat_fallbacks : int;  (** untagged: pessimistic fallbacks *)
+  heat_lock_waits : int;  (** untagged: contended write acquisitions *)
+  heat_lock_wait_ns : int;  (** summed measured wait of contended writes *)
+}
+
+val heat_of_events : event list -> heat
+
+val heat_levels : heat -> (int * int array) list
+(** Per-level rollup of the tagged cells, sorted by level. *)
+
+val pp_heat : Format.formatter -> heat -> unit
+val heat_to_json : heat -> Telemetry.Json.t

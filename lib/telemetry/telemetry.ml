@@ -811,10 +811,6 @@ let with_span ?tid ?args ?cat name f =
 let instant ?tid ?args ?cat name =
   if !tracing_on then emit ?tid ?args ?cat ~ph:'i' ~ts:(now_ns ()) ~dur:0 name
 
-let counter_sample ?cat name value =
-  if !tracing_on then
-    emit ?cat ~args:[ (name, A_int value) ] ~ph:'C' ~ts:(now_ns ()) ~dur:0 name
-
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                          *)
 (* ------------------------------------------------------------------ *)

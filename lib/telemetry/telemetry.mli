@@ -270,9 +270,6 @@ val span_end :
 val instant :
   ?tid:int -> ?args:(string * arg_value) list -> ?cat:string -> string -> unit
 
-val counter_sample : ?cat:string -> string -> int -> unit
-(** Record a timeline counter sample ("C" event) for Perfetto graphs. *)
-
 (** {1 Aggregation} *)
 
 type hist = {

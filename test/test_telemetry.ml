@@ -501,7 +501,7 @@ let test_prometheus_help_type_complete () =
       Flight.record Flight.Ev.Upgrade_fail 0 1 0;
       Flight.record Flight.Ev.Restart 1 0 0;
       Flight.record Flight.Ev.Lock_wait 12_000 0 0;
-      let heat = Tree_shape.heat_of_events (Flight.events ()) in
+      let heat = Flight.heat_of_events (Flight.events ()) in
       Flight.disable ();
       List.iter
         (fun ((level, bucket), counts) ->
@@ -512,20 +512,20 @@ let test_prometheus_help_type_complete () =
                   ~help:"Flight-recorder contention events by node identity."
                   ~labels:
                     [
-                      ("class", Tree_shape.heat_classes.(cls));
+                      ("class", Flight.heat_classes.(cls));
                       ("level", string_of_int level);
                       ("bucket", string_of_int bucket);
                     ]
                   "repro_contention_events_total" (float_of_int n))
             counts)
-        heat.Tree_shape.heat_cells;
+        heat.Flight.heat_cells;
       Telemetry.Prom.counter prom ~help:"Flight-recorder root restarts."
         "repro_contention_restarts_total"
-        (float_of_int heat.Tree_shape.heat_restarts);
+        (float_of_int heat.Flight.heat_restarts);
       Telemetry.Prom.counter prom
         ~help:"Summed contended write-lock wait observed by the recorder."
         "repro_contention_lock_wait_seconds_total"
-        (float_of_int heat.Tree_shape.heat_lock_wait_ns /. 1e9);
+        (float_of_int heat.Flight.heat_lock_wait_ns /. 1e9);
       let text = Telemetry.Prom.to_string prom in
       let lines = String.split_on_char '\n' text in
       let tagged tag =
