@@ -331,7 +331,7 @@ let wal_run ~nkeys ~seed r =
   (match Wal.open_dir ~durability:Wal.D_none dir1 with
   | Error m -> failf "wal open: %s" m
   | Ok (w, rv0) ->
-    if rv0.Wal.rv_entries <> [] then failf "fresh wal dir not empty";
+    if rv0.Wal.rv_records <> 0 then failf "fresh wal dir not empty";
     let budget = max 16 (min 64 nkeys) in
     (* Half the runs (a seeded coin) append the first half of the budget
        with the tear disarmed — at 1 in 4 it would almost always fire
@@ -356,15 +356,16 @@ let wal_run ~nkeys ~seed r =
         | Error _ -> torn := true
     done;
     Wal.close w);
-  (match Wal.open_dir ~durability:Wal.D_none dir1 with
+  let got = ref [] in
+  let collect = function
+    | Wal.Facts (_, lines) -> Ok (got := List.rev_append lines !got)
+    | _ -> Ok ()
+  in
+  (match Wal.open_dir ~replay:collect ~durability:Wal.D_none dir1 with
   | Error m -> failf "wal reopen after torn tail: %s" m
   | Ok (w, rv) ->
     Wal.close w;
-    let got =
-      List.concat_map
-        (function Wal.Facts (_, lines) -> lines | _ -> [])
-        rv.Wal.rv_entries
-    in
+    let got = List.rev !got in
     if got <> List.rev !appended then
       failf "torn-tail recovery: %d lines, expected the %d appended, in order"
         (List.length got)
@@ -385,7 +386,12 @@ let wal_run ~nkeys ~seed r =
     | Error m -> failf "bad socket addr: %s" m
   in
   let addr = parse sock and raddr = parse rsock in
-  let exe = Sys.executable_name in
+  (* the running binary itself: a rebuild may have replaced the file at
+     [Sys.executable_name] since this process started *)
+  let exe =
+    if Sys.file_exists "/proc/self/exe" then "/proc/self/exe"
+    else Sys.executable_name
+  in
   let pid =
     Unix.create_process exe
       [| exe; "--wal-child"; "unix:" ^ sock; "--wal-data"; dir2 |]

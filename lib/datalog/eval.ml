@@ -154,7 +154,7 @@ type t = {
       (* per stratum: the delta versions over the stratum's own predicates *)
   direct : bool array;
       (* per stratum: no rule reads a predicate of the stratum, so its rules
-         insert straight into the full relations of their heads *)
+         write the full relations of their heads, one sorted batch each *)
   computed : bool array; (* per stratum: has reached its fixed point once *)
   mutable loaded_program : bool;
   mutable iterations : int;
@@ -332,8 +332,8 @@ let run t ~pool batch =
       t.prof := (cr, tm, n) :: !(t.prof);
       (tm, n)
   in
-  (* the tuples a direct stratum's rules gained this round, by head: each
-     worker hands in its own list as it closes *)
+  (* the head tuples a direct stratum's rules emitted this round, by
+     head: each worker hands in its own list as it closes *)
   let gained = Array.make npreds [] in
   let gained_lock = Mutex.create () in
   (* Evaluate one compiled rule version, reading delta relations where the
@@ -396,9 +396,8 @@ let run t ~pool batch =
     (* per-worker context + emit: build the head tuple, dedup against full,
        insert into new.  Body relations are read handles, the head's new
        relation is the only write handle.  In a direct stratum nothing
-       reads the head's full relation, so the worker inserts there and
-       keeps the tuples that were fresh: one descent instead of a probe,
-       an insert into new and a merge. *)
+       reads the head's full relation, so the worker only collects its
+       head tuples and [promote] writes them as one sorted batch. *)
     let head = cr.cr_head in
     let direct = t.direct.(stratum_of.(head)) in
     let make_worker () =
@@ -408,18 +407,13 @@ let run t ~pool batch =
       in
       let head_tuple () = Array.map (fun s -> value ctx.env s) cr.cr_head_src in
       if direct then begin
-        let writer = Relation.begin_write fulls.(head) in
-        let fresh = ref [] in
-        let emit () =
-          let tup = head_tuple () in
-          if Relation.Writer.insert writer tup then fresh := tup :: !fresh
-        in
+        let heads = ref [] in
+        let emit () = heads := head_tuple () :: !heads in
         let close () =
-          Relation.Writer.finish writer;
           List.iter (fun f -> f ()) !handles;
-          if !fresh <> [] then
+          if !heads <> [] then
             Mutex.protect gained_lock (fun () ->
-                gained.(head) <- !fresh :: gained.(head))
+                gained.(head) <- !heads :: gained.(head))
         in
         (ctx, emit, close)
       end
@@ -492,11 +486,36 @@ let run t ~pool batch =
     end
     else eval_rule_timed cr
   in
+  (* In a direct stratum: the distinct head tuples the workers emitted,
+     sorted, without those already in [full] (one probe per distinct
+     tuple, none when [full] is empty), and how many were emitted. *)
+  let fresh_heads full lists =
+    let emitted = ref 0 in
+    let all =
+      List.fold_left
+        (fun acc l ->
+          emitted := !emitted + List.length l;
+          List.rev_append l acc)
+        [] lists
+    in
+    let sorted = List.sort_uniq Key.Int_array.compare all in
+    let fresh =
+      if Relation.is_empty full then sorted
+      else begin
+        let r = Relation.begin_read full in
+        Fun.protect
+          ~finally:(fun () -> Relation.Reader.finish r)
+          (fun () ->
+            List.filter (fun tup -> not (Relation.Reader.mem r tup)) sorted)
+      end
+    in
+    (Array.of_list fresh, !emitted)
+  in
   (* merge new into full, returning the number of promoted tuples (the
      iteration's delta cardinality; 0 means fixed point); [track] also
      records them as the predicate's gain in this run.  A direct stratum
-     has no new relations: its rules already inserted into full, and only
-     what they gained is counted and recorded. *)
+     has no new relations: the fresh head tuples its rules emitted go into
+     full as one sorted batch, and are counted and recorded. *)
   let promote ~track s stratum =
     let total = ref 0 in
     let gain p arr =
@@ -506,8 +525,19 @@ let run t ~pool batch =
     Array.iter
       (fun p ->
         if t.direct.(s) then begin
-          List.iter (fun l -> gain p (Array.of_list l)) gained.(p);
-          gained.(p) <- []
+          if gained.(p) <> [] then begin
+            let arr, emitted = fresh_heads fulls.(p) gained.(p) in
+            gained.(p) <- [];
+            (match stats with
+            | Some st ->
+              Sync.Counter.add st.Dl_stats.inserts emitted;
+              Sync.Counter.add st.Dl_stats.produced_tuples (Array.length arr)
+            | None -> ());
+            if Array.length arr > 0 then begin
+              ignore (write fulls.(p) arr : int);
+              gain p arr
+            end
+          end
         end
         else begin
           let n = the news.(p) in

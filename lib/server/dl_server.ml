@@ -87,8 +87,8 @@ type state = {
          [saw_sym] bits — snapshots render symbol columns back through the
          engine's symbol table *)
   s_queries : (conn * string * Dl_proto.pat array * int) Queue.t;
-  s_wal : Wal.t option;
-  s_recovery : Wal.recovery option;
+  mutable s_wal : Wal.t option; (* set once recovery has replayed the log *)
+  mutable s_recovery : Wal.recovery option;
   mutable s_wal_errors : int; (* degraded-mode append/fsync failures *)
   mutable s_program_text : string option; (* installed source, for snapshots *)
   mutable s_program : Ast.program option;
@@ -273,18 +273,19 @@ let wal_flip st e =
 (* Generation flips (writer phases)                                 *)
 (* --------------------------------------------------------------- *)
 
-(* Hand the pending batch to the engine, interning its symbols. *)
+(* Queue one request's rows in the engine, interning their symbols. *)
+let queue_rows e rel rows =
+  Engine.add_fact_run e rel
+    (Array.of_list
+       (List.map
+          (Array.map (function
+            | Dl_proto.V_int v -> v
+            | Dl_proto.V_sym s -> Engine.intern e s))
+          rows))
+
+(* Hand the pending batch to the engine, oldest request first. *)
 let apply_batch st e =
-  List.iter
-    (fun (rel, rows) ->
-      Engine.add_fact_run e rel
-        (Array.of_list
-           (List.map
-              (Array.map (function
-                | Dl_proto.V_int v -> v
-                | Dl_proto.V_sym s -> Engine.intern e s))
-              rows)))
-    (List.rev st.s_batch)
+  List.iter (fun (rel, rows) -> queue_rows e rel rows) (List.rev st.s_batch)
 
 let fail_waiting_queries st msg =
   Queue.iter
@@ -942,10 +943,13 @@ let hooks st () =
 
 type t = { t_bound : Telemetry_server.addr; t_reactor : Reactor.t }
 
-(* Fold one recovered WAL record into pre-serve state.  Only content the
-   live admission path validated is ever logged, so a failure here means
-   the log is inconsistent with the running binary (or corruption slid
-   past the CRC) — the caller refuses to serve rather than guess. *)
+(* Fold one recovered WAL record into pre-serve state, as {!Wal.open_dir}
+   decodes it: facts go straight into the engine's queue, interned in
+   the order a flip would intern them, and the first tick evaluates them.
+   Only content the live admission path validated is ever logged, so a
+   failure here means the log is inconsistent with the running binary (or
+   corruption slid past the CRC) — recovery stops and the server refuses
+   to serve rather than guess. *)
 let[@lint.allow
     "wal-before-ack: recovery replays entries that are already in the \
      WAL; re-appending them would duplicate the log"] replay_entry st e =
@@ -956,7 +960,6 @@ let[@lint.allow
     st.s_program_text <- None;
     st.s_decls <- [];
     st.s_engine <- None;
-    st.s_batch <- [];
     Hashtbl.reset st.s_col_kinds;
     st.s_gen_seq <- max st.s_gen_seq seq;
     Ok ()
@@ -978,113 +981,94 @@ let[@lint.allow
         st.s_program_text <- Some text;
         Ok ()))
   | Wal.Facts (rel, lines) -> (
-    match decl_arity st rel with
-    | None ->
+    match (decl_arity st rel, st.s_engine) with
+    | None, _ | _, None ->
       Error (Printf.sprintf "logged facts for undeclared relation %s" rel)
-    | Some arity -> (
+    | Some arity, Some e -> (
       let label _ line = Printf.sprintf "logged fact %S" line in
       match parse_facts rel arity label lines with
       | Error m -> Error m
       | Ok rows ->
-        if rows <> [] then begin
-          st.s_batch <- (rel, rows) :: st.s_batch;
-          note_columns st rel rows
-        end;
+        note_columns st rel rows;
+        queue_rows e rel rows;
         Ok ()))
-
-let replay_recovery st rv =
-  let rec go = function
-    | [] ->
-      (* serve the recovered state: the first loop iteration evaluates
-         one writer phase before any query can be answered *)
-      if st.s_program <> None then st.s_stale <- true;
-      Ok ()
-    | e :: rest -> ( match replay_entry st e with Ok () -> go rest | err -> err)
-  in
-  go rv.Wal.rv_entries
 
 let start cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
-  (* recover the WAL first: a lock conflict or corrupt log must fail
-     before the listen address is taken over *)
-  let wal =
+  let pool = Pool.create (max 1 cfg.workers) in
+  let st =
+    {
+      s_cfg = cfg;
+      s_pool = pool;
+      s_batch = [];
+      s_col_kinds = Hashtbl.create 16;
+      s_queries = Queue.create ();
+      s_wal = None;
+      s_recovery = None;
+      s_wal_errors = 0;
+      s_program_text = None;
+      s_program = None;
+      s_decls = [];
+      s_engine = None;
+      s_gen_seq = 0;
+      s_stale = false;
+      s_pending = 0;
+      s_reserved = 0;
+      s_pending_t0s = [];
+      s_oldest_pending = max_int;
+      s_flip_failures = 0;
+      s_retry_at = 0;
+      s_requests = 0;
+      s_busy = 0;
+      s_flips = 0;
+      s_clients = 0;
+      s_conn_total = 0;
+      s_phase_violations = 0;
+      s_query_examined = 0;
+      s_query_rows = 0;
+      s_shutting_down = false;
+      s_drain_deadline = max_int;
+    }
+  in
+  (* recover the WAL first, replaying it into [st]: a lock conflict or a
+     corrupt log must fail before the listen address is taken over *)
+  let recovered =
     match cfg.data_dir with
-    | None -> Ok None
+    | None -> Ok ()
     | Some dir -> (
       match
         Wal.open_dir ~segment_bytes:cfg.wal_segment_bytes
-          ~compact_segments:cfg.wal_compact_segments
+          ~compact_segments:cfg.wal_compact_segments ~replay:(replay_entry st)
           ~durability:cfg.durability dir
       with
-      | Ok (w, rv) -> Ok (Some (w, rv))
+      | Ok (w, rv) ->
+        st.s_wal <- Some w;
+        st.s_recovery <- Some rv;
+        (* serve the recovered state: the first tick evaluates one
+           writer phase before any query can be answered *)
+        if st.s_program <> None then st.s_stale <- true;
+        Ok ()
       | Error msg -> Error msg)
   in
-  match wal with
-  | Error msg -> Error ("datalog server: " ^ msg)
-  | Ok wal -> (
-    let close_wal () =
-      match wal with Some (w, _) -> Wal.close w | None -> ()
-    in
+  match recovered with
+  | Error msg ->
+    Pool.shutdown pool;
+    Error ("datalog server: " ^ msg)
+  | Ok () -> (
     match Telemetry_server.bind_listen cfg.addr with
     | exception e ->
-      close_wal ();
+      Option.iter Wal.close st.s_wal;
+      Pool.shutdown pool;
       Error
         (Printf.sprintf "datalog server: cannot bind: %s" (Printexc.to_string e))
-    | lfd, bound, unlink -> (
-      let pool = Pool.create (max 1 cfg.workers) in
-      let st =
+    | lfd, bound, unlink ->
+      Ok
         {
-          s_cfg = cfg;
-          s_pool = pool;
-          s_batch = [];
-          s_col_kinds = Hashtbl.create 16;
-          s_queries = Queue.create ();
-          s_wal = Option.map fst wal;
-          s_recovery = Option.map snd wal;
-          s_wal_errors = 0;
-          s_program_text = None;
-          s_program = None;
-          s_decls = [];
-          s_engine = None;
-          s_gen_seq = 0;
-          s_stale = false;
-          s_pending = 0;
-          s_reserved = 0;
-          s_pending_t0s = [];
-          s_oldest_pending = max_int;
-          s_flip_failures = 0;
-          s_retry_at = 0;
-          s_requests = 0;
-          s_busy = 0;
-          s_flips = 0;
-          s_clients = 0;
-          s_conn_total = 0;
-          s_phase_violations = 0;
-          s_query_examined = 0;
-          s_query_rows = 0;
-          s_shutting_down = false;
-          s_drain_deadline = max_int;
-        }
-      in
-      match
-        match st.s_recovery with
-        | Some rv -> replay_recovery st rv
-        | None -> Ok ()
-      with
-      | Error msg ->
-        close_wal ();
-        (try Unix.close lfd with _ -> ());
-        Option.iter (fun p -> try Unix.unlink p with _ -> ()) unlink;
-        Pool.shutdown pool;
-        Error ("datalog server: wal replay: " ^ msg)
-      | Ok () ->
-        Ok
-          {
-            t_bound = bound;
-            t_reactor =
-              Reactor.start ?unlink ~max_conns:cfg.max_clients
-                ~max_line:Dl_proto.max_line lfd (hooks st);
-          }))
+          t_bound = bound;
+          t_reactor =
+            Reactor.start ?unlink ~max_conns:cfg.max_clients
+              ~max_line:Dl_proto.max_line lfd (hooks st);
+        })
 
 let bound t = t.t_bound
 

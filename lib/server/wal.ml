@@ -35,7 +35,6 @@ type entry =
   | Anchor of int
 
 type recovery = {
-  rv_entries : entry list;
   rv_records : int;
   rv_segments : int;
   rv_bytes : int;
@@ -148,25 +147,40 @@ let payload_of = function
   | Facts (rel, lines) -> rel ^ "\n" ^ String.concat "\n" lines
   | Commit seq | Anchor seq -> string_of_int seq
 
-let decode_entry ty payload =
+(* Decode the record of type [ty] whose payload is [b.[off, off+len)],
+   straight from the segment buffer: a fact record is split into its
+   relation name and lines, each copied once. *)
+let decode_entry ty b off len =
+  let seq what =
+    match int_of_string_opt (Bytes.sub_string b off len) with
+    | Some seq -> Ok seq
+    | None -> Error ("malformed " ^ what)
+  in
   match ty with
-  | 'R' -> Ok (Rules payload)
-  | 'F' -> (
-    match String.index_opt payload '\n' with
-    | None -> if payload = "" then Error "empty facts record" else Ok (Facts (payload, []))
-    | Some i ->
-      let rel = String.sub payload 0 i in
-      let rest = String.sub payload (i + 1) (String.length payload - i - 1) in
-      if rel = "" then Error "facts record without relation"
-      else Ok (Facts (rel, String.split_on_char '\n' rest)))
-  | 'C' -> (
-    match int_of_string_opt payload with
-    | Some seq -> Ok (Commit seq)
-    | None -> Error "malformed commit marker")
-  | 'A' -> (
-    match int_of_string_opt payload with
-    | Some seq -> Ok (Anchor seq)
-    | None -> Error "malformed snapshot anchor")
+  | 'R' -> Ok (Rules (Bytes.sub_string b off len))
+  | 'F' ->
+    let stop = off + len in
+    let nl = ref off in
+    while !nl < stop && Bytes.unsafe_get b !nl <> '\n' do incr nl done;
+    let nl = !nl in
+    if len = 0 then Error "empty facts record"
+    else if nl = off then Error "facts record without relation"
+    else
+      let rel = Bytes.sub_string b off (nl - off) in
+      if nl = stop then Ok (Facts (rel, []))
+      else begin
+        (* lines last to first, so the list comes out in order *)
+        let lines = ref [] and hi = ref stop in
+        for j = stop - 1 downto nl + 1 do
+          if Bytes.unsafe_get b j = '\n' then begin
+            lines := Bytes.sub_string b (j + 1) (!hi - j - 1) :: !lines;
+            hi := j
+          end
+        done;
+        Ok (Facts (rel, Bytes.sub_string b (nl + 1) (!hi - nl - 1) :: !lines))
+      end
+  | 'C' -> Result.map (fun s -> Commit s) (seq "commit marker")
+  | 'A' -> Result.map (fun s -> Anchor s) (seq "snapshot anchor")
   | c -> Error (Printf.sprintf "unknown record type %C" c)
 
 let encode_record e =
@@ -215,7 +229,10 @@ let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    (fun () ->
+      let b = Bytes.create (in_channel_length ic) in
+      really_input ic b 0 (Bytes.length b);
+      b)
 
 (* ---------------------------------------------------------------- *)
 (* Lock file                                                         *)
@@ -276,16 +293,15 @@ let drop_lock fd key =
 (* Recovery scan                                                     *)
 (* ---------------------------------------------------------------- *)
 
-(* Scan one segment image.  Returns the valid entries plus either
-   [`Clean] or [`Corrupt (offset, detail)] — the caller decides whether
-   a corruption is a benign torn tail (final segment) or fatal. *)
-let scan_segment data =
-  let b = Bytes.of_string data in
+(* Scan one segment image, handing each valid record to [emit] in log
+   order.  Returns the end of the valid prefix and either [`Clean] or
+   [`Corrupt (offset, detail)] — the caller decides whether a corruption
+   is a benign torn tail (final segment) or fatal. *)
+let scan_segment b emit =
   let n = Bytes.length b in
   if n < magic_len || Bytes.sub_string b 0 magic_len <> magic then
-    ([], 0, `Corrupt (0, "bad segment header"))
+    (0, `Corrupt (0, "bad segment header"))
   else begin
-    let entries = ref [] and count = ref 0 in
     let pos = ref magic_len in
     let status = ref `Clean in
     let stop = ref false in
@@ -314,19 +330,17 @@ let scan_segment data =
             stop := true
           end
           else
-            let payload = Bytes.sub_string b (off + header_len) len in
-            match decode_entry (Bytes.get b (off + 8)) payload with
+            match decode_entry (Bytes.get b (off + 8)) b (off + header_len) len with
             | Error detail ->
               status := `Corrupt (off, detail);
               stop := true
             | Ok e ->
-              entries := e :: !entries;
-              incr count;
+              emit off e;
               pos := off + header_len + len
         end
       end
     done;
-    (List.rev !entries, !pos, !status)
+    (!pos, !status)
   end
 
 let truncate_file path len =
@@ -349,12 +363,12 @@ let list_segments dir =
            None)
   |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
 
-let recover_dir dir =
+let recover_dir ?replay dir =
   let segs = list_segments dir in
   let nsegs = List.length segs in
   let exception Fatal of string in
   try
-    let entries = ref [] and records = ref 0 and bytes = ref 0 in
+    let records = ref 0 and bytes = ref 0 and committed = ref 0 in
     let torn = ref false in
     List.iteri
       (fun i (_, path) ->
@@ -363,9 +377,26 @@ let recover_dir dir =
           raise (Fatal (Printf.sprintf "wal: cannot read %s: %s" path
                           (Printexc.to_string e)))
         in
-        let es, valid_end, status = scan_segment data in
-        entries := List.rev_append es !entries;
-        records := !records + List.length es;
+        let emit off e =
+          (match e with
+          | Commit s | Anchor s -> committed := max !committed s
+          | Rules _ | Facts _ -> ());
+          incr records;
+          match replay with
+          | None -> ()
+          | Some f -> (
+            let refuse msg =
+              raise
+                (Fatal
+                   (Printf.sprintf "wal: replay of %s at offset %d: %s"
+                      (Filename.basename path) off msg))
+            in
+            match f e with
+            | Ok () -> ()
+            | Error msg -> refuse msg
+            | exception ex -> refuse (Printexc.to_string ex))
+        in
+        let valid_end, status = scan_segment data emit in
         bytes := !bytes + valid_end;
         match status with
         | `Clean -> ()
@@ -385,20 +416,13 @@ let recover_dir dir =
                      (%s); refusing to serve — acked data may be lost"
                     (Filename.basename path) off detail)))
       segs;
-    let committed =
-      List.fold_left
-        (fun acc e ->
-          match e with Commit s | Anchor s -> max acc s | _ -> acc)
-        0 !entries
-    in
     Telemetry.add Telemetry.Counter.Wal_replayed_records !records;
     Ok
       {
-        rv_entries = List.rev !entries;
         rv_records = !records;
         rv_segments = nsegs;
         rv_bytes = !bytes;
-        rv_committed_seq = committed;
+        rv_committed_seq = !committed;
         rv_torn_tail = !torn;
       }
   with Fatal msg -> Error msg
@@ -430,7 +454,7 @@ let create_segment dir seq =
   fd
 
 let open_dir ?(segment_bytes = 8 * 1024 * 1024) ?(compact_segments = 4)
-    ~durability dir =
+    ?replay ~durability dir =
   match mkdir_p dir with
   | exception e ->
     Error
@@ -440,7 +464,7 @@ let open_dir ?(segment_bytes = 8 * 1024 * 1024) ?(compact_segments = 4)
     match take_lock dir with
     | Error _ as e -> e
     | Ok (lock_fd, lock_key) -> (
-      match recover_dir dir with
+      match recover_dir ?replay dir with
       | Error msg ->
         drop_lock lock_fd lock_key;
         Error msg

@@ -81,12 +81,11 @@ type entry =
           replay {e resets} program and facts here — a snapshot segment
           supersedes everything before it *)
 
-(** What {!open_dir} reconstructed from an existing data dir. *)
+(** What {!open_dir} found in an existing data dir.  The records
+    themselves are not kept: {!open_dir} hands each one to its [replay]
+    callback as it is decoded. *)
 type recovery = {
-  rv_entries : entry list;
-      (** every valid record in log order; the caller folds these into
-          its state ({!Anchor} = reset) *)
-  rv_records : int;  (** count of [rv_entries] *)
+  rv_records : int;  (** valid records scanned (and replayed) *)
   rv_segments : int;  (** segment files scanned *)
   rv_bytes : int;  (** record bytes replayed (headers included) *)
   rv_committed_seq : int;
@@ -102,6 +101,7 @@ type t
 val open_dir :
   ?segment_bytes:int ->
   ?compact_segments:int ->
+  ?replay:(entry -> (unit, string) result) ->
   durability:durability ->
   string ->
   (t * recovery, string) result
@@ -110,14 +110,27 @@ val open_dir :
     process or any other — holds it), recovers existing segments per
     the module rules, and opens the last segment for appending.
 
+    Recovery streams: each segment is read once into a buffer and each
+    valid record is decoded from it and handed to [replay] at once, in
+    log order ({!Anchor} = the caller resets its state); no list of the
+    log is built.  A fact record's lines are copied out of the buffer
+    once each.  The records of a torn final segment that precede the
+    tear are replayed, then the tail is truncated.  Without [replay]
+    the records are only verified and counted.  An [Error] from
+    [replay] (or an exception it raises) stops recovery: the lock is
+    released and [open_dir] returns [Error] naming the segment and
+    offset of the record.  On any [Error] the caller must discard what
+    [replay] built: it may hold records of a log that is then refused.
+
     [segment_bytes] (default 8 MiB) is the rotation threshold: an
     append finding the current segment past it rotates first, so
     records never straddle segments (one oversized record may overshoot
     the threshold).  [compact_segments] (default 4) is the live-segment
     count above which {!should_compact} starts answering [true].
 
-    Errors: lock conflict, unreadable dir, or a corrupt record outside
-    the final segment (message names segment file and byte offset). *)
+    Errors: lock conflict, unreadable dir, a corrupt record outside the
+    final segment (message names segment file and byte offset), or a
+    record [replay] refused. *)
 
 val append : t -> entry -> (unit, string) result
 (** Append one record (rotating first when the segment is full) and

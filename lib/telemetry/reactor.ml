@@ -1,7 +1,7 @@
 (* One select loop for the resident servers; see reactor.mli.  Sessions,
    their buffers and the hooks live on the reactor's domain; the only
-   cross-domain edges are the self-pipe ([signal_stop]) and [wait]'s
-   join. *)
+   cross-domain edges are the self-pipe ([signal_stop]), the [finished]
+   flag and [wait]'s join. *)
 
 type session = {
   line : string -> unit;
@@ -32,6 +32,7 @@ and t = {
   max_conns : int;
   max_line : int;
   mutable dom : unit Domain.t option;
+  finished : bool Atomic.t; (* the domain has shut down *)
   mutable joined : bool;
 }
 
@@ -209,6 +210,7 @@ let start ?unlink ~max_conns ~max_line lfd make =
       max_conns;
       max_line;
       dom = None;
+      finished = Atomic.make false;
       joined = false;
     }
   in
@@ -219,14 +221,17 @@ let start ?unlink ~max_conns ~max_line lfd make =
     h.finish ()
   in
   let run () =
-    let h = make () in
-    Fun.protect ~finally:(fun () -> shutdown h) (fun () -> loop r h)
+    Fun.protect
+      ~finally:(fun () -> Atomic.set r.finished true)
+      (fun () ->
+        let h = make () in
+        Fun.protect ~finally:(fun () -> shutdown h) (fun () -> loop r h))
   in
   r.dom <- Some (Domain.spawn run);
   r
 
 let signal_stop r =
-  if not r.joined then
+  if not (Atomic.get r.finished) then
     try ignore (Unix.write_substring r.stop_wr "x" 0 1) with _ -> ()
 
 let wait r =
@@ -237,5 +242,13 @@ let wait r =
         List.iter
           (fun fd -> try Unix.close fd with _ -> ())
           [ r.stop_wr; r.stop_rd ])
-      (fun () -> Option.iter Domain.join r.dom)
+      (fun () ->
+        (* OCaml runs a signal handler only when the main domain reaches
+           a safe point, which [Domain.join] never does; short sleeps
+           until the domain is done let a handler that calls
+           [signal_stop] run within one of them *)
+        while not (Atomic.get r.finished) do
+          Unix.sleepf 0.01
+        done;
+        Option.iter Domain.join r.dom)
   end

@@ -46,4 +46,6 @@ val signal_stop : t -> unit
 (** One self-pipe write, safe from a signal handler. *)
 
 val wait : t -> unit
-(** Join the domain, re-raising what escaped it.  Idempotent. *)
+(** Join the domain, re-raising what escaped it.  Idempotent.  Until the
+    domain is done, the caller wakes every 10 ms, so a signal handler
+    that calls {!signal_stop} runs while it waits. *)

@@ -632,21 +632,22 @@ let fresh_dir =
      with Sys_error _ | Unix.Unix_error _ -> ());
     d
 
-let with_durable_server dir k =
+let durable_cfg ?(compact_segments = 2) dir addr =
+  {
+    (Dl_server.default_config addr) with
+    Dl_server.workers = 2;
+    flip_pending = 32;
+    flip_interval_ms = 5;
+    check_phases = true;
+    data_dir = Some dir;
+    durability = Wal.D_batch;
+    wal_segment_bytes = 4096;
+    wal_compact_segments = compact_segments;
+  }
+
+let with_durable_server ?compact_segments dir k =
   let addr = fresh_addr () in
-  let cfg =
-    {
-      (Dl_server.default_config addr) with
-      Dl_server.workers = 2;
-      flip_pending = 32;
-      flip_interval_ms = 5;
-      check_phases = true;
-      data_dir = Some dir;
-      durability = Wal.D_batch;
-      wal_segment_bytes = 4096;
-      wal_compact_segments = 2;
-    }
-  in
+  let cfg = durable_cfg ?compact_segments dir addr in
   match Dl_server.start cfg with
   | Error m -> Alcotest.failf "server start: %s" m
   | Ok srv ->
@@ -748,18 +749,23 @@ let test_symbol_snapshot_round_trip () =
    checkb "compacted after the last sk row" true
      (int_field c "wal_compactions" > compactions));
   (* the sk facts after the log's last anchor are the snapshot's *)
-  (match Wal.open_dir ~durability:Wal.D_none dir with
+  let records = ref 0 and lines = ref 0 in
+  let replay e =
+    (match e with
+    | Wal.Anchor _ ->
+      records := 0;
+      lines := 0
+    | Wal.Facts ("sk", ls) ->
+      incr records;
+      lines := !lines + List.length ls
+    | _ -> ());
+    Ok ()
+  in
+  (match Wal.open_dir ~replay ~durability:Wal.D_none dir with
   | Error m -> Alcotest.failf "open_dir: %s" m
-  | Ok (w, rv) ->
+  | Ok (w, _) ->
     Wal.close w;
-    let records, lines =
-      List.fold_left
-        (fun (r, l) -> function
-          | Wal.Anchor _ -> (0, 0)
-          | Wal.Facts ("sk", ls) -> (r + 1, l + List.length ls)
-          | _ -> (r, l))
-        (0, 0) rv.Wal.rv_entries
-    in
+    let records = !records and lines = !lines in
     checki "the snapshot holds every sk row" n lines;
     checkb
       (Printf.sprintf "sk spans >= 3 snapshot records (%d)" records)
@@ -995,6 +1001,219 @@ let test_client_crlf () =
   | Ok (Dl_client.Data ("crlf", [ "1\t2"; "a\rb" ])) -> ()
   | _ -> Alcotest.fail "CRLF reply: bad reply"
 
+(* --- recovery equivalence ------------------------------------------ *)
+
+(* A restarted durable server serves exactly what was acked before it
+   stopped.  Recovery streams the log into the engine, so each test
+   builds a log of one shape, restarts on it, and compares every
+   relation, base and derived (a direct stratum [inv], a recursive one
+   [reach]), with what the first server served and with the acked rows. *)
+let recovery_program =
+  ".decl kv(a:number, b:number)\n.input kv\n\
+   .decl inv(b:number, a:number)\n\
+   .decl reach(a:number, b:number)\n\
+   .decl pad(a:number)\n.input pad\n\
+   inv(y, x) :- kv(x, y).\n\
+   reach(x, y) :- kv(x, y).\n\
+   reach(x, z) :- reach(x, y), kv(y, z).\n"
+
+let recovery_rels = [ ("kv", 2); ("inv", 2); ("reach", 2); ("pad", 1) ]
+
+let served c =
+  List.map
+    (fun (rel, arity) ->
+      match Dl_client.query c rel (List.init arity (fun _ -> "_")) with
+      | Ok (Dl_client.Data (_, rows)) -> (rel, List.sort compare rows)
+      | _ -> Alcotest.failf "QUERY %s: bad reply" rel)
+    recovery_rels
+
+let kv_row a b = Printf.sprintf "%d\t%d" a b
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* Restart on [dir] and require the relations [before] the stop, the
+   acked [kv] rows, and the torn-tail flag. *)
+let check_restart ?compact_segments ~torn dir before acked_kv =
+  with_durable_server ?compact_segments dir @@ fun c ->
+  let after = served c in
+  check
+    Alcotest.(list string)
+    "kv served = kv acked"
+    (List.sort_uniq compare acked_kv)
+    (List.assoc "kv" after);
+  List.iter
+    (fun (rel, rows) ->
+      check Alcotest.(list string) ("restart serves " ^ rel) rows
+        (List.assoc rel after))
+    before;
+  check Alcotest.string "recovered_torn_tail" (string_of_bool torn)
+    (Option.value (stats_field c "recovered_torn_tail") ~default:"<missing>")
+
+let assert_row c a b =
+  ok "ASSERT kv" (Dl_client.assert_fact c "kv" [ string_of_int a; string_of_int b ])
+
+(* A log that starts at a snapshot anchor and goes on with many one-row
+   ASSERT records after it. *)
+let test_recovery_anchor_and_asserts () =
+  let dir = fresh_dir () in
+  let acked = ref [] in
+  let before =
+    with_durable_server dir @@ fun c ->
+    ok "RULES" (Dl_client.rules c recovery_program);
+    for i = 1 to 40 do
+      assert_row c i ((i * 7) mod 41);
+      acked := kv_row i ((i * 7) mod 41) :: !acked
+    done;
+    (* LOADs outgrow the 4 KiB segments until a flip compacts the log *)
+    let batch = ref 0 in
+    while int_field c "wal_compactions" = 0 && !batch < 20 do
+      incr batch;
+      ok "LOAD pad"
+        (Dl_client.load c "pad"
+           (List.init 300 (fun i -> string_of_int ((!batch * 1000) + i))));
+      ignore (served c : (string * string list) list)
+    done;
+    let compactions = int_field c "wal_compactions" in
+    checkb "the log was compacted" true (compactions > 0);
+    for i = 1 to 120 do
+      let a = i mod 37 and b = (i * 11) mod 41 in
+      assert_row c a b;
+      acked := kv_row a b :: !acked
+    done;
+    let rows = served c in
+    checki "the ASSERTs follow the anchor" compactions
+      (int_field c "wal_compactions");
+    rows
+  in
+  check_restart ~torn:false dir before !acked
+
+(* A RULES change that drops a relation whose facts, symbols among them,
+   were logged before it. *)
+let test_recovery_dropped_relation () =
+  let dir = fresh_dir () in
+  let with_gone =
+    recovery_program ^ ".decl gone(s:symbol, a:number)\n.input gone\n"
+  in
+  let acked = ref [] in
+  let kv c a b =
+    assert_row c a b;
+    acked := kv_row a b :: !acked
+  in
+  let unknown c =
+    match Dl_client.query c "gone" [ "_"; "_" ] with
+    | Ok (Dl_client.Err ("relation", _)) -> ()
+    | _ -> Alcotest.fail "QUERY gone: expected ERR relation"
+  in
+  let before =
+    with_durable_server ~compact_segments:1000 dir @@ fun c ->
+    ok "RULES with gone" (Dl_client.rules c with_gone);
+    for i = 1 to 30 do
+      ok "ASSERT gone"
+        (Dl_client.assert_fact c "gone" [ Printf.sprintf "sym%d" i; string_of_int i ]);
+      kv c i (i + 1)
+    done;
+    ok "LOAD gone"
+      (Dl_client.load c "gone"
+         (List.init 50 (fun i -> Printf.sprintf "bulk%d %d" i i)));
+    ignore (served c : (string * string list) list);
+    ok "RULES without gone" (Dl_client.rules c recovery_program);
+    for i = 31 to 60 do
+      kv c i (i mod 13)
+    done;
+    unknown c;
+    served c
+  in
+  check_restart ~compact_segments:1000 ~torn:false dir before !acked;
+  with_durable_server ~compact_segments:1000 dir unknown
+
+let segment_paths dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".log")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
+(* A final segment torn mid-append (a record header promising more bytes
+   than follow): the acked records before it are replayed, the tail is
+   cut off, and a second restart finds the log clean. *)
+let test_recovery_torn_final_segment () =
+  let dir = fresh_dir () in
+  let acked = ref [] in
+  let before =
+    with_durable_server ~compact_segments:1000 dir @@ fun c ->
+    ok "RULES" (Dl_client.rules c recovery_program);
+    for i = 1 to 80 do
+      assert_row c (i mod 29) (i mod 31);
+      acked := kv_row (i mod 29) (i mod 31) :: !acked
+    done;
+    served c
+  in
+  let last = List.nth (segment_paths dir) (List.length (segment_paths dir) - 1) in
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644 last
+    (fun oc -> output_string oc "\x40\x00\x00\x00\x12\x34\x56\x78Fkv\n1 ");
+  check_restart ~compact_segments:1000 ~torn:true dir before !acked;
+  check_restart ~compact_segments:1000 ~torn:false dir before !acked
+
+(* A corrupt record in a non-final segment: [start] returns [Error],
+   takes no listener and releases the lock, so a later start reports the
+   corruption again, not a lock conflict; once the byte is repaired the
+   log recovers in full. *)
+let test_recovery_corrupt_refused () =
+  let dir = fresh_dir () in
+  let acked = ref [] in
+  let before =
+    with_durable_server ~compact_segments:1000 dir @@ fun c ->
+    ok "RULES" (Dl_client.rules c recovery_program);
+    ok "LOAD kv"
+      (Dl_client.load c "kv"
+         (List.init 800 (fun i -> Printf.sprintf "%d %d" i ((i * 3) mod 50))));
+    acked := List.init 800 (fun i -> kv_row i ((i * 3) mod 50));
+    for i = 1 to 40 do
+      ok "LOAD pad" (Dl_client.load c "pad" [ string_of_int i ])
+    done;
+    served c
+  in
+  let segs = segment_paths dir in
+  checkb "several segments" true (List.length segs > 1);
+  (* one byte of the first record's payload, past magic and header *)
+  let flip () =
+    let fd = Unix.openfile (List.hd segs) [ Unix.O_RDWR ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let off = 8 + 9 + 2 in
+    let b = Bytes.create 1 in
+    ignore (Unix.lseek fd off Unix.SEEK_SET : int);
+    ignore (Unix.read fd b 0 1 : int);
+    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xFF));
+    ignore (Unix.lseek fd off Unix.SEEK_SET : int);
+    ignore (Unix.write fd b 0 1 : int)
+  in
+  let refused () =
+    let addr = fresh_addr () in
+    (match Dl_server.start (durable_cfg ~compact_segments:1000 dir addr) with
+    | Ok srv ->
+      Dl_server.stop srv;
+      Alcotest.fail "a corrupt non-final segment did not refuse the start"
+    | Error m ->
+      checkb ("refusal names the corruption: " ^ m) true
+        (contains m "non-final" && not (contains m "locked")));
+    (match addr with
+    | Telemetry_server.Unix_sock path ->
+      checkb "no socket left behind" false (Sys.file_exists path)
+    | Telemetry_server.Tcp _ -> ());
+    match Dl_client.connect addr with
+    | Ok c ->
+      Dl_client.close c;
+      Alcotest.fail "a refused start left a listener"
+    | Error _ -> ()
+  in
+  flip ();
+  refused ();
+  refused ();
+  flip ();
+  check_restart ~compact_segments:1000 ~torn:false dir before !acked
+
 (* SHUTDOWN drains: the issuing client gets OK, the server exits, and the
    socket stops accepting. *)
 let test_shutdown () =
@@ -1015,6 +1234,63 @@ let test_shutdown () =
     | Ok c ->
       Dl_client.close c;
       Alcotest.fail "server still accepting after shutdown")
+
+(* A signal stops a server whose main domain is blocked in [wait], as
+   SIGTERM stops datalog_serve: the handler calls [signal_stop], and
+   [wait] returns within a second of the signal.  The signal comes from
+   another process, as a [kill] would.  Should the handler never run, a
+   watchdog sends SHUTDOWN after 3 s so that the test fails rather than
+   hangs. *)
+let test_signal_stops_wait () =
+  let addr = fresh_addr () in
+  let cfg =
+    { (Dl_server.default_config addr) with Dl_server.workers = 2 }
+  in
+  match Dl_server.start cfg with
+  | Error m -> Alcotest.failf "server start: %s" m
+  | Ok srv ->
+    let handled = Atomic.make false and waited = Atomic.make false in
+    let previous =
+      Sys.signal Sys.sigterm
+        (Sys.Signal_handle
+           (fun _ ->
+             Atomic.set handled true;
+             Dl_server.signal_stop srv))
+    in
+    Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigterm previous)
+    @@ fun () ->
+    let watchdog =
+      Domain.spawn (fun () ->
+          let deadline = Unix.gettimeofday () +. 3.0 in
+          while (not (Atomic.get waited)) && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.01
+          done;
+          if not (Atomic.get waited) then
+            match Dl_client.connect addr with
+            | Ok c ->
+              ignore (Dl_client.shutdown c);
+              Dl_client.close c
+            | Error _ -> ())
+    in
+    let delay = 0.2 in
+    let killer =
+      Unix.create_process "/bin/sh"
+        [|
+          "/bin/sh"; "-c";
+          Printf.sprintf "sleep %g; kill -TERM %d" delay (Unix.getpid ());
+        |]
+        Unix.stdin Unix.stdout Unix.stderr
+    in
+    let t0 = Unix.gettimeofday () in
+    Dl_server.wait srv;
+    let took = Unix.gettimeofday () -. t0 -. delay in
+    Atomic.set waited true;
+    Domain.join watchdog;
+    ignore (Unix.waitpid [] killer : int * Unix.process_status);
+    checkb "the handler ran" true (Atomic.get handled);
+    checkb
+      (Printf.sprintf "wait returned %.2f s after the signal" took)
+      true (took < 1.0)
 
 let () =
   let tc = Alcotest.test_case in
@@ -1052,6 +1328,17 @@ let () =
           tc "failed flip rebuilds the engine" `Quick test_failed_flip_rebuilds;
           tc "query work flat in database size" `Quick test_query_work_flat;
           tc "shutdown drains" `Quick test_shutdown;
+          tc "signal handler stops wait" `Quick test_signal_stops_wait;
+        ] );
+      ( "recovery",
+        [
+          tc "snapshot anchor and one-row ASSERTs" `Quick
+            test_recovery_anchor_and_asserts;
+          tc "RULES drops a logged relation" `Quick
+            test_recovery_dropped_relation;
+          tc "torn final segment" `Quick test_recovery_torn_final_segment;
+          tc "corrupt non-final segment refused" `Quick
+            test_recovery_corrupt_refused;
         ] );
       ( "client",
         [

@@ -27,10 +27,21 @@ let fresh_dir =
     rm d;
     d
 
-let open_ok ?segment_bytes ?compact_segments ?(durability = Wal.D_none) dir =
-  match Wal.open_dir ?segment_bytes ?compact_segments ~durability dir with
+let open_ok ?segment_bytes ?compact_segments ?replay ?(durability = Wal.D_none)
+    dir =
+  match Wal.open_dir ?segment_bytes ?compact_segments ?replay ~durability dir with
   | Ok wr -> wr
   | Error m -> Alcotest.failf "open_dir %s: %s" dir m
+
+(* [open_ok], also returning the records recovery replayed, in order. *)
+let open_log ?durability dir =
+  let entries = ref [] in
+  let replay e =
+    entries := e :: !entries;
+    Ok ()
+  in
+  let w, rv = open_ok ~replay ?durability dir in
+  (w, rv, List.rev !entries)
 
 let append_ok w e =
   match Wal.append w e with
@@ -74,15 +85,15 @@ let test_durability_names () =
 
 let test_empty_dir () =
   let dir = fresh_dir () in
-  let w, rv = open_ok dir in
+  let w, rv, entries = open_log dir in
   checki "fresh dir has no records" 0 rv.Wal.rv_records;
-  checkb "no entries" true (rv.Wal.rv_entries = []);
+  checkb "no entries" true (entries = []);
   checkb "no torn tail" false rv.Wal.rv_torn_tail;
   checki "gen counter starts at 0" 0 rv.Wal.rv_committed_seq;
   Wal.close w;
   (* reopening the now-existing (magic-only) segment is still empty *)
-  let w, rv = open_ok dir in
-  checkb "still no entries" true (rv.Wal.rv_entries = []);
+  let w, _, entries = open_log dir in
+  checkb "still no entries" true (entries = []);
   checki "one live segment" 1 (Wal.segments w);
   Wal.close w
 
@@ -101,9 +112,9 @@ let test_roundtrip () =
   List.iter (append_ok w) sample_entries;
   checki "records counted" (List.length sample_entries) (Wal.records w);
   Wal.close w;
-  let w, rv = open_ok dir in
+  let w, rv, entries = open_log dir in
   Wal.close w;
-  checkb "entries round-trip" true (rv.Wal.rv_entries = sample_entries);
+  checkb "entries round-trip" true (entries = sample_entries);
   checki "records" (List.length sample_entries) rv.Wal.rv_records;
   checki "committed seq is last commit" 2 rv.Wal.rv_committed_seq;
   checkb "clean tail" false rv.Wal.rv_torn_tail
@@ -218,10 +229,10 @@ let test_crc_random_records () =
   write_segment dir 1
     (segment_image
        (List.map (fun p -> ('R', p, reference_crc ("R" ^ p))) payloads));
-  let w, rv = open_ok dir in
+  let w, rv, recovered = open_log dir in
   Wal.close w;
   checkb "no record refused" false rv.Wal.rv_torn_tail;
-  checkb "every record recovered" true (rv.Wal.rv_entries = entries)
+  checkb "every record recovered" true (recovered = entries)
 
 (* Two segments written by an earlier build of the log and checked in:
    the on-disk format and the checksums must stay readable as they are.
@@ -267,12 +278,12 @@ let test_checked_in_segments () =
       Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
           output_string oc data))
     (seg_files fixture_dir);
-  let w, rv = open_ok dir in
+  let w, rv, entries = open_log dir in
   Wal.close w;
   checki "segments" 2 rv.Wal.rv_segments;
   checkb "clean" false rv.Wal.rv_torn_tail;
   checki "committed seq" 4 rv.Wal.rv_committed_seq;
-  checkb "entries as written" true (rv.Wal.rv_entries = fixture_entries)
+  checkb "entries as written" true (entries = fixture_entries)
 
 (* A crash mid-append leaves a prefix of a record; recovery must keep
    the valid prefix of the log, physically truncate the tail, and say
@@ -292,11 +303,11 @@ let test_torn_tail () =
   let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0 in
   Unix.ftruncate fd (size - 1);
   Unix.close fd;
-  let w, rv = open_ok dir in
+  let w, rv, entries = open_log dir in
   Wal.close w;
   checkb "torn tail flagged" true rv.Wal.rv_torn_tail;
   checkb "valid prefix kept" true
-    (rv.Wal.rv_entries
+    (entries
     = List.filteri (fun i _ -> i < List.length sample_entries - 1)
         sample_entries);
   (* the last record (9-byte header, payload "2" for [Commit 2]) is
@@ -319,10 +330,10 @@ let test_trailing_garbage () =
   let fd = Unix.openfile seg [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
   ignore (Unix.write_substring fd "xyz" 0 3 : int);
   Unix.close fd;
-  let w, rv = open_ok dir in
+  let w, rv, entries = open_log dir in
   Wal.close w;
   checkb "garbage tail flagged" true rv.Wal.rv_torn_tail;
-  checkb "entries intact" true (rv.Wal.rv_entries = sample_entries)
+  checkb "entries intact" true (entries = sample_entries)
 
 (* A corrupt record in a non-final segment is not a crash signature;
    recovery must refuse with a structured error naming the segment and
@@ -431,13 +442,13 @@ let test_snapshot_tail_equivalence () =
   app (Wal.Facts ("kv", [ "4 4" ]));
   app (Wal.Commit 3);
   Wal.close w;
-  let w, rv = open_ok dir in
+  let w, rv, entries = open_log dir in
   Wal.close w;
-  (match rv.Wal.rv_entries with
+  (match entries with
   | Wal.Anchor 2 :: _ -> ()
   | _ -> Alcotest.fail "compacted log does not start with its anchor");
   checkb "snapshot+tail replay equals full replay" true
-    (fold_state rv.Wal.rv_entries = fold_state (List.rev !history));
+    (fold_state entries = fold_state (List.rev !history));
   checki "gen counter resumes past the tail" 3 rv.Wal.rv_committed_seq
 
 (* The records of a segment file as (type, payload length), walked by
@@ -501,15 +512,15 @@ let test_snapshot_records_bounded () =
   app (Wal.Facts ("kv", [ row 8000; row 3 ]));
   app (Wal.Commit 3);
   Wal.close w;
-  let w, rv = open_ok dir in
+  let w, _, entries = open_log dir in
   Wal.close w;
   checkb "lines come back in iterator order" true
     (List.concat_map
        (function Wal.Facts ("kv", ls) -> ls | _ -> [])
-       rv.Wal.rv_entries
+       entries
     = lines @ [ row 8000; row 3 ]);
   checkb "snapshot+tail replay equals full replay" true
-    (fold_state rv.Wal.rv_entries = fold_state (List.rev !history))
+    (fold_state entries = fold_state (List.rev !history))
 
 (* Rendering runs inside compaction, so an iterator that raises is a
    failed compaction: the old log stays live, complete and appendable,
@@ -552,11 +563,11 @@ let test_failed_compaction_contained () =
   app (Wal.Facts ("kv", [ "5 5" ]));
   app (Wal.Commit 5);
   Wal.close w;
-  let w, rv = open_ok dir in
+  let w, rv, entries = open_log dir in
   Wal.close w;
   checkb "clean recovery" false rv.Wal.rv_torn_tail;
   checkb "old log recovers every entry and the later appends" true
-    (rv.Wal.rv_entries = List.rev !history)
+    (entries = List.rev !history)
 
 (* Under strict durability a record whose fsync failed must not survive
    in the log: the server refuses the admission on the error, so a
@@ -579,11 +590,11 @@ let test_strict_fsync_fail_rollback () =
   checki "refused record not counted" 1 (Wal.records w);
   append_ok w (Wal.Facts ("kv", [ "1 1" ]));
   Wal.close w;
-  let w, rv = open_ok dir in
+  let w, rv, entries = open_log dir in
   Wal.close w;
   checkb "clean recovery" false rv.Wal.rv_torn_tail;
   checkb "refused record absent, later append present" true
-    (rv.Wal.rv_entries = [ Wal.Rules prog; Wal.Facts ("kv", [ "1 1" ]) ])
+    (entries = [ Wal.Rules prog; Wal.Facts ("kv", [ "1 1" ]) ])
 
 (* Group commit, counted exactly: the server's append pattern (fact
    batches, a commit marker per flip) in one segment, with the fsync
