@@ -29,8 +29,8 @@ val create :
     every symbol keeps its id, and queues the base facts ({!iter_base}) of
     each relation of [from] that the program declares with the same
     arity.  The resident query server rebuilds this way on a program
-    change, after recovery and after a failed {!run}; [from] is not used
-    afterwards.
+    change (live or replayed from its log) and after a failed {!run};
+    [from] is not used afterwards.
     @raise Plan.Compile_error / @raise Stratify.Not_stratifiable *)
 
 val add_fact : t -> string -> int array -> unit

@@ -155,6 +155,9 @@ type t = {
   direct : bool array;
       (* per stratum: no rule reads a predicate of the stratum, so its rules
          write the full relations of their heads, one sorted batch each *)
+  read : bool array;
+      (* per predicate: some rule reads it, so what it gains in a run seeds
+         a later stratum *)
   computed : bool array; (* per stratum: has reached its fixed point once *)
   mutable loaded_program : bool;
   mutable iterations : int;
@@ -222,6 +225,12 @@ let create ?(check_phases = false) (plan : Plan.t) ~kind ~stats ~profile =
             rules)
         plan.Plan.delta_rules;
     direct = Array.init (Array.length deps) (fun s -> not (reads_own s));
+    read =
+      (let read = Array.make npreds false in
+       Array.iter
+         (fun (pos, neg) -> List.iter (fun q -> read.(q) <- true) (pos @ neg))
+         deps;
+       read);
     computed = Array.make (Array.length plan.Plan.seed_rules) false;
     loaded_program = false;
     iterations = 0;
@@ -487,9 +496,10 @@ let run t ~pool batch =
     else eval_rule_timed cr
   in
   (* In a direct stratum: the distinct head tuples the workers emitted,
-     sorted, without those already in [full] (one probe per distinct
-     tuple, none when [full] is empty), and how many were emitted. *)
-  let fresh_heads full lists =
+     sorted, and how many were emitted.  With [probe], only those [full]
+     does not hold yet: one membership probe per distinct tuple, none
+     when [full] is empty. *)
+  let distinct_heads ~probe full lists =
     let emitted = ref 0 in
     let all =
       List.fold_left
@@ -500,7 +510,7 @@ let run t ~pool batch =
     in
     let sorted = List.sort_uniq Key.Int_array.compare all in
     let fresh =
-      if Relation.is_empty full then sorted
+      if (not probe) || Relation.is_empty full then sorted
       else begin
         let r = Relation.begin_read full in
         Fun.protect
@@ -514,8 +524,10 @@ let run t ~pool batch =
   (* merge new into full, returning the number of promoted tuples (the
      iteration's delta cardinality; 0 means fixed point); [track] also
      records them as the predicate's gain in this run.  A direct stratum
-     has no new relations: the fresh head tuples its rules emitted go into
-     full as one sorted batch, and are counted and recorded. *)
+     has no new relations: the head tuples its rules emitted go into full
+     as one sorted batch.  Which of them were fresh is worked out only
+     where a later stratum reads the gain; elsewhere the batch write's
+     count of fresh tuples is enough. *)
   let promote ~track s stratum =
     let total = ref 0 in
     let gain p arr =
@@ -526,17 +538,19 @@ let run t ~pool batch =
       (fun p ->
         if t.direct.(s) then begin
           if gained.(p) <> [] then begin
-            let arr, emitted = fresh_heads fulls.(p) gained.(p) in
+            let seeds = track && t.read.(p) in
+            let arr, emitted =
+              distinct_heads ~probe:seeds fulls.(p) gained.(p)
+            in
             gained.(p) <- [];
+            let fresh = if Array.length arr = 0 then 0 else write fulls.(p) arr in
             (match stats with
             | Some st ->
               Sync.Counter.add st.Dl_stats.inserts emitted;
-              Sync.Counter.add st.Dl_stats.produced_tuples (Array.length arr)
+              Sync.Counter.add st.Dl_stats.produced_tuples fresh
             | None -> ());
-            if Array.length arr > 0 then begin
-              ignore (write fulls.(p) arr : int);
-              gain p arr
-            end
+            if seeds && fresh > 0 then gain p arr
+            else total := !total + fresh
           end
         end
         else begin

@@ -12,9 +12,13 @@
    writer phases — a generation flip hands the batch to the one resident
    engine, whose semi-naive run evaluates only what the batch changes.
    The engine is the only store of base facts: it keeps them apart from
-   derived tuples, and WAL snapshots read them back from it.  A fresh
-   engine is built from the old one's base facts and symbol table only on
-   a RULES install, on recovery and after a failed flip.  Queries are
+   derived tuples, and WAL snapshots read them back from it.  Recovery
+   streams the log into it: [Wal.open_dir] hands each record to
+   [replay_entry] as it is decoded, which queues the record's facts in
+   the engine at once, and the first tick evaluates them; no list of the
+   log is kept.  A fresh engine is built from the old one's base facts
+   and symbol table only on a RULES install (live or replayed) and after
+   a failed flip.  Queries are
    fanned out over the pool as concurrent reader phases between flips, so
    the paper's all-writers-or-all-readers discipline holds by construction
    and [check_phases] can assert it never tears.  Each QUERY is one
@@ -1035,20 +1039,16 @@ let start cfg =
   let recovered =
     match cfg.data_dir with
     | None -> Ok ()
-    | Some dir -> (
-      match
-        Wal.open_dir ~segment_bytes:cfg.wal_segment_bytes
-          ~compact_segments:cfg.wal_compact_segments ~replay:(replay_entry st)
-          ~durability:cfg.durability dir
-      with
-      | Ok (w, rv) ->
-        st.s_wal <- Some w;
-        st.s_recovery <- Some rv;
-        (* serve the recovered state: the first tick evaluates one
-           writer phase before any query can be answered *)
-        if st.s_program <> None then st.s_stale <- true;
-        Ok ()
-      | Error msg -> Error msg)
+    | Some dir ->
+      Wal.open_dir ~segment_bytes:cfg.wal_segment_bytes
+        ~compact_segments:cfg.wal_compact_segments ~replay:(replay_entry st)
+        ~durability:cfg.durability dir
+      |> Result.map (fun (w, rv) ->
+             st.s_wal <- Some w;
+             st.s_recovery <- Some rv;
+             (* serve the recovered state: the first tick evaluates one
+                writer phase before any query can be answered *)
+             if st.s_program <> None then st.s_stale <- true)
   in
   match recovered with
   | Error msg ->

@@ -243,10 +243,9 @@ let wait r =
           (fun fd -> try Unix.close fd with _ -> ())
           [ r.stop_wr; r.stop_rd ])
       (fun () ->
-        (* OCaml runs a signal handler only when the main domain reaches
-           a safe point, which [Domain.join] never does; short sleeps
-           until the domain is done let a handler that calls
-           [signal_stop] run within one of them *)
+        (* a signal handler waits for a safe point of the main domain,
+           and [Domain.join] reaches none until the domain is done; short
+           sleeps let a handler that calls [signal_stop] run within one *)
         while not (Atomic.get r.finished) do
           Unix.sleepf 0.01
         done;

@@ -1562,40 +1562,51 @@ let test_incremental_flat_work () =
 (* A non-recursive stratum writes its heads into their full relations as
    one sorted batch: on the bulk-load program, a batch of 1000 fresh [kv]
    rows derives 1000 [byv] tuples, counted as 1000 inserts, every one
-   fresh, after one membership probe against [byv] per distinct tuple
-   (the batch keeps only the fresh ones, which a later stratum reads as
-   the delta). *)
+   fresh.  Nothing reads [byv], so the batch write's own count of fresh
+   tuples is all that is needed: not one membership probe.  With a rule
+   that reads [byv] downstream, the tuples [byv] gained seed that rule,
+   so they are found with one probe against [byv] per distinct tuple. *)
 let test_direct_insert_op_counts () =
-  let prog =
-    Parser.parse_string
-      ".decl kv(k:symbol, v:number)\n.decl byv(v:number, k:symbol)\n\
-       byv(v, k) :- kv(k, v)."
+  let counts reader =
+    let prog =
+      Parser.parse_string
+        (".decl kv(k:symbol, v:number)\n.decl byv(v:number, k:symbol)\n\
+          .decl low(v:number)\n\
+          byv(v, k) :- kv(k, v).\n" ^ reader)
+    in
+    let e = Engine.create ~instrument:true ~check_phases:true prog in
+    let rows lo n =
+      Array.init n (fun i ->
+          let k = Printf.sprintf "key_%06d_%s" (lo + i) (String.make 40 'x') in
+          [| Engine.intern e k; (lo + i) mod 97 |])
+    in
+    Engine.add_fact_run e "kv" (rows 0 5000);
+    Pool.with_pool 1 @@ fun pool ->
+    Engine.run e pool;
+    let before = Option.get (Engine.stats e) in
+    Telemetry.enable ();
+    Fun.protect ~finally:Telemetry.disable @@ fun () ->
+    let t0 = Telemetry.snapshot () in
+    Engine.add_fact_run e "kv" (rows 5000 1000);
+    Engine.run e pool;
+    let t1 = Telemetry.snapshot () in
+    let after = Option.get (Engine.stats e) in
+    check_int "byv" 6000 (Engine.relation_size e "byv");
+    ( after.s_mem_tests - before.s_mem_tests,
+      after.s_inserts - before.s_inserts,
+      after.s_produced_tuples - before.s_produced_tuples,
+      Telemetry.get t1 Telemetry.Counter.Eval_delta_tuples
+      - Telemetry.get t0 Telemetry.Counter.Eval_delta_tuples )
   in
-  let e = Engine.create ~instrument:true ~check_phases:true prog in
-  let rows lo n =
-    Array.init n (fun i ->
-        let k = Printf.sprintf "key_%06d_%s" (lo + i) (String.make 40 'x') in
-        [| Engine.intern e k; (lo + i) mod 97 |])
-  in
-  Engine.add_fact_run e "kv" (rows 0 5000);
-  Pool.with_pool 1 @@ fun pool ->
-  Engine.run e pool;
-  let before = Option.get (Engine.stats e) in
-  Telemetry.enable ();
-  Fun.protect ~finally:Telemetry.disable @@ fun () ->
-  let t0 = Telemetry.snapshot () in
-  Engine.add_fact_run e "kv" (rows 5000 1000);
-  Engine.run e pool;
-  let t1 = Telemetry.snapshot () in
-  let after = Option.get (Engine.stats e) in
-  check_int "byv" 6000 (Engine.relation_size e "byv");
-  check_int "membership probes" 1000 (after.s_mem_tests - before.s_mem_tests);
-  check_int "inserts" 1000 (after.s_inserts - before.s_inserts);
-  check_int "produced" 1000
-    (after.s_produced_tuples - before.s_produced_tuples);
-  check_int "delta tuples" 1000
-    (Telemetry.get t1 Telemetry.Counter.Eval_delta_tuples
-    - Telemetry.get t0 Telemetry.Counter.Eval_delta_tuples)
+  let probes, inserts, produced, delta = counts "" in
+  check_int "membership probes" 0 probes;
+  check_int "inserts" 1000 inserts;
+  check_int "produced" 1000 produced;
+  check_int "delta tuples" 1000 delta;
+  (* no v passes 96, so [low] emits nothing; nothing reads [low] either,
+     so every probe is one against [byv] *)
+  let probes, _, _, _ = counts "low(v) :- byv(v, _), v > 96.\n" in
+  check_int "membership probes with a reader" 1000 probes
 
 (* Direct insertion from two domains: batches of at least 64 fresh edges
    make the delta rule of the non-recursive [flip] split its outer scan
