@@ -621,6 +621,45 @@ let test_group_commit_fsyncs () =
   checki "batch: one per commit" commits (fsyncs Wal.D_batch);
   checki "strict: one per append" (n_facts + commits) (fsyncs Wal.D_strict)
 
+(* Recovery streams each record into [replay]: a refusal, as an [Error]
+   or an exception, stops it at that record with an error naming the
+   segment, and releases the lock, so the next open of the same log
+   succeeds and replays it whole. *)
+let test_replay_refusal () =
+  let dir = fresh_dir () in
+  let w, _ = open_ok dir in
+  List.iter (append_ok w) sample_entries;
+  Wal.close w;
+  let refused replay =
+    let seen = ref 0 in
+    let replay e =
+      incr seen;
+      replay e
+    in
+    match Wal.open_dir ~replay ~durability:Wal.D_none dir with
+    | Ok (w, _) ->
+      Wal.close w;
+      Alcotest.fail "a refused replay recovered"
+    | Error m -> (m, !seen)
+  in
+  let on_second_facts f =
+    let facts = ref 0 in
+    function
+    | Wal.Facts _ when (incr facts; !facts = 2) -> f ()
+    | _ -> Ok ()
+  in
+  let m, seen = refused (on_second_facts (fun () -> Error "no such relation")) in
+  checkb ("error passed on: " ^ m) true (contains m "no such relation");
+  checkb ("error names the segment: " ^ m) true (contains m "wal-00000001.log");
+  checki "stopped at the refused record" 4 seen;
+  let m, _ = refused (on_second_facts (fun () -> failwith "replay raised")) in
+  checkb ("exception reported: " ^ m) true (contains m "replay raised");
+  let w, rv, entries = open_log dir in
+  Wal.close w;
+  checkb "the lock was released; whole log replayed" true
+    (entries = sample_entries);
+  checki "records" (List.length sample_entries) rv.Wal.rv_records
+
 let test_lockfile () =
   let dir = fresh_dir () in
   let w, _ = open_ok dir in
@@ -823,6 +862,7 @@ let () =
           tc "strict fsync failure rolled back" `Quick
             test_strict_fsync_fail_rollback;
           tc "group commit fsync count" `Quick test_group_commit_fsyncs;
+          tc "replay refusal stops recovery" `Quick test_replay_refusal;
           tc "lockfile" `Quick test_lockfile;
         ] );
       ( "recovery",
