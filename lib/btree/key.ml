@@ -51,16 +51,17 @@ end
 module Int_array = struct
   type t = int array
 
+  (* a top-level loop: a local one closes over the arrays, and without
+     flambda that closure is allocated on every comparison *)
+  let rec compare_from (a : t) (b : t) i n =
+    if i = n then Stdlib.Int.compare (Array.length a) (Array.length b)
+    else
+      let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+      if x < y then -1 else if x > y then 1 else compare_from a b (i + 1) n
+
   let compare (a : t) (b : t) =
     let la = Array.length a and lb = Array.length b in
-    let n = if la < lb then la else lb in
-    let rec go i =
-      if i = n then Stdlib.Int.compare la lb
-      else
-        let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
-        if x < y then -1 else if x > y then 1 else go (i + 1)
-    in
-    go 0
+    compare_from a b 0 (if la < lb then la else lb)
 
   let dummy = [||]
 

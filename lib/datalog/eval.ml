@@ -154,7 +154,7 @@ type t = {
       (* per stratum: the delta versions over the stratum's own predicates *)
   direct : bool array;
       (* per stratum: no rule reads a predicate of the stratum, so its rules
-         write the full relations of their heads, one sorted batch each *)
+         write the full relations of their heads, one batch each *)
   read : bool array;
       (* per predicate: some rule reads it, so what it gains in a run seeds
          a later stratum *)
@@ -406,7 +406,7 @@ let run t ~pool batch =
        insert into new.  Body relations are read handles, the head's new
        relation is the only write handle.  In a direct stratum nothing
        reads the head's full relation, so the worker only collects its
-       head tuples and [promote] writes them as one sorted batch. *)
+       head tuples and [promote] writes them as one batch. *)
     let head = cr.cr_head in
     let direct = t.direct.(stratum_of.(head)) in
     let make_worker () =
@@ -495,37 +495,52 @@ let run t ~pool batch =
     end
     else eval_rule_timed cr
   in
-  (* In a direct stratum: the distinct head tuples the workers emitted,
-     sorted, and how many were emitted.  With [probe], only those [full]
-     does not hold yet: one membership probe per distinct tuple, none
-     when [full] is empty. *)
-  let distinct_heads ~probe full lists =
-    let emitted = ref 0 in
-    let all =
-      List.fold_left
-        (fun acc l ->
-          emitted := !emitted + List.length l;
-          List.rev_append l acc)
-        [] lists
+  (* The head tuples a direct stratum's workers emitted, in one array. *)
+  let emitted_heads lists =
+    let heads =
+      Array.make (List.fold_left (fun n l -> n + List.length l) 0 lists) [||]
     in
-    let sorted = List.sort_uniq Key.Int_array.compare all in
-    let fresh =
-      if (not probe) || Relation.is_empty full then sorted
-      else begin
-        let r = Relation.begin_read full in
-        Fun.protect
-          ~finally:(fun () -> Relation.Reader.finish r)
-          (fun () ->
-            List.filter (fun tup -> not (Relation.Reader.mem r tup)) sorted)
-      end
+    let i = ref 0 in
+    List.iter
+      (List.iter (fun tup ->
+           heads.(!i) <- tup;
+           incr i))
+      lists;
+    heads
+  in
+  (* [heads] sorted, once each, without the tuples [full] already holds:
+     one membership probe per distinct tuple, none when [full] is empty.
+     Sorts and overwrites [heads]. *)
+  let fresh_heads full heads =
+    Array.sort Key.Int_array.compare heads;
+    let check =
+      if Relation.is_empty full then None else Some (Relation.begin_read full)
     in
-    (Array.of_list fresh, !emitted)
+    let k = ref 0 in
+    Fun.protect
+      ~finally:(fun () -> Option.iter Relation.Reader.finish check)
+      (fun () ->
+        (* heads.(i - 1) is still the original: writes go to k <= i - 1 *)
+        Array.iteri
+          (fun i tup ->
+            if
+              (i = 0 || Key.Int_array.compare heads.(i - 1) tup <> 0)
+              &&
+              match check with
+              | None -> true
+              | Some r -> not (Relation.Reader.mem r tup)
+            then begin
+              heads.(!k) <- tup;
+              incr k
+            end)
+          heads);
+    Array.sub heads 0 !k
   in
   (* merge new into full, returning the number of promoted tuples (the
      iteration's delta cardinality; 0 means fixed point); [track] also
      records them as the predicate's gain in this run.  A direct stratum
      has no new relations: the head tuples its rules emitted go into full
-     as one sorted batch.  Which of them were fresh is worked out only
+     as one batch.  Which of them were fresh is worked out only
      where a later stratum reads the gain; elsewhere the batch write's
      count of fresh tuples is enough. *)
   let promote ~track s stratum =
@@ -538,18 +553,21 @@ let run t ~pool batch =
       (fun p ->
         if t.direct.(s) then begin
           if gained.(p) <> [] then begin
-            let seeds = track && t.read.(p) in
-            let arr, emitted =
-              distinct_heads ~probe:seeds fulls.(p) gained.(p)
-            in
+            let heads = emitted_heads gained.(p) in
             gained.(p) <- [];
-            let fresh = if Array.length arr = 0 then 0 else write fulls.(p) arr in
+            let emitted = Array.length heads in
+            (* unsorted and with duplicates unless a later stratum needs
+               the fresh ones: [write] sorts for each index and keeps a
+               tuple once *)
+            let seeds = track && t.read.(p) in
+            let run = if seeds then fresh_heads fulls.(p) heads else heads in
+            let fresh = if Array.length run = 0 then 0 else write fulls.(p) run in
             (match stats with
             | Some st ->
               Sync.Counter.add st.Dl_stats.inserts emitted;
               Sync.Counter.add st.Dl_stats.produced_tuples fresh
             | None -> ());
-            if seeds && fresh > 0 then gain p arr
+            if seeds && fresh > 0 then gain p run
             else total := !total + fresh
           end
         end
