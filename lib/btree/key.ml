@@ -70,10 +70,11 @@ module Int_array = struct
 
   let hash a = Array.fold_left (fun acc x -> mix64 (acc lxor mix64 x)) 0x9e3779b9 a
 
+  (* top-level for the same reason as [compare_from] *)
+  let rec equal_from (a : t) (b : t) i n =
+    i = n || (Array.unsafe_get a i = Array.unsafe_get b i && equal_from a b (i + 1) n)
+
   let equal (a : t) (b : t) =
     let la = Array.length a in
-    la = Array.length b
-    &&
-    let rec go i = i = la || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
-    go 0
+    la = Array.length b && equal_from a b 0 la
 end

@@ -5,9 +5,9 @@ type t = {
   stats : Dl_stats.t option;
   write_lock : Mutex.t option; (* Some for kinds without thread-safe insert *)
   primary : Storage.Index.t;
-  secondary : (int array * Storage.Index.t) array;
-      (* signature -> serving index; entries may share indexes physically
-         (chain cover, tree kinds only) *)
+  secondary : (int array * int) array;
+      (* signature -> position of its serving index in [distinct]; several
+         signatures may share one index (chain cover, tree kinds only) *)
   distinct : Storage.Index.t array; (* each underlying secondary index once *)
   phase : Sync.Phase_latch.t;
       (* open typed phases: a reader/writer latch word (same packing as
@@ -38,20 +38,15 @@ let create ?(check_phases = false) ~name ~arity ~kind ~sigs ~stats () =
                  (Storage.Index.create kind ~arity ~cols:[||] ~order ~stats ()))
              plan.Index_selection.orders)
       in
-      ( Array.of_list
-          (List.map
-             (fun (cols, chain) -> (cols, indexes.(chain)))
-             plan.Index_selection.assignment),
-        indexes )
+      (Array.of_list plan.Index_selection.assignment, indexes)
     end
     else begin
-      let entries =
-        List.mapi
-          (fun i cols ->
-            (cols, checked (i + 1) (Storage.Index.create kind ~arity ~cols ~stats ())))
-          uniq
-      in
-      (Array.of_list entries, Array.of_list (List.map snd entries))
+      ( Array.of_list (List.mapi (fun i cols -> (cols, i)) uniq),
+        Array.of_list
+          (List.mapi
+             (fun i cols ->
+               checked (i + 1) (Storage.Index.create kind ~arity ~cols ~stats ()))
+             uniq) )
     end
   in
   {
@@ -113,26 +108,44 @@ let sig_id t cols =
   in
   if Array.length cols = 0 then -1 else go 0
 
+(* A phase handle's access to the relation's indexes.  Each index cursor
+   is opened at its first use and only the opened ones are released: on
+   the hinted B-tree kinds a cursor is a session, registered under the
+   index's lock when it opens and folded into its counters when it is
+   released, and most handles touch one or two of a relation's indexes
+   (eval opens one reader per rule step and worker).  A signature scans
+   through the cursor of its serving index: signatures on one chain share
+   that index's session, and with it its hints, as they share its order. *)
 module Cursor = struct
   type rel = t
 
   type t = {
     rel : rel;
-    c_primary : Storage.Index.cursor;
-    c_index : Storage.Index.cursor array; (* one per underlying index *)
-    c_scan : (int array * Storage.Index.cursor) array; (* one per signature *)
+    mutable c_primary : Storage.Index.cursor option;
+    mutable c_index : Storage.Index.cursor option array;
+        (* one slot per index of [rel.distinct]; [||] until a secondary
+           index is first used *)
   }
 
-  let create rel =
-    {
-      rel;
-      c_primary = Storage.Index.cursor rel.primary;
-      c_index = Array.map Storage.Index.cursor rel.distinct;
-      c_scan =
-        Array.map
-          (fun (cols, idx) -> (cols, Storage.Index.cursor idx))
-          rel.secondary;
-    }
+  let create rel = { rel; c_primary = None; c_index = [||] }
+
+  let primary c =
+    match c.c_primary with
+    | Some cur -> cur
+    | None ->
+      let cur = Storage.Index.cursor c.rel.primary in
+      c.c_primary <- Some cur;
+      cur
+
+  let index c j =
+    if Array.length c.c_index = 0 then
+      c.c_index <- Array.make (Array.length c.rel.distinct) None;
+    match c.c_index.(j) with
+    | Some cur -> cur
+    | None ->
+      let cur = Storage.Index.cursor c.rel.distinct.(j) in
+      c.c_index.(j) <- Some cur;
+      cur
 
   let count_insert c fresh =
     match c.rel.stats with
@@ -142,11 +155,11 @@ module Cursor = struct
       if fresh then Sync.Counter.incr s.Dl_stats.produced_tuples
 
   let insert_unlocked c tup =
-    let fresh = Storage.Index.c_insert c.c_primary tup in
+    let fresh = Storage.Index.c_insert (primary c) tup in
     if fresh then
-      Array.iter
-        (fun cur -> ignore (Storage.Index.c_insert cur tup : bool))
-        c.c_index;
+      for j = 0 to Array.length c.rel.distinct - 1 do
+        ignore (Storage.Index.c_insert (index c j) tup : bool)
+      done;
     fresh
 
   let insert c tup =
@@ -158,18 +171,17 @@ module Cursor = struct
     count_insert c fresh;
     fresh
 
-  let mem c tup = Storage.Index.c_mem c.c_primary tup
+  let mem c tup = Storage.Index.c_mem (primary c) tup
 
   let release c =
-    Storage.Index.release c.c_primary;
-    Array.iter Storage.Index.release c.c_index;
-    Array.iter (fun (_, cur) -> Storage.Index.release cur) c.c_scan
+    Option.iter Storage.Index.release c.c_primary;
+    Array.iter (Option.iter Storage.Index.release) c.c_index
 
   let scan c sig_id bound f =
-    if sig_id < 0 then Storage.Index.c_scan c.c_primary ~cols:[||] bound f
+    if sig_id < 0 then Storage.Index.c_scan (primary c) ~cols:[||] bound f
     else begin
-      let cols, cur = c.c_scan.(sig_id) in
-      Storage.Index.c_scan cur ~cols bound f
+      let cols, j = c.rel.secondary.(sig_id) in
+      Storage.Index.c_scan (index c j) ~cols bound f
     end
 
   (* The serving index is chosen here and only here (the rule is in the
@@ -215,25 +227,26 @@ module Cursor = struct
       in
       match Storage.Index.order rel.primary with
       | Some order ->
-        let best = ref (c.c_primary, order, prefix order) in
+        (* [-1]: the primary *)
+        let best = ref (-1, order, prefix order) in
         Array.iteri
           (fun j idx ->
             match Storage.Index.order idx with
             | Some o ->
               let k = prefix o in
               let _, _, best_k = !best in
-              if k > best_k then best := (c.c_index.(j), o, k)
+              if k > best_k then best := (j, o, k)
             | None -> ())
           rel.distinct;
-        let cur, order, k = !best in
-        scan cur (Array.sub order 0 k)
+        let j, order, k = !best in
+        scan (if j < 0 then primary c else index c j) (Array.sub order 0 k)
       | None -> (
         let cols = Array.of_list bound in
         match
-          Array.find_index (fun (sig_cols, _) -> sig_cols = cols) rel.secondary
+          Array.find_opt (fun (sig_cols, _) -> sig_cols = cols) rel.secondary
         with
-        | Some j -> scan (snd c.c_scan.(j)) cols
-        | None -> scan c.c_primary [||])
+        | Some (_, j) -> scan (index c j) cols
+        | None -> scan (primary c) [||])
     end;
     !examined
 end

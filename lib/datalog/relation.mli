@@ -82,8 +82,8 @@ val sig_id : t -> int array -> int
     counted in one atomic word, so the overlap check has no window).  Any
     number of concurrent writers — or concurrent readers — may be open at
     once; create one handle per worker (each owns its per-domain hinted
-    cursors), and {!Writer.finish}/{!Reader.finish} it when the phase
-    ends. *)
+    cursors, opening an index's cursor at its first use of that index),
+    and {!Writer.finish}/{!Reader.finish} it when the phase ends. *)
 
 (** Write-phase handle: hinted inserts and batch merges only. *)
 module Writer : sig

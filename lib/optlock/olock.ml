@@ -124,18 +124,22 @@ module Make (A : ATOMIC) : S = struct
      a stale lease, an abort — actually happened.  All counters are
      domain-local plain stores (see lib/telemetry). *)
 
+  (* The backoff is built only once a writer is seen: every level of an
+     optimistic descent starts a read, and [Backoff.create] allocates and
+     bumps the shared [instances] counter. *)
   let start_read l =
-    let b = Backoff.create () in
-    let rec loop () =
-      let v = A.get l.version in
-      if is_even v then v
-      else begin
+    let v = A.get l.version in
+    if is_even v then v
+    else begin
+      let b = Backoff.create () in
+      let rec loop () =
         Telemetry.bump Telemetry.Counter.Olock_read_spins;
         Backoff.once b;
-        loop ()
-      end
-    in
-    loop ()
+        let v = A.get l.version in
+        if is_even v then v else loop ()
+      in
+      loop ()
+    end
 
   let valid l lease =
     let ok = A.get l.version = lease in

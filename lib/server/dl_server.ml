@@ -252,16 +252,17 @@ let snapshot_facts st e =
               emit (fact_line (Array.mapi render tup))) ))
     st.s_decls
 
-(* After a successful flip: mark the group-commit point (the fsync that
-   makes everything admitted before this flip durable under batch), and
-   compact once the log outgrows a few segments — the flip boundary is
-   the one moment the engine's base facts and the committed state agree
-   exactly (the pending batch is empty), so the snapshot is trivially
-   consistent. *)
-let wal_flip st e =
-  match st.s_wal with
-  | None -> ()
-  | Some w ->
+(* After a successful flip, once its waiting queries are answered: mark
+   the group-commit point (the fsync that makes everything admitted
+   before this flip durable under batch), and compact once the log
+   outgrows a few segments — the flip boundary is the one moment the
+   engine's base facts and the committed state agree exactly (the
+   pending batch is empty; answering queries admits nothing), so the
+   snapshot is trivially consistent. *)
+let wal_flip st =
+  match (st.s_wal, st.s_engine) with
+  | None, _ | _, None -> ()
+  | Some w, Some e ->
     (match Wal.append w (Wal.Commit st.s_gen_seq) with
     | Ok () -> ()
     | Error _ -> st.s_wal_errors <- st.s_wal_errors + 1);
@@ -301,9 +302,11 @@ let fail_waiting_queries st msg =
 let serving st =
   match st.s_engine with Some e -> Engine.has_run e | None -> false
 
+(* One writer phase; [true] when it succeeded.  The caller answers the
+   waiting queries before it commits the flip ([wal_flip]). *)
 let do_flip st =
   match (st.s_engine, st.s_program) with
-  | None, _ | _, None -> ()
+  | None, _ | _, None -> false
   | Some e, Some prog -> (
     let t0 = Telemetry.now_ns () in
     match
@@ -326,7 +329,7 @@ let do_flip st =
       st.s_pending <- 0;
       st.s_pending_t0s <- [];
       st.s_oldest_pending <- max_int;
-      wal_flip st e
+      true
     | exception ex ->
       (* Contained: the engine stopped part-way, so it is replaced by one
          built from its base facts (which already hold part of the batch)
@@ -351,7 +354,8 @@ let do_flip st =
           (Printf.sprintf "evaluation failing (%d attempts): %s"
              st.s_flip_failures (Printexc.to_string ex));
         st.s_flip_failures <- 0
-      end)
+      end;
+      false)
 
 let flip_due st now =
   st.s_engine <> None
@@ -890,9 +894,12 @@ let session st rc =
           c.c_payload);
   }
 
-(* Runs a due flip and the queued queries, then sleeps until the next
-   flip deadline.  Once draining, the loop leaves when every answer is out
-   (final flip and queries included) or the grace period lapsed. *)
+(* Runs a due flip and the queued queries, commits the flip, then sleeps
+   until the next flip deadline.  The commit comes after the answers: a
+   query reads the engine the flip just evaluated, never the log, so its
+   reply is on the socket before the group-commit fsync starts.  Once
+   draining, the loop leaves when every answer is out (final flip, its
+   commit and queries included) or the grace period lapsed. *)
 let tick st r =
   let now = Telemetry.now_ns () in
   if
@@ -903,8 +910,9 @@ let tick st r =
        || now > st.s_drain_deadline)
   then None
   else begin
-    if flip_due st now then do_flip st;
+    let flipped = flip_due st now && do_flip st in
     run_queries st;
+    if flipped then wal_flip st;
     if st.s_shutting_down then Some 0.05
     else if st.s_pending > 0 && st.s_oldest_pending < max_int then
       (* a post-failure backoff supersedes the age trigger *)

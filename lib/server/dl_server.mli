@@ -48,13 +48,18 @@
 
     {b Durability.}  With [data_dir] set, admissions are written through a
     {!Wal} before they are acknowledged: RULES installs and fact batches
-    are appended at admission, every flip appends a commit marker, and
-    compaction rewrites the log as one snapshot segment, read back from the
-    engine's base facts, when it grows past a few segments.  The [durability] mode fixes the ack contract:
-    [D_strict] fsyncs before every ack (an [OK] is durable), [D_batch]
-    (the default) group-commits at each flip (an [OK] survives any crash
-    after the next flip; recovery is always a prefix of admission order),
-    [D_async]/[D_none] are progressively weaker.  On {!start} with a
+    are appended at admission, every successful flip appends a commit
+    marker once the queries waiting for it are answered, and compaction
+    rewrites the log as one snapshot segment, read back from the engine's
+    base facts, when it grows past a few segments.  The [durability] mode
+    fixes the ack contract: [D_strict] fsyncs before every ack (an [OK]
+    is durable), [D_batch] (the default) group-commits at each flip (an
+    [OK] survives any crash after the next flip's commit; recovery is
+    always a prefix of admission order), [D_async]/[D_none] are
+    progressively weaker.  Because the answers go out before the commit,
+    a [D_batch] query may see acked facts whose group commit is not yet
+    on disk; under [D_strict] everything a query sees is already
+    durable.  On {!start} with a
     populated [data_dir] the server recovers before serving: segments are
     scanned and checksum-verified, a torn tail is truncated silently, the
     program and facts are replayed, and the first loop iteration evaluates

@@ -159,6 +159,33 @@ let prop_batch_permuted_order =
       List.for_all2 tuples_equal (Btree_tuples.to_list a)
         (Btree_tuples.to_list b))
 
+(* [Key.Int_array.equal] agrees with [compare = 0], also across lengths,
+   and a call allocates nothing (its loop closes over no arrays). *)
+let test_int_array_equal () =
+  let r = rng 26 in
+  let tuple () = Array.init (r 5) (fun _ -> r 3) in
+  for _ = 1 to 5_000 do
+    let a = tuple () and b = tuple () in
+    check_bool
+      (Printf.sprintf "equal %s %s" (Key.Int_array.to_string a)
+         (Key.Int_array.to_string b))
+      (Key.Int_array.compare a b = 0)
+      (Key.Int_array.equal a b)
+  done;
+  let a = [| 1; 2; 3; 4 |] and b = [| 1; 2; 3; 4 |] in
+  let run g =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      g ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let words =
+    run (fun () -> ignore (Key.Int_array.equal a b : bool))
+    -. run (fun () -> ())
+  in
+  Alcotest.(check (float 0.)) "minor words of 10k equal calls" 0. words
+
 let () =
   Suite.run "btree_tuples"
     [
@@ -169,6 +196,7 @@ let () =
           Alcotest.test_case "permuted order" `Quick test_permuted_order;
           Alcotest.test_case "arity 3" `Quick test_arity3;
           Alcotest.test_case "prefix scan" `Quick test_prefix_scan;
+          Alcotest.test_case "Int_array.equal" `Quick test_int_array_equal;
         ] );
       ( "properties",
         Tree_suite.qcheck

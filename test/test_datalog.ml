@@ -1068,6 +1068,40 @@ let test_finished_handles_release_cursors () =
   if growth > 100_000 then
     Alcotest.failf "20000 finished readers left %d live words behind" growth
 
+(* A phase handle opens an index cursor at its first use, so a reader
+   that touches only the primary costs the same however many secondary
+   signatures — and physical indexes — its relation has. *)
+let test_reader_cost_flat_in_signatures () =
+  let mk sigs =
+    let r =
+      Relation.create ~name:"flat" ~arity:3 ~kind:Storage.Btree ~sigs
+        ~stats:None ()
+    in
+    let w = Relation.begin_write r in
+    for i = 0 to 99 do
+      ignore (Relation.Writer.insert w [| i; i mod 7; i mod 5 |] : bool)
+    done;
+    Relation.Writer.finish w;
+    r
+  in
+  let words r =
+    let probe () =
+      let rd = Relation.begin_read r in
+      ignore (Relation.Reader.mem rd [| 42; 0; 2 |] : bool);
+      Relation.Reader.finish rd
+    in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      probe ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let bare = mk [] and wide = mk [ [| 1 |]; [| 2 |]; [| 0; 2 |]; [| 1; 2 |] ] in
+  check_bool "the wide relation has several indexes" true
+    (Relation.index_count wide >= 2);
+  Alcotest.(check (float 0.))
+    "minor words of 1000 primary-only readers" (words bare) (words wide)
+
 let test_stale_phase_handles () =
   (* a finished handle is dead: any operation through it must fail loudly
      rather than silently reopen the phase (the bug class this catches is a
@@ -1888,6 +1922,8 @@ let () =
           tc "stale handles" `Quick test_stale_phase_handles;
           tc "finished handles release cursors" `Quick
             test_finished_handles_release_cursors;
+          tc "reader cost flat in signatures" `Quick
+            test_reader_cost_flat_in_signatures;
           tc "engine respects phases" `Quick test_engine_respects_two_phases;
           tc "workloads respect phases" `Quick test_workloads_respect_two_phases;
         ] );

@@ -179,6 +179,30 @@ let test_backoff () =
   Olock.Backoff.once b;
   check "backoff terminates" true true
 
+(* Minor words [f] allocates over [n] calls, net of the measurement's own
+   boxing of the counter. *)
+let minor_words n f =
+  let run g =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      g ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  run f -. run (fun () -> ())
+
+(* Every level of an optimistic descent starts a read: on a free lock
+   (even version) that must not allocate — no backoff is built until a
+   writer is seen. *)
+let test_start_read_allocates_nothing () =
+  let l = Olock.create () in
+  let words =
+    minor_words 10_000 (fun () ->
+        let lease = Olock.start_read l in
+        ignore (Olock.end_read l lease : bool))
+  in
+  Alcotest.(check (float 0.)) "minor words of 10k read pairs" 0. words
+
 let () =
   Alcotest.run "olock"
     [
@@ -195,6 +219,8 @@ let () =
             test_upgrade_fails_after_write;
           Alcotest.test_case "writers mutually exclusive" `Quick
             test_writers_mutually_exclusive;
+          Alcotest.test_case "free start_read allocates nothing" `Quick
+            test_start_read_allocates_nothing;
         ] );
       ( "stress",
         [

@@ -632,7 +632,7 @@ let fresh_dir =
      with Sys_error _ | Unix.Unix_error _ -> ());
     d
 
-let durable_cfg ?(compact_segments = 2) dir addr =
+let durable_cfg ?(compact_segments = 2) ?(segment_bytes = 4096) dir addr =
   {
     (Dl_server.default_config addr) with
     Dl_server.workers = 2;
@@ -641,13 +641,13 @@ let durable_cfg ?(compact_segments = 2) dir addr =
     check_phases = true;
     data_dir = Some dir;
     durability = Wal.D_batch;
-    wal_segment_bytes = 4096;
+    wal_segment_bytes = segment_bytes;
     wal_compact_segments = compact_segments;
   }
 
-let with_durable_server ?compact_segments dir k =
+let with_durable_server ?compact_segments ?segment_bytes dir k =
   let addr = fresh_addr () in
-  let cfg = durable_cfg ?compact_segments dir addr in
+  let cfg = durable_cfg ?compact_segments ?segment_bytes dir addr in
   match Dl_server.start cfg with
   | Error m -> Alcotest.failf "server start: %s" m
   | Ok srv ->
@@ -1055,6 +1055,44 @@ let check_restart ?compact_segments ~torn dir before acked_kv =
 let assert_row c a b =
   ok "ASSERT kv" (Dl_client.assert_fact c "kv" [ string_of_int a; string_of_int b ])
 
+(* A flip answers its waiting queries before it commits.  Under batch,
+   each round of an ASSERT and a QUERY that forces a flip is answered with
+   the asserted row at the next generation, and the flip still appends its
+   group commit afterwards: the log's fsyncs rise by exactly one per flip
+   (the segments never rotate or compact here), none dropped or merged,
+   and a restart serves every acked row. *)
+let test_flip_commits_after_answers () =
+  let dir = fresh_dir () in
+  let rounds = 30 in
+  let gen_of info = Scanf.sscanf info "%_s rows=%_d gen=%d" Fun.id in
+  let durable k =
+    with_durable_server ~compact_segments:1000 ~segment_bytes:(1 lsl 20) dir k
+  in
+  let acked =
+    durable @@ fun c ->
+    install c;
+    ignore (rows c "out" : string list);
+    let flips0 = int_field c "flips" and fsyncs0 = int_field c "wal_fsyncs" in
+    let gen0 = int_field c "generation" in
+    List.init rounds (fun i ->
+        let i = i + 1 in
+        let row = Printf.sprintf "%d\t%d" i (i * 3) in
+        assert_row c i (i * 3);
+        (match Dl_client.query c "out" [ string_of_int i; "_" ] with
+        | Ok (Dl_client.Data (info, got)) ->
+          check Alcotest.(list string) "the answer holds the row" [ row ] got;
+          checki "the answer is of the next generation" (gen0 + i)
+            (gen_of info)
+        | _ -> Alcotest.failf "QUERY out(%d, _): bad reply" i);
+        checki "one flip per round" (flips0 + i) (int_field c "flips");
+        checki "one group-commit fsync per flip" (fsyncs0 + i)
+          (int_field c "wal_fsyncs");
+        row)
+  in
+  durable @@ fun c ->
+  check Alcotest.(list string) "a restart serves every acked row"
+    (List.sort compare acked) (rows c "out")
+
 (* A log that starts at a snapshot anchor and goes on with many one-row
    ASSERT records after it. *)
 let test_recovery_anchor_and_asserts () =
@@ -1332,6 +1370,8 @@ let () =
         ] );
       ( "recovery",
         [
+          tc "flip answers before its commit" `Quick
+            test_flip_commits_after_answers;
           tc "snapshot anchor and one-row ASSERTs" `Quick
             test_recovery_anchor_and_asserts;
           tc "RULES drops a logged relation" `Quick

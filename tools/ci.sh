@@ -9,6 +9,25 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The server sections list their temp dirs, sockets and server pids here
+# as they make them; on every exit, failures included, the trap kills the
+# listed servers and removes the listed paths.  A section clears a pid
+# once it has waited for it.
+CLEANUP_PATHS=""
+SRV_PID=""
+SIG_PID=""
+WAL_PID=""
+cleanup() {
+  for p in $SRV_PID $SIG_PID $WAL_PID; do
+    kill -9 "$p" 2>/dev/null || true
+  done
+  for f in $CLEANUP_PATHS; do
+    rm -rf "$f"
+  done
+}
+trap cleanup EXIT
+trap 'exit 1' INT TERM
+
 echo "== dune build =="
 dune build
 
@@ -110,6 +129,7 @@ echo "== query-server selftest (datalog_serve + datalog_cli --connect) =="
 SRV_SOCK="$(mktemp -u /tmp/repro_dlserve_XXXXXX.sock)"
 SRV_MSOCK="$(mktemp -u /tmp/repro_dlserve_metrics_XXXXXX.sock)"
 SRV_TMP="$(mktemp -d /tmp/repro_dlserve_XXXXXX)"
+CLEANUP_PATHS="$CLEANUP_PATHS $SRV_SOCK $SRV_MSOCK $SRV_TMP"
 mkdir -p "$SRV_TMP/facts" "$SRV_TMP/served" "$SRV_TMP/local"
 # a small DAG: one 12-node chain plus cross edges
 i=0
@@ -126,14 +146,12 @@ i=0
 while [ ! -S "$SRV_SOCK" ] && [ "$i" -lt 100 ]; do i=$((i + 1)); sleep 0.05; done
 if [ ! -S "$SRV_SOCK" ]; then
   echo "ci: datalog_serve socket never appeared" >&2
-  kill "$SRV_PID" 2>/dev/null || true
   exit 1
 fi
 if ! dune exec bin/datalog_cli.exe -- --connect "unix:$SRV_SOCK" \
     -F "$SRV_TMP/facts" -D "$SRV_TMP/served" examples/programs/distances.dl
 then
   echo "ci: datalog_cli --connect run failed" >&2
-  kill "$SRV_PID" 2>/dev/null || true
   exit 1
 fi
 # scrape every telemetry endpoint while the server is resident and
@@ -214,7 +232,6 @@ print(f"ci: server telemetry endpoints ok ({samples} exposition samples)")
 PY
   then
     echo "ci: server telemetry endpoint selftest failed" >&2
-    kill "$SRV_PID" 2>/dev/null || true
     exit 1
   fi
 else
@@ -229,13 +246,15 @@ for f in "$SRV_TMP/local"/*.csv; do
   sort "$SRV_TMP/served/$rel" > "$SRV_TMP/served.sorted"
   if ! cmp -s "$SRV_TMP/local.sorted" "$SRV_TMP/served.sorted"; then
     echo "ci: served $rel differs from local evaluation" >&2
-    kill "$SRV_PID" 2>/dev/null || true
     exit 1
   fi
 done
 echo "ci: served results match local evaluation"
 dune exec bin/datalog_cli.exe -- --connect "unix:$SRV_SOCK" --shutdown
-if ! wait "$SRV_PID"; then
+SRV_STATUS=0
+wait "$SRV_PID" || SRV_STATUS=$?
+SRV_PID=""
+if [ "$SRV_STATUS" -ne 0 ]; then
   echo "ci: datalog_serve exited nonzero after SHUTDOWN" >&2
   exit 1
 fi
@@ -256,6 +275,7 @@ echo "== signal-stop drill (kill -TERM, then recover) =="
 # byte-identical to a local evaluation of the loaded facts.
 SIG_SOCK="$(mktemp -u /tmp/repro_dlsig_XXXXXX.sock)"
 SIG_TMP="$(mktemp -d /tmp/repro_dlsig_XXXXXX)"
+CLEANUP_PATHS="$CLEANUP_PATHS $SIG_SOCK $SIG_TMP"
 mkdir -p "$SIG_TMP/facts" "$SIG_TMP/served" "$SIG_TMP/local" "$SIG_TMP/data"
 printf '0\t1\n1\t2\n2\t3\n3\t4\n1\t4\n' > "$SIG_TMP/facts/edge.facts"
 dune exec bin/datalog_serve.exe -- --listen "unix:$SIG_SOCK" -j 2 \
@@ -265,14 +285,12 @@ i=0
 while [ ! -S "$SIG_SOCK" ] && [ "$i" -lt 100 ]; do i=$((i + 1)); sleep 0.05; done
 if [ ! -S "$SIG_SOCK" ]; then
   echo "ci: durable datalog_serve socket never appeared" >&2
-  kill -9 "$SIG_PID" 2>/dev/null || true
   exit 1
 fi
 if ! dune exec bin/datalog_cli.exe -- --connect "unix:$SIG_SOCK" \
     -F "$SIG_TMP/facts" examples/programs/distances.dl > /dev/null
 then
   echo "ci: LOAD before the signal failed" >&2
-  kill -9 "$SIG_PID" 2>/dev/null || true
   exit 1
 fi
 kill -TERM "$SIG_PID"
@@ -280,10 +298,10 @@ i=0
 while kill -0 "$SIG_PID" 2>/dev/null && [ "$i" -lt 30 ]; do i=$((i + 1)); sleep 0.1; done
 if kill -0 "$SIG_PID" 2>/dev/null; then
   echo "ci: datalog_serve still running 3 s after SIGTERM" >&2
-  kill -9 "$SIG_PID" 2>/dev/null || true
   exit 1
 fi
 wait "$SIG_PID" 2>/dev/null || true
+SIG_PID=""
 if ! grep -q "datalog_serve: stopped" "$SIG_TMP/serve.log"; then
   echo "ci: datalog_serve did not print its stopped line after SIGTERM" >&2
   exit 1
@@ -295,7 +313,6 @@ i=0
 while [ ! -S "$SIG_SOCK" ] && [ "$i" -lt 100 ]; do i=$((i + 1)); sleep 0.05; done
 if [ ! -S "$SIG_SOCK" ]; then
   echo "ci: restarted datalog_serve socket never appeared" >&2
-  kill -9 "$SIG_PID" 2>/dev/null || true
   exit 1
 fi
 if command -v python3 >/dev/null 2>&1; then
@@ -317,7 +334,6 @@ if "recovered_torn_tail=false" not in lines:
     raise SystemExit("ci: restart after SIGTERM found a torn log tail")
 PY
   then
-    kill -9 "$SIG_PID" 2>/dev/null || true
     exit 1
   fi
 else
@@ -327,7 +343,6 @@ if ! dune exec bin/datalog_cli.exe -- --connect "unix:$SIG_SOCK" \
     -D "$SIG_TMP/served" examples/programs/distances.dl
 then
   echo "ci: query after the SIGTERM restart failed" >&2
-  kill -9 "$SIG_PID" 2>/dev/null || true
   exit 1
 fi
 dune exec bin/datalog_cli.exe -- -j 2 -F "$SIG_TMP/facts" \
@@ -338,12 +353,14 @@ for f in "$SIG_TMP/local"/*.csv; do
   sort "$SIG_TMP/served/$rel" > "$SIG_TMP/served.sorted"
   if ! cmp -s "$SIG_TMP/local.sorted" "$SIG_TMP/served.sorted"; then
     echo "ci: $rel after the SIGTERM restart differs from local evaluation" >&2
-    kill -9 "$SIG_PID" 2>/dev/null || true
     exit 1
   fi
 done
 dune exec bin/datalog_cli.exe -- --connect "unix:$SIG_SOCK" --shutdown
-if ! wait "$SIG_PID"; then
+SIG_STATUS=0
+wait "$SIG_PID" || SIG_STATUS=$?
+SIG_PID=""
+if [ "$SIG_STATUS" -ne 0 ]; then
   echo "ci: restarted datalog_serve exited nonzero after SHUTDOWN" >&2
   exit 1
 fi
@@ -359,6 +376,7 @@ echo "== durability kill-recover selftest (WAL crash recovery) =="
 # was fsynced before its OK, so the kill point cannot lose it.
 WAL_SOCK="$(mktemp -u /tmp/repro_dlwal_XXXXXX.sock)"
 WAL_TMP="$(mktemp -d /tmp/repro_dlwal_XXXXXX)"
+CLEANUP_PATHS="$CLEANUP_PATHS $WAL_SOCK $WAL_TMP"
 mkdir -p "$WAL_TMP/facts_a" "$WAL_TMP/facts_b" "$WAL_TMP/acked" \
   "$WAL_TMP/served" "$WAL_TMP/local" "$WAL_TMP/data"
 i=0
@@ -379,7 +397,6 @@ i=0
 while [ ! -S "$WAL_SOCK" ] && [ "$i" -lt 100 ]; do i=$((i + 1)); sleep 0.05; done
 if [ ! -S "$WAL_SOCK" ]; then
   echo "ci: durable datalog_serve socket never appeared" >&2
-  kill "$WAL_PID" 2>/dev/null || true
   exit 1
 fi
 for batch in facts_a facts_b; do
@@ -387,13 +404,13 @@ for batch in facts_a facts_b; do
       -F "$WAL_TMP/$batch" examples/programs/distances.dl > /dev/null
   then
     echo "ci: durable ingest ($batch) failed" >&2
-    kill "$WAL_PID" 2>/dev/null || true
     exit 1
   fi
 done
 # the crash: no drain, no flush beyond what strict acks already forced
 kill -9 "$WAL_PID" 2>/dev/null || true
 wait "$WAL_PID" 2>/dev/null || true
+WAL_PID=""
 rm -f "$WAL_SOCK" # a SIGKILLed server cannot unlink its socket
 dune exec bin/datalog_serve.exe -- --listen "unix:$WAL_SOCK" -j 2 \
   --data-dir "$WAL_TMP/data" --durability strict &
@@ -402,14 +419,12 @@ i=0
 while [ ! -S "$WAL_SOCK" ] && [ "$i" -lt 100 ]; do i=$((i + 1)); sleep 0.05; done
 if [ ! -S "$WAL_SOCK" ]; then
   echo "ci: recovered datalog_serve socket never appeared" >&2
-  kill "$WAL_PID" 2>/dev/null || true
   exit 1
 fi
 if ! dune exec bin/datalog_cli.exe -- --connect "unix:$WAL_SOCK" \
     -D "$WAL_TMP/served" examples/programs/distances.dl
 then
   echo "ci: query against recovered server failed" >&2
-  kill "$WAL_PID" 2>/dev/null || true
   exit 1
 fi
 cat "$WAL_TMP/facts_a/edge.facts" "$WAL_TMP/facts_b/edge.facts" \
@@ -422,13 +437,15 @@ for f in "$WAL_TMP/local"/*.csv; do
   sort "$WAL_TMP/served/$rel" > "$WAL_TMP/served.sorted"
   if ! cmp -s "$WAL_TMP/local.sorted" "$WAL_TMP/served.sorted"; then
     echo "ci: recovered $rel differs from local evaluation of acked facts" >&2
-    kill "$WAL_PID" 2>/dev/null || true
     exit 1
   fi
 done
 echo "ci: recovered results match local evaluation of acked facts"
 dune exec bin/datalog_cli.exe -- --connect "unix:$WAL_SOCK" --shutdown
-if ! wait "$WAL_PID"; then
+WAL_STATUS=0
+wait "$WAL_PID" || WAL_STATUS=$?
+WAL_PID=""
+if [ "$WAL_STATUS" -ne 0 ]; then
   echo "ci: recovered datalog_serve exited nonzero after SHUTDOWN" >&2
   exit 1
 fi
