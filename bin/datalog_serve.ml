@@ -64,7 +64,7 @@ let preload addr program facts_dir =
         entries
 
 let serve listen storage threads flip_pending flip_interval max_pending
-    max_clients check_phases data_dir durability wal_segment_mb program facts
+    max_clients data_dir durability wal_segment_mb program facts
     chaos flight serve_metrics serve_interval =
   let mon =
     Obs_cli.setup ~chaos ~flight ~serve_metrics ~serve_interval ()
@@ -103,7 +103,6 @@ let serve listen storage threads flip_pending flip_interval max_pending
           flip_interval_ms = max 1 flip_interval;
           max_pending = max 1 max_pending;
           max_clients = max 1 max_clients;
-          check_phases;
           data_dir;
           durability;
           wal_segment_bytes = max 1 wal_segment_mb * 1024 * 1024;
@@ -199,14 +198,6 @@ let max_clients_arg =
     & info [ "max-clients" ] ~docv:"N"
         ~doc:"Concurrent client sessions; further connects are refused.")
 
-let check_phases_arg =
-  Arg.(
-    value & flag
-    & info [ "check-phases" ]
-        ~doc:
-          "Assert the two-phase access discipline on every index during \
-           evaluation (debug; raises Phase_violation on overlap).")
-
 let data_dir_arg =
   Arg.(
     value & opt (some string) None
@@ -257,8 +248,8 @@ let cmd =
     (Cmd.info "datalog_serve" ~doc)
     Term.(
       const serve $ listen_arg $ storage_arg $ threads_arg $ flip_pending_arg
-      $ flip_interval_arg $ max_pending_arg $ max_clients_arg
-      $ check_phases_arg $ data_dir_arg $ durability_arg $ wal_segment_mb_arg
+      $ flip_interval_arg $ max_pending_arg $ max_clients_arg $ data_dir_arg
+      $ durability_arg $ wal_segment_mb_arg
       $ program_arg $ facts_arg $ Obs_cli.chaos_term
       $ Obs_cli.flight_term $ Obs_cli.serve_metrics_term
       $ Obs_cli.serve_interval_term)

@@ -7,7 +7,7 @@
 
 type t = {
   inserts : Sync.Counter.t;          (** insert attempts on relations *)
-  mem_tests : Sync.Counter.t;        (** membership tests (dedup + negation) *)
+  mem_tests : Sync.Counter.t;        (** membership tests (dedup, load freshness, negation) *)
   lower_bounds : Sync.Counter.t;     (** range-scan openings *)
   upper_bounds : Sync.Counter.t;     (** range-scan terminations *)
   input_tuples : Sync.Counter.t;     (** facts loaded *)

@@ -36,7 +36,7 @@ let iter_base t name f =
   List.iter (fun (q, run) -> if q = p then Array.iter f run) t.queued
 
 let create ?(kind = Storage.Btree) ?(instrument = false) ?(profile = false)
-    ?(check_phases = false) ?from program =
+    ?from program =
   let symtab =
     match from with Some old -> old.symtab | None -> Symtab.create ()
   in
@@ -48,7 +48,7 @@ let create ?(kind = Storage.Btree) ?(instrument = false) ?(profile = false)
       plan;
       kind;
       stats;
-      eval = Eval.create ~check_phases plan ~kind ~stats ~profile;
+      eval = Eval.create plan ~kind ~stats ~profile;
       queued = [];
       has_run = false;
       failed = false;

@@ -15,15 +15,16 @@ val create :
   ?kind:Storage.kind ->
   ?instrument:bool ->
   ?profile:bool ->
-  ?check_phases:bool ->
   ?from:t ->
   Ast.program ->
   t
 (** Compiles the program (resolution, safety checks, stratification, join
     planning).  [kind] selects the relation storage (default [Btree]);
     [instrument] enables the Table 2 operation counters; [profile] records
-    per-rule evaluation times; [check_phases] asserts the two-phase access
-    discipline on every index during evaluation (all default [false]).
+    per-rule evaluation times (both default [false]).  Every relation
+    checks the two-phase access discipline with its own always-on phase
+    latch: a read that overlaps a write raises
+    {!Relation.Phase_violation}.
 
     [from] rebuilds: the new engine shares the symbol table of [from], so
     every symbol keeps its id, and queues the base facts ({!iter_base}) of
@@ -40,7 +41,7 @@ val add_fact : t -> string -> int array -> unit
 val add_fact_run : t -> string -> int array array -> unit
 (** Queue a whole run of tuples in one chunk, before the first {!run} or
     between runs.  At {!run} the chunks of a predicate are grouped and fed
-    through the batch write path ({!Relation.merge_batch}), so bulk
+    through the batch write path ({!Relation.Writer.insert_batch}), so bulk
     loaders ({!Dl_io}) avoid per-tuple queuing entirely.  The array is
     retained; callers must not mutate it (or its tuples) afterwards.
     @raise Invalid_argument on unknown predicate or wrong arity. *)

@@ -138,7 +138,6 @@ type t = {
   plan : Plan.t;
   kind : Storage.kind;
   stats : Dl_stats.t option;
-  check_phases : bool;
   profile : bool;
   fulls : Relation.t array; (* by predicate id; a recomputed one is replaced *)
   bases : Relation.t option array;
@@ -179,11 +178,11 @@ let deps_of_rules rules =
   List.iter (fun cr -> Array.iter (visit ~agg:false) cr.Plan.cr_steps) rules;
   (List.sort_uniq Int.compare !pos, List.sort_uniq Int.compare !neg)
 
-let new_relation ~check_phases ~kind ~stats (plan : Plan.t) ~sigs p =
-  Relation.create ~check_phases ~name:plan.Plan.pred_names.(p)
-    ~arity:plan.Plan.arities.(p) ~kind ~sigs ~stats ()
+let new_relation ~kind ~stats (plan : Plan.t) ~sigs p =
+  Relation.create ~name:plan.Plan.pred_names.(p) ~arity:plan.Plan.arities.(p)
+    ~kind ~sigs ~stats ()
 
-let create ?(check_phases = false) (plan : Plan.t) ~kind ~stats ~profile =
+let create (plan : Plan.t) ~kind ~stats ~profile =
   let npreds = plan.Plan.npreds in
   let derived = Array.make npreds false in
   Array.iter
@@ -194,7 +193,7 @@ let create ?(check_phases = false) (plan : Plan.t) ~kind ~stats ~profile =
     List.iter (fun (p, tup) -> groups.(p) <- tup :: groups.(p)) plan.Plan.facts;
     Array.map (fun l -> Array.of_list (List.rev l)) groups
   in
-  let rel ~sigs p = new_relation ~check_phases ~kind ~stats plan ~sigs p in
+  let rel ~sigs p = new_relation ~kind ~stats plan ~sigs p in
   let deps = Array.map deps_of_rules plan.Plan.seed_rules in
   let stratum_of = plan.Plan.strat.Stratify.stratum_of in
   let reads_own s =
@@ -205,7 +204,6 @@ let create ?(check_phases = false) (plan : Plan.t) ~kind ~stats ~profile =
     plan;
     kind;
     stats;
-    check_phases;
     profile;
     fulls = Array.init npreds (fun p -> rel ~sigs:plan.Plan.sigs_full.(p) p);
     bases =
@@ -245,19 +243,31 @@ let iter_base t p f =
   | Some b -> Relation.iter b f
   | None -> Relation.iter t.fulls.(p) f
 
-(* The tuples of [tuples] not yet in [rel], once each, sorted. *)
+(* [tuples] sorted, once each, without the tuples [rel] already holds:
+   one membership probe through a read handle per distinct tuple, none
+   when [rel] is empty.  Sorts and overwrites [tuples]. *)
 let fresh_tuples rel tuples =
-  let sorted = Array.copy tuples in
-  Array.sort Key.Int_array.compare sorted;
-  let keep = ref [] in
-  Array.iteri
-    (fun i tup ->
-      if
-        (i = 0 || Key.Int_array.compare sorted.(i - 1) tup <> 0)
-        && not (Relation.mem rel tup)
-      then keep := tup :: !keep)
-    sorted;
-  Array.of_list (List.rev !keep)
+  Array.sort Key.Int_array.compare tuples;
+  let check = if Relation.is_empty rel then None else Some (Relation.begin_read rel) in
+  let k = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Relation.Reader.finish check)
+    (fun () ->
+      (* tuples.(i - 1) is still the original: writes go to k <= i - 1 *)
+      Array.iteri
+        (fun i tup ->
+          if
+            (i = 0 || Key.Int_array.compare tuples.(i - 1) tup <> 0)
+            &&
+            match check with
+            | None -> true
+            | Some r -> not (Relation.Reader.mem r tup)
+          then begin
+            tuples.(!k) <- tup;
+            incr k
+          end)
+        tuples);
+  Array.sub tuples 0 !k
 
 let run t ~pool batch =
   let plan = t.plan and kind = t.kind and stats = t.stats in
@@ -314,6 +324,8 @@ let run t ~pool batch =
     then
       if first then count_input (write fulls.(p) incoming)
       else
+        (* [incoming] is [asserted], a fresh array the base write kept no
+           hold of *)
         let fresh = fresh_tuples fulls.(p) incoming in
         if Array.length fresh > 0 then begin
           count_input (write fulls.(p) fresh);
@@ -329,8 +341,7 @@ let run t ~pool batch =
   let deltas = Array.make npreds None in
   let news = Array.make npreds None in
   let fresh_rel p =
-    new_relation ~check_phases:t.check_phases ~kind ~stats plan
-      ~sigs:plan.Plan.sigs_delta.(p) p
+    new_relation ~kind ~stats plan ~sigs:plan.Plan.sigs_delta.(p) p
   in
   let the = function Some r -> r | None -> assert false in
   let prof_entry cr =
@@ -508,34 +519,6 @@ let run t ~pool batch =
       lists;
     heads
   in
-  (* [heads] sorted, once each, without the tuples [full] already holds:
-     one membership probe per distinct tuple, none when [full] is empty.
-     Sorts and overwrites [heads]. *)
-  let fresh_heads full heads =
-    Array.sort Key.Int_array.compare heads;
-    let check =
-      if Relation.is_empty full then None else Some (Relation.begin_read full)
-    in
-    let k = ref 0 in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Relation.Reader.finish check)
-      (fun () ->
-        (* heads.(i - 1) is still the original: writes go to k <= i - 1 *)
-        Array.iteri
-          (fun i tup ->
-            if
-              (i = 0 || Key.Int_array.compare heads.(i - 1) tup <> 0)
-              &&
-              match check with
-              | None -> true
-              | Some r -> not (Relation.Reader.mem r tup)
-            then begin
-              heads.(!k) <- tup;
-              incr k
-            end)
-          heads);
-    Array.sub heads 0 !k
-  in
   (* merge new into full, returning the number of promoted tuples (the
      iteration's delta cardinality; 0 means fixed point); [track] also
      records them as the predicate's gain in this run.  A direct stratum
@@ -560,7 +543,7 @@ let run t ~pool batch =
                the fresh ones: [write] sorts for each index and keeps a
                tuple once *)
             let seeds = track && t.read.(p) in
-            let run = if seeds then fresh_heads fulls.(p) heads else heads in
+            let run = if seeds then fresh_tuples fulls.(p) heads else heads in
             let fresh = if Array.length run = 0 then 0 else write fulls.(p) run in
             (match stats with
             | Some st ->
@@ -596,10 +579,7 @@ let run t ~pool batch =
   (* the full relation of a derived predicate as its stratum starts over:
      its inline and added facts *)
   let rebuilt p =
-    let r =
-      new_relation ~check_phases:t.check_phases ~kind ~stats plan
-        ~sigs:plan.Plan.sigs_full.(p) p
-    in
+    let r = new_relation ~kind ~stats plan ~sigs:plan.Plan.sigs_full.(p) p in
     let facts = ref [ t.program_facts.(p) ] in
     Option.iter
       (fun b ->

@@ -25,8 +25,8 @@
     parallelisation scheme of the paper's section 2.  As in Soufflé, only
     a stratum that reads its own relations has [new] and [delta]
     relations: in any other stratum nothing reads a head while its rules
-    run, so the workers insert straight into the head's full relation and
-    keep what was fresh. *)
+    run, so the workers collect their head tuples and each head's full
+    relation takes them in one batch write. *)
 
 type rule_profile = {
   rp_rule : string;       (** pretty-printed source rule *)
@@ -38,21 +38,20 @@ type rule_profile = {
 type t
 
 val create :
-  ?check_phases:bool ->
   Plan.t ->
   kind:Storage.kind ->
   stats:Dl_stats.t option ->
   profile:bool ->
   t
-(** Empty relations for every predicate of the plan.  [check_phases]
-    wraps every index in {!Storage.Index.with_phase_check}, turning any
-    violation of the two-phase access discipline into an exception;
-    [profile] records per rule-version timings. *)
+(** Empty relations for every predicate of the plan; [profile] records
+    per rule-version timings.  Each relation checks the two-phase access
+    discipline with its own always-on phase latch, so a rule that reads a
+    relation while another writes it raises {!Relation.Phase_violation}. *)
 
 val run : t -> pool:Pool.t -> (int * int array array) list -> unit
 (** [run t ~pool batch] adds the [(pred id, tuples)] runs of [batch] (and,
     on the first run, the program's inline facts) through the batch write
-    path ({!Relation.merge_batch}: each index sorts the group and
+    path ({!Relation.Writer.insert_batch}: each index sorts the group and
     bulk-inserts it, in parallel on [pool] for large groups on
     thread-safe storage kinds), then evaluates to the fixed point.  When
     it raises, the relations are left part-way and [t] must not be run

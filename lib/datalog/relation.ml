@@ -10,20 +10,15 @@ type t = {
          signatures may share one index (chain cover, tree kinds only) *)
   distinct : Storage.Index.t array; (* each underlying secondary index once *)
   phase : Sync.Phase_latch.t;
-      (* open typed phases: a reader/writer latch word (same packing as
-         [Storage.Index.with_phase_check]) *)
+      (* open phases: typed handles and quiescent scans, as one
+         reader/writer latch word *)
 }
+
+exception Phase_violation of string
 
 let shares_indexes = Storage.shares_indexes
 
-let create ?(check_phases = false) ~name ~arity ~kind ~sigs ~stats () =
-  let checked i idx =
-    if check_phases then
-      Storage.Index.with_phase_check
-        ~name:(Printf.sprintf "%s[%d]" name i)
-        idx
-    else idx
-  in
+let create ~name ~arity ~kind ~sigs ~stats () =
   let uniq =
     List.sort_uniq Key.Int_array.compare (List.filter (fun s -> Array.length s > 0) sigs)
   in
@@ -32,10 +27,9 @@ let create ?(check_phases = false) ~name ~arity ~kind ~sigs ~stats () =
       let plan = Index_selection.solve ~arity uniq in
       let indexes =
         Array.of_list
-          (List.mapi
-             (fun i order ->
-               checked (i + 1)
-                 (Storage.Index.create kind ~arity ~cols:[||] ~order ~stats ()))
+          (List.map
+             (fun order ->
+               Storage.Index.create kind ~arity ~cols:[||] ~order ~stats ())
              plan.Index_selection.orders)
       in
       (Array.of_list plan.Index_selection.assignment, indexes)
@@ -43,9 +37,8 @@ let create ?(check_phases = false) ~name ~arity ~kind ~sigs ~stats () =
     else begin
       ( Array.of_list (List.mapi (fun i cols -> (cols, i)) uniq),
         Array.of_list
-          (List.mapi
-             (fun i cols ->
-               checked (i + 1) (Storage.Index.create kind ~arity ~cols ~stats ()))
+          (List.map
+             (fun cols -> Storage.Index.create kind ~arity ~cols ~stats ())
              uniq) )
     end
   in
@@ -56,7 +49,7 @@ let create ?(check_phases = false) ~name ~arity ~kind ~sigs ~stats () =
     stats;
     write_lock =
       (if Storage.thread_safe_insert kind then None else Some (Mutex.create ()));
-    primary = checked 0 (Storage.Index.create kind ~arity ~cols:[||] ~stats ());
+    primary = Storage.Index.create kind ~arity ~cols:[||] ~stats ();
     secondary;
     distinct;
     phase = Sync.Phase_latch.make ();
@@ -66,21 +59,40 @@ let name t = t.name
 let arity t = t.arity
 let cardinal t = Storage.Index.cardinal t.primary
 let is_empty t = Storage.Index.is_empty t.primary
-let iter t f = Storage.Index.iter t.primary f
-let mem t tup = Storage.Index.mem t.primary tup
 
-let insert_unlocked t tup =
-  let fresh = Storage.Index.insert t.primary tup in
-  if fresh then
-    Array.iter
-      (fun idx -> ignore (Storage.Index.insert idx tup : bool))
-      t.distinct;
-  fresh
+(* ---------------- the phase latch ---------------- *)
 
-let insert t tup =
-  match t.write_lock with
-  | None -> insert_unlocked t tup
-  | Some m -> Mutex.protect m (fun () -> insert_unlocked t tup)
+(* In every parallel region a relation is either written or read, never
+   both — the contract the B-tree's synchronisation is specialised for.
+   [begin_write]/[begin_read] make the phase explicit in the types (a
+   Writer cannot scan, a Reader cannot insert) and, with [iter], detect
+   overlap dynamically: both phases are counted in one atomic word, so an
+   overlap check is a single fetch-and-add with no window. *)
+
+let enter_phase t phase what =
+  if not (Sync.Phase_latch.try_enter t.phase phase) then
+    raise
+      (Phase_violation
+         (Printf.sprintf "%s: %s during an open %s phase" t.name what
+            (if phase = Sync.Phase_latch.Write then "read" else "write")))
+  else
+    Flight.record Flight.Ev.Phase
+      (if phase = Sync.Phase_latch.Write then Flight.phase_write_enter
+       else Flight.phase_read_enter)
+      0 0
+
+let leave_phase t phase =
+  Sync.Phase_latch.leave t.phase phase;
+  Flight.record Flight.Ev.Phase
+    (if phase = Sync.Phase_latch.Write then Flight.phase_write_leave
+     else Flight.phase_read_leave)
+    0 0
+
+let iter t f =
+  enter_phase t Sync.Phase_latch.Read "iter";
+  Fun.protect
+    ~finally:(fun () -> leave_phase t Sync.Phase_latch.Read)
+    (fun () -> Storage.Index.iter t.primary f)
 
 let hint_counters t =
   let add acc idx =
@@ -193,24 +205,36 @@ module Cursor = struct
       invalid_arg
         (Printf.sprintf "Relation.Reader.query: %d pattern fields, %s has arity %d"
            (Array.length pat) rel.name rel.arity);
-    let is_bound col = pat.(col) <> None in
+    let is_bound col = Option.is_some pat.(col) in
     let value col = Option.get pat.(col) in
-    let bound = List.filter is_bound (List.init rel.arity Fun.id) in
+    (* the columns satisfying [keep], ascending *)
+    let cols_where keep =
+      let cols = Array.make rel.arity 0 and n = ref 0 in
+      for col = 0 to rel.arity - 1 do
+        if keep col then begin
+          cols.(!n) <- col;
+          incr n
+        end
+      done;
+      Array.sub cols 0 !n
+    in
+    let bound = cols_where is_bound in
+    let nbound = Array.length bound in
     let examined = ref 0 in
     (* range scan of [cur] over the bound prefix [cols]; the bound columns
-       outside it are checked per tuple *)
+       outside it are checked per tuple, in a plain loop *)
     let scan cur cols =
       let checked =
-        Array.of_list (List.filter (fun col -> not (Array.mem col cols)) bound)
+        cols_where (fun col -> is_bound col && not (Array.mem col cols))
       in
       let want = Array.map value checked in
+      let nchecked = Array.length checked in
       Storage.Index.c_scan cur ~cols (Array.map value cols) (fun tup ->
           incr examined;
-          let ok = ref true in
-          Array.iteri (fun j col -> if tup.(col) <> want.(j) then ok := false) checked;
-          if !ok then f tup)
+          let j = ref 0 in
+          while !j < nchecked && tup.(checked.(!j)) = want.(!j) do incr j done;
+          if !j = nchecked then f tup)
     in
-    let nbound = List.length bound in
     if nbound > 0 && nbound = rel.arity then begin
       let tup = Array.map Option.get pat in
       if mem c tup then begin
@@ -241,11 +265,10 @@ module Cursor = struct
         let j, order, k = !best in
         scan (if j < 0 then primary c else index c j) (Array.sub order 0 k)
       | None -> (
-        let cols = Array.of_list bound in
         match
-          Array.find_opt (fun (sig_cols, _) -> sig_cols = cols) rel.secondary
+          Array.find_opt (fun (sig_cols, _) -> sig_cols = bound) rel.secondary
         with
-        | Some (_, j) -> scan (index c j) cols
+        | Some (_, j) -> scan (index c j) bound
         | None -> scan (primary c) [||])
     end;
     !examined
@@ -253,13 +276,14 @@ end
 
 (* ---------------- batch merge ---------------- *)
 
-let merge_batch ?pool t tuples =
+(* The batch write of [Writer.insert_batch]; [cur] is the writer's
+   cursor, for the serial hash path. *)
+let merge_batch ?pool cur tuples =
+  let t = cur.Cursor.rel in
   if Array.length tuples = 0 then 0
   else begin
     let do_merge () =
-      if Array.length t.distinct = 0 then
-        Storage.Index.merge ?pool t.primary tuples
-      else if shares_indexes t.kind then begin
+      if shares_indexes t.kind then begin
         (* Tree kinds: every index is a dedup set, so each can merge the
            full array independently (sorting its own copy in its own
            order).  Skipping the primary-freshness gate is equivalent to
@@ -284,16 +308,18 @@ let merge_batch ?pool t tuples =
           let fresh = Sync.Counter.make 0 in
           Pool.parallel_for_ranges ~label:"merge" p 0 (Array.length tuples)
             (fun _w lo hi ->
+              let c = Cursor.create t in
               let f = ref 0 in
               for i = lo to hi - 1 do
-                if insert_unlocked t tuples.(i) then incr f
+                if Cursor.insert_unlocked c tuples.(i) then incr f
               done;
+              Cursor.release c;
               Sync.Counter.add fresh !f);
           Sync.Counter.get fresh
         | _ ->
           let fresh = ref 0 in
           Array.iter
-            (fun tup -> if insert_unlocked t tup then incr fresh)
+            (fun tup -> if Cursor.insert_unlocked cur tup then incr fresh)
             tuples;
           !fresh
       end
@@ -305,33 +331,10 @@ let merge_batch ?pool t tuples =
 
 (* ---------------- typed two-phase access ---------------- *)
 
-(* In every parallel region a relation is either written or read, never
-   both — the contract the B-tree's synchronisation is specialised for.
-   [begin_write]/[begin_read] make the phase explicit in the types (a
-   Writer cannot scan, a Reader cannot insert) and detect overlap
-   dynamically: both phases are counted in one atomic word, so an overlap
-   check is a single fetch-and-add with no window. *)
-
-let enter_phase t phase what =
-  if not (Sync.Phase_latch.try_enter t.phase phase) then
-    raise
-      (Storage.Index.Phase_violation
-         (Printf.sprintf "%s: begin_%s during an open %s phase" t.name what
-            (if what = "write" then "read" else "write")))
-  else
-    Flight.record Flight.Ev.Phase
-      (if phase = Sync.Phase_latch.Write then Flight.phase_write_enter
-       else Flight.phase_read_enter)
-      0 0
-
-let leave_phase t phase closed =
+let finish_phase t phase closed =
   if !closed then invalid_arg "Relation: phase handle finished twice";
   closed := true;
-  Sync.Phase_latch.leave t.phase phase;
-  Flight.record Flight.Ev.Phase
-    (if phase = Sync.Phase_latch.Write then Flight.phase_write_leave
-     else Flight.phase_read_leave)
-    0 0
+  leave_phase t phase
 
 (* A finished handle no longer holds its phase slot: an operation through
    it would race whatever phase opened since (exactly the overlap the
@@ -340,7 +343,7 @@ let leave_phase t phase closed =
 let check_open name closed what =
   if !closed then
     raise
-      (Storage.Index.Phase_violation
+      (Phase_violation
          (Printf.sprintf "%s: %s through a finished handle" name what))
 
 module Writer = struct
@@ -353,10 +356,10 @@ module Writer = struct
 
   let insert_batch ?pool w tuples =
     check_open w.w_rel.name w.w_closed "insert_batch";
-    merge_batch ?pool w.w_rel tuples
+    merge_batch ?pool w.w_cur tuples
 
   let finish w =
-    leave_phase w.w_rel Sync.Phase_latch.Write w.w_closed;
+    finish_phase w.w_rel Sync.Phase_latch.Write w.w_closed;
     Cursor.release w.w_cur
 end
 
@@ -377,16 +380,16 @@ module Reader = struct
     Cursor.query r.r_cur pat f
 
   let finish r =
-    leave_phase r.r_rel Sync.Phase_latch.Read r.r_closed;
+    finish_phase r.r_rel Sync.Phase_latch.Read r.r_closed;
     Cursor.release r.r_cur
 end
 
 let begin_write t =
   (* a write may not open while readers are active *)
-  enter_phase t Sync.Phase_latch.Write "write";
+  enter_phase t Sync.Phase_latch.Write "begin_write";
   { Writer.w_cur = Cursor.create t; w_rel = t; w_closed = ref false }
 
 let begin_read t =
   (* a read may not open while writers are active *)
-  enter_phase t Sync.Phase_latch.Read "read";
+  enter_phase t Sync.Phase_latch.Read "begin_read";
   { Reader.r_cur = Cursor.create t; r_rel = t; r_closed = ref false }

@@ -4,13 +4,19 @@
     Insertion goes to all indexes and is deduplicated by the primary; for
     storage kinds whose insert is not thread-safe a per-relation mutex
     serialises writers (the paper's "global lock" configurations).  Reads
-    are never synchronised — the engine guarantees the two-phase access
-    discipline. *)
+    take no lock.  One always-on phase latch per relation checks the
+    two-phase access discipline instead: every typed phase handle and
+    every {!iter} holds it, and a read that overlaps a write raises
+    {!Phase_violation}.  The handles and {!iter} are the only ways to
+    read or write a relation's tuples. *)
 
 type t
 
+exception Phase_violation of string
+(** A read phase and a write phase of one relation overlapped, or a
+    finished handle was used. *)
+
 val create :
-  ?check_phases:bool ->
   name:string ->
   arity:int ->
   kind:Storage.kind ->
@@ -33,25 +39,11 @@ val name : t -> string
 val arity : t -> int
 val cardinal : t -> int
 val is_empty : t -> bool
+
 val iter : t -> (int array -> unit) -> unit
-val mem : t -> int array -> bool
-
-val insert : t -> int array -> bool
-(** Direct insert (fact loading, merging); thread-safety per the contract
-    above.  [true] iff the tuple was new. *)
-
-val merge_batch : ?pool:Pool.t -> t -> int array array -> int
-(** [merge_batch ?pool t tuples] inserts an unsorted tuple array into every
-    index of the relation through the batch write path
-    ({!Storage.Index.merge}): for tree kinds each physical index sorts a
-    private copy in its own order and bulk-inserts it, in parallel on
-    [pool] (the parallel structural merge); for hash kinds — whose
-    secondary multimaps do not deduplicate — inserts are gated per tuple
-    on primary freshness like {!insert}, spread on [pool] when the kind
-    takes concurrent inserts.  Like {!insert}, counts nothing into the
-    stats — callers account freshness themselves.  Returns the number of
-    tuples that were new.  Must run in a write phase: safe against
-    concurrent writers, never concurrent with readers. *)
+(** Quiescent scan of the whole relation in the primary's order.  It
+    holds a read slot of the phase latch while it runs.
+    @raise Phase_violation when a write phase is open. *)
 
 val hint_counters : t -> (int * int) option
 (** Aggregated (hits, misses) of every hint-carrying cursor over all of the
@@ -78,7 +70,7 @@ val sig_id : t -> int array -> int
     guarantees and the B-tree's synchronisation is specialised for.  The
     typed handles make the phase explicit: a {!Writer.t} can only insert,
     a {!Reader.t} can only query.  Opening a phase while the opposite
-    phase is live raises {!Storage.Index.Phase_violation} (both phases are
+    phase is live raises {!Phase_violation} (both phases are
     counted in one atomic word, so the overlap check has no window).  Any
     number of concurrent writers — or concurrent readers — may be open at
     once; create one handle per worker (each owns its per-domain hinted
@@ -95,7 +87,16 @@ module Writer : sig
       a produced tuple into the stats. *)
 
   val insert_batch : ?pool:Pool.t -> t -> int array array -> int
-  (** {!merge_batch} through this writer. *)
+  (** [insert_batch ?pool w tuples] inserts an unsorted tuple array into
+      every index of the relation through the batch write path
+      ({!Storage.Index.merge}): for tree kinds each physical index sorts a
+      private copy in its own order and bulk-inserts it, in parallel on
+      [pool] (the parallel structural merge); for hash kinds — whose
+      secondary multimaps do not deduplicate — inserts are gated per
+      tuple on primary freshness, spread on [pool] when the kind takes
+      concurrent inserts.  Unlike {!insert}, counts nothing into the
+      stats — callers account freshness themselves.  Returns the number
+      of tuples that were new. *)
 
   val finish : t -> unit
   (** Close the phase.  @raise Invalid_argument if already finished. *)
@@ -139,7 +140,7 @@ module Reader : sig
 end
 
 val begin_write : t -> Writer.t
-(** @raise Storage.Index.Phase_violation while a read phase is open. *)
+(** @raise Phase_violation while a read phase is open. *)
 
 val begin_read : t -> Reader.t
-(** @raise Storage.Index.Phase_violation while a write phase is open. *)
+(** @raise Phase_violation while a write phase is open. *)

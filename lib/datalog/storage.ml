@@ -59,10 +59,9 @@ let ordered_key (order : int array) : (module Key.ORDERED with type t = int arra
 
 let matches ~cols bound (tuple : int array) =
   let n = Array.length cols in
-  let rec go i =
-    i = n || (tuple.(cols.(i)) = bound.(i) && go (i + 1))
-  in
-  go 0
+  let i = ref 0 in
+  while !i < n && tuple.(cols.(!i)) = bound.(!i) do incr i done;
+  !i = n
 
 module Index = struct
   type cursor = {
@@ -73,13 +72,9 @@ module Index = struct
   }
 
   type t = {
-    i_insert : int array -> bool;
-    i_insert_batch : int array array -> int;
-        (* sorted run in the index's own order; returns fresh count *)
     i_merge : Pool.t option -> int array array -> int;
         (* unsorted tuples: sort a private copy in index order, then batch
-           insert — partitioned across the pool for concurrent kinds *)
-    i_mem : int array -> bool;
+           insert — partitioned across the pool for the B-tree kinds *)
     i_iter : (int array -> unit) -> unit;
     i_cardinal : unit -> int;
     i_is_empty : unit -> bool;
@@ -243,10 +238,7 @@ module Index = struct
       end
     in
     {
-      i_insert = (fun tup -> Btree_tuples.insert tree tup);
-      i_insert_batch = (fun run -> Btree_tuples.insert_batch tree run);
       i_merge = merge;
-      i_mem = (fun tup -> Btree_tuples.mem tree tup);
       i_iter = (fun f -> Btree_tuples.iter f tree);
       i_cardinal = (fun () -> Btree_tuples.cardinal tree);
       i_is_empty = (fun () -> Btree_tuples.is_empty tree);
@@ -278,7 +270,6 @@ module Index = struct
   module type SORTED = functor (K : Key.ORDERED with type t = int array) -> sig
     include Set_intf.S with type key = int array
 
-    val insert_batch : t -> key array -> int
     val iter_from : (key -> bool) -> t -> key -> unit
     val is_empty : t -> bool
   end
@@ -317,8 +308,6 @@ module Index = struct
       }
     in
     {
-      i_insert = (fun tup -> T.insert tree tup);
-      i_insert_batch = (fun run -> T.insert_batch tree run);
       i_merge =
         (fun _pool tuples ->
           let fresh = ref 0 in
@@ -326,7 +315,6 @@ module Index = struct
             (fun tup -> if T.insert tree tup then incr fresh)
             (sorted_run ~compare:K.compare tuples);
           !fresh);
-      i_mem = (fun tup -> T.mem tree tup);
       i_iter = (fun f -> T.iter f tree);
       i_cardinal = (fun () -> T.cardinal tree);
       i_is_empty = (fun () -> T.is_empty tree);
@@ -350,9 +338,8 @@ module Index = struct
 
   (* Hash index: the primary is the hash set [H] of tuples; a secondary is
      a hash multimap from bound values to tuples.  The [concurrent]
-     instance (tbb) stripes the multimap over 64 spin-locked tables and
-     spreads large merges over the pool; the sequential one (hashset) is a
-     single unlocked table. *)
+     instance (tbb) stripes the multimap over 64 spin-locked tables; the
+     sequential one (hashset) is a single unlocked table. *)
   let make_hash (module H : Set_intf.S with type key = int array) ~concurrent
       ~arity:_ ~cols ~order:_ ~stats =
     let ncols = Array.length cols in
@@ -415,26 +402,12 @@ module Index = struct
             Array.for_all (fun (_, tbl) -> Tuple_tbl.length tbl = 0) stripes )
       end
     in
-    let insert_many run =
+    (* serial: a relation spreads its hash inserts over the pool itself,
+       gated on primary freshness ([Relation]'s batch write) *)
+    let merge _pool tuples =
       let fresh = ref 0 in
-      Array.iter (fun tup -> if insert tup then incr fresh) run;
+      Array.iter (fun tup -> if insert tup then incr fresh) tuples;
       !fresh
-    in
-    let merge pool tuples =
-      let n = Array.length tuples in
-      match pool with
-      | Some p
-        when concurrent && Pool.size p > 1 && n >= merge_parallel_cutoff ->
-        (* inserts are thread-safe; no order to exploit, just spread *)
-        let fresh = Sync.Counter.make 0 in
-        Pool.parallel_for_ranges ~label:"merge" p 0 n (fun _w lo hi ->
-            let f = ref 0 in
-            for i = lo to hi - 1 do
-              if insert tuples.(i) then incr f
-            done;
-            Sync.Counter.add fresh !f);
-        Sync.Counter.get fresh
-      | _ -> insert_many tuples
     in
     let cursor () =
       {
@@ -451,10 +424,7 @@ module Index = struct
       }
     in
     {
-      i_insert = insert;
-      i_insert_batch = insert_many;
       i_merge = merge;
-      i_mem = mem;
       i_iter = iter;
       i_cardinal = cardinal;
       i_is_empty = is_empty;
@@ -599,67 +569,7 @@ module Index = struct
   let hint_runs t = t.i_hint_runs ()
   let order t = t.i_order
   let is_empty t = t.i_is_empty ()
-  exception Phase_violation of string
-
-  (* Readers and writers counted in one latch word (see
-     [Sync.Phase_latch]) — the read+write overlap check is a single
-     atomic read-modify-write with no window. *)
-  let with_phase_check ~name t =
-    let latch = Sync.Phase_latch.make () in
-    let enter phase what =
-      if not (Sync.Phase_latch.try_enter latch phase) then
-        raise
-          (Phase_violation
-             (Printf.sprintf "%s: concurrent %s during the opposite phase"
-                name what))
-    in
-    let as_reader f =
-      enter Sync.Phase_latch.Read "read";
-      match f () with
-      | r ->
-        Sync.Phase_latch.leave latch Sync.Phase_latch.Read;
-        r
-      | exception e ->
-        Sync.Phase_latch.leave latch Sync.Phase_latch.Read;
-        raise e
-    in
-    let as_writer f =
-      enter Sync.Phase_latch.Write "write";
-      match f () with
-      | r ->
-        Sync.Phase_latch.leave latch Sync.Phase_latch.Write;
-        r
-      | exception e ->
-        Sync.Phase_latch.leave latch Sync.Phase_latch.Write;
-        raise e
-    in
-    let wrap_cursor c =
-      {
-        c_insert = (fun tup -> as_writer (fun () -> c.c_insert tup));
-        c_mem = (fun tup -> as_reader (fun () -> c.c_mem tup));
-        c_scan = (fun ~cols bound f -> as_reader (fun () -> c.c_scan ~cols bound f));
-        c_release = c.c_release;
-      }
-    in
-    {
-      i_insert = (fun tup -> as_writer (fun () -> t.i_insert tup));
-      i_insert_batch = (fun run -> as_writer (fun () -> t.i_insert_batch run));
-      i_merge = (fun pool tuples -> as_writer (fun () -> t.i_merge pool tuples));
-      i_mem = (fun tup -> as_reader (fun () -> t.i_mem tup));
-      i_iter = (fun f -> as_reader (fun () -> t.i_iter f));
-      i_cardinal = t.i_cardinal;
-      i_is_empty = t.i_is_empty;
-      i_cursor = (fun () -> wrap_cursor (t.i_cursor ()));
-      i_hint_counters = t.i_hint_counters;
-      i_shape = t.i_shape;
-      i_hint_runs = t.i_hint_runs;
-      i_order = t.i_order;
-    }
-
-  let insert t tup = t.i_insert tup
-  let insert_batch t run = t.i_insert_batch run
   let merge ?pool t tuples = t.i_merge pool tuples
-  let mem t tup = t.i_mem tup
   let iter t f = t.i_iter f
   let cardinal t = t.i_cardinal ()
   let cursor t = t.i_cursor ()

@@ -15,11 +15,12 @@
     ordered range scans (footnote in DESIGN.md).
 
     Thread-safety contract, matching the two-phase discipline of parallel
-    semi-naive evaluation: [insert] must be safe against concurrent [insert]s
-    {e when the kind is flagged thread-safe}; the engine serialises inserts
-    through a per-relation mutex for the other kinds (the paper's
-    "global lock" configurations).  Queries are only ever concurrent with
-    queries. *)
+    semi-naive evaluation: a cursor's [c_insert] must be safe against
+    concurrent [c_insert]s {e when the kind is flagged thread-safe}; a
+    relation serialises inserts through its own mutex for the other kinds
+    (the paper's "global lock" configurations).  Queries are only ever
+    concurrent with queries: {!Relation}'s phase latch, the one check of
+    that discipline, guards every index reached through a relation. *)
 
 type kind =
   | Btree          (** the paper's tree, with operation hints *)
@@ -38,7 +39,8 @@ val kind_choices : string
     order (["btree, btree-nohints, ..."]), for CLI docs and errors. *)
 
 val thread_safe_insert : kind -> bool
-(** Whether [insert] may be called concurrently without external locking. *)
+(** Whether [c_insert] may be called concurrently without external
+    locking. *)
 
 val shares_indexes : kind -> bool
 (** Whether one physical index can serve every signature on a containment
@@ -75,36 +77,22 @@ module Index : sig
       this index.  Hash kinds ignore [order] (a hash multimap serves exactly
       one signature). *)
 
-  val insert : t -> int array -> bool
-  (** Add a tuple.  Every kind retains the inserted array as-is (tree
-      nodes, hash slots and multimap buckets all store it), so callers
-      must not mutate a tuple after inserting it.  Returns [true] iff new.
-      Only meaningful as a freshness signal on the primary index;
-      secondary indexes always contain exactly the tuples of the
-      primary. *)
-
-  val insert_batch : t -> int array array -> int
-  (** [insert_batch t run] adds a run of tuples sorted in {e this index's}
-      comparison order (non-decreasing; duplicates skipped) and returns the
-      fresh-tuple count.  Tree kinds amortise one descent and one leaf
-      write permit across each leaf's worth of the run
-      ({!Btree_tuples.insert_batch}); hash kinds degrade to an insert loop.
-      Freshness is only meaningful on the primary index.
-      @raise Invalid_argument when the run is not sorted (ordered kinds). *)
-
   val merge : ?pool:Pool.t -> t -> int array array -> int
-  (** [merge ?pool t tuples] inserts an {e unsorted} tuple array.  The
-      ordered kinds sort a private copy in the index's own order (unless
-      the input already is) and insert the run in order; hash kinds insert
-      in input order.  With a pool of more than one worker and enough
-      tuples, thread-safe kinds run the merge in parallel — the B-tree kinds
-      partition the run by the tree's internal separators so every
-      partition descends into a disjoint subtree and batch-inserts with
-      its own hints (the parallel structural merge); concurrent hash kinds
-      spread a plain insert loop.  Serial for the thread-unsafe kinds.
-      Returns the fresh-tuple count (primary index only). *)
+  (** [merge ?pool t tuples] inserts an {e unsorted} tuple array.  Every
+      kind retains the inserted tuples as-is (tree nodes, hash slots and
+      multimap buckets all store them), so callers must not mutate a
+      tuple afterwards.  The ordered kinds sort a private copy in the
+      index's own order (unless the input already is) and insert the run
+      in order; with a pool of more than one worker and enough tuples the
+      B-tree kinds partition the run by the tree's internal separators so
+      every partition descends into a disjoint subtree and batch-inserts
+      with its own hints (the parallel structural merge).  The other
+      ordered kinds insert the run serially, and the hash kinds insert in
+      input order in one serial loop: a relation spreads hash inserts over
+      its pool itself, gated on primary freshness because a secondary
+      multimap does not deduplicate.  Returns the fresh-tuple count
+      (meaningful on the primary index only). *)
 
-  val mem : t -> int array -> bool
   val iter : t -> (int array -> unit) -> unit
   val cardinal : t -> int
   val is_empty : t -> bool
@@ -155,14 +143,4 @@ module Index : sig
 
   val merge_runs : int array option -> int array option -> int array option
   (** Element-wise sum of two optional {!hint_runs} histograms. *)
-
-  exception Phase_violation of string
-
-  val with_phase_check : name:string -> t -> t
-  (** Debug wrapper enforcing the paper's two-phase contract: at any moment
-      an index is either being read (any number of concurrent readers) or
-      written (any number of concurrent inserters), never both.  Raises
-      {!Phase_violation} the moment a read overlaps a write.  Used by the
-      test suite to validate that parallel semi-naive evaluation respects
-      the discipline the B-tree's synchronisation is specialised for. *)
 end

@@ -24,9 +24,10 @@ module Phase_latch : sig
   (** Reader/writer phase overlap detector: writers counted in the low 20
       bits of one atomic word, readers above, so entering a phase and
       checking for the opposite phase is a single fetch-and-add with no
-      window.  Used by [Relation] and [Storage.Index.with_phase_check] to
-      enforce the engine's "a relation is written or read, never both"
-      contract. *)
+      window.  Its one user is [Relation]: one always-on latch per
+      relation, held by every typed phase handle and every quiescent
+      scan, enforces the engine's "a relation is written or read, never
+      both" contract. *)
 
   type t
 

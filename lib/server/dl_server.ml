@@ -20,8 +20,9 @@
    and symbol table only on a RULES install (live or replayed) and after
    a failed flip.  Queries are
    fanned out over the pool as concurrent reader phases between flips, so
-   the paper's all-writers-or-all-readers discipline holds by construction
-   and [check_phases] can assert it never tears.  Each QUERY is one
+   the paper's all-writers-or-all-readers discipline holds by construction;
+   every relation's always-on phase latch asserts it never tears, and
+   STATS counts any tear as a phase violation.  Each QUERY is one
    [Relation.Reader.query]: a lower-bound descent and range scan of the
    relation's index whose order starts with the most bound columns, or a
    filtered full scan when no index serves the pattern (that module
@@ -36,7 +37,6 @@ type config = {
   flip_interval_ms : int;
   max_pending : int;
   max_clients : int;
-  check_phases : bool;
   data_dir : string option;
   durability : Wal.durability;
   wal_segment_bytes : int;
@@ -52,7 +52,6 @@ let default_config addr =
     flip_interval_ms = 50;
     max_pending = 100_000;
     max_clients = 64;
-    check_phases = false;
     data_dir = None;
     durability = Wal.D_batch;
     wal_segment_bytes = 8 * 1024 * 1024;
@@ -338,13 +337,10 @@ let do_flip st =
          consecutive failures the waiting queries are failed rather than
          starved forever. *)
       (match ex with
-      | Storage.Index.Phase_violation _ ->
+      | Relation.Phase_violation _ ->
         st.s_phase_violations <- st.s_phase_violations + 1
       | _ -> ());
-      st.s_engine <-
-        Some
-          (Engine.create ~kind:st.s_cfg.kind ~check_phases:st.s_cfg.check_phases
-             ~from:e prog);
+      st.s_engine <- Some (Engine.create ~kind:st.s_cfg.kind ~from:e prog);
       st.s_flip_failures <- st.s_flip_failures + 1;
       (* back off so an armed chaos point cannot hot-spin the loop *)
       st.s_retry_at <-
@@ -454,7 +450,7 @@ let run_queries st =
               (List.rev !rows, !n, examined))
         with
         | rows, n, examined -> slots.(i) <- `Rows (rows, n, examined)
-        | exception Storage.Index.Phase_violation m -> slots.(i) <- `Violation m
+        | exception Relation.Phase_violation m -> slots.(i) <- `Violation m
         | exception e -> slots.(i) <- `Failed (Printexc.to_string e))
     in
     (* Fan out: each worker takes a strided slice; slot writes are
@@ -600,10 +596,7 @@ let admit_ingest st rel rows t0 =
 let install_program st prog text_rules =
   let decls = List.map (fun d -> (d.Ast.name, d.Ast.arity)) prog.Ast.decls in
   let survives rel arity = List.assoc_opt rel decls = Some arity in
-  let engine =
-    Engine.create ~kind:st.s_cfg.kind ~check_phases:st.s_cfg.check_phases
-      ?from:st.s_engine prog
-  in
+  let engine = Engine.create ~kind:st.s_cfg.kind ?from:st.s_engine prog in
   let kept = ref 0 and dropped = ref 0 in
   let tally rel arity n =
     if survives rel arity then kept := !kept + n else dropped := !dropped + n

@@ -76,7 +76,6 @@ type config = {
   flip_interval_ms : int;  (** ... or when the oldest has waited this long *)
   max_pending : int;  (** admission cap; beyond it ingest gets [ERR busy] *)
   max_clients : int;  (** concurrent sessions; beyond it connects are refused *)
-  check_phases : bool;  (** assert the two-phase discipline inside eval *)
   data_dir : string option;  (** WAL directory; [None] = in-memory only *)
   durability : Wal.durability;  (** ack/fsync contract (see {!Wal}) *)
   wal_segment_bytes : int;  (** segment rotation threshold *)
@@ -85,7 +84,7 @@ type config = {
 
 val default_config : Telemetry_server.addr -> config
 (** Btree storage, [recommended_workers] pool, flip at 256 facts / 50 ms,
-    100k pending cap, 64 clients, phase checking off, no [data_dir]
+    100k pending cap, 64 clients, no [data_dir]
     (durability [D_batch] once one is set, 8 MiB segments, compact past 4
     segments). *)
 

@@ -221,7 +221,6 @@ let with_server ?(workers = 2) ?(flip_pending = 32) ?(flip_interval_ms = 5) ()
       Dl_server.workers;
       flip_pending;
       flip_interval_ms;
-      check_phases = true;
     }
   in
   match Dl_server.start cfg with
@@ -638,7 +637,6 @@ let durable_cfg ?(compact_segments = 2) ?(segment_bytes = 4096) dir addr =
     Dl_server.workers = 2;
     flip_pending = 32;
     flip_interval_ms = 5;
-    check_phases = true;
     data_dir = Some dir;
     durability = Wal.D_batch;
     wal_segment_bytes = segment_bytes;

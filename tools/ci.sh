@@ -124,8 +124,9 @@ echo "== query-server selftest (datalog_serve + datalog_cli --connect) =="
 # every output relation), scrape and validate every telemetry endpoint
 # (/metrics /snapshot.json /heat /health /trace) while the server is
 # resident, then compare the served results against a purely local evaluation of the
-# same program — byte-identical output or nonzero exit.  Finish with a
-# protocol SHUTDOWN and assert a clean exit and unlinked sockets.
+# same program — byte-identical output or nonzero exit.  Read STATS and
+# fail unless it counts no phase violation.  Finish with a protocol
+# SHUTDOWN and assert a clean exit and unlinked sockets.
 SRV_SOCK="$(mktemp -u /tmp/repro_dlserve_XXXXXX.sock)"
 SRV_MSOCK="$(mktemp -u /tmp/repro_dlserve_metrics_XXXXXX.sock)"
 SRV_TMP="$(mktemp -d /tmp/repro_dlserve_XXXXXX)"
@@ -250,6 +251,34 @@ for f in "$SRV_TMP/local"/*.csv; do
   fi
 done
 echo "ci: served results match local evaluation"
+# every relation's phase latch is always on, so the shipped configuration
+# audits the two-phase discipline: STATS must count no phase violation
+if command -v python3 >/dev/null 2>&1; then
+  if ! SOCK="$SRV_SOCK" python3 <<'PY'
+import os, socket
+
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.settimeout(5.0)
+s.connect(os.environ["SOCK"])
+f = s.makefile("rb")
+f.readline()  # greeting
+s.sendall(b"STATS\n")
+head = f.readline().decode()
+if not head.startswith("DATA "):
+    raise SystemExit(f"ci: STATS answered {head!r}")
+lines = [f.readline().decode().rstrip("\n") for _ in range(int(head.split()[1]))]
+s.close()
+if "phase_violations=0" not in lines:
+    seen = [l for l in lines if l.startswith("phase_violations=")]
+    raise SystemExit(f"ci: STATS reports {seen!r}, want phase_violations=0")
+PY
+  then
+    exit 1
+  fi
+  echo "ci: query server counted no phase violation"
+else
+  echo "ci: python3 not available; skipping the phase_violations check"
+fi
 dune exec bin/datalog_cli.exe -- --connect "unix:$SRV_SOCK" --shutdown
 SRV_STATUS=0
 wait "$SRV_PID" || SRV_STATUS=$?
