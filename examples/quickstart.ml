@@ -23,9 +23,9 @@ let () =
   done;
   Printf.printf "inserted a 100x100 grid of 2D tuples: cardinal = %d\n"
     (T.cardinal tree);
-  let s = T.hint_stats (T.s_hints sess) in
+  let hits, misses = T.hint_counters (T.s_hints sess) in
   Printf.printf "ordered insertion drove the insert hint: %d hits / %d misses\n"
-    s.T.insert_hits s.T.insert_misses;
+    hits misses;
 
   (* 2. point queries and bounds *)
   Printf.printf "mem (7, 10)   = %b\n" (T.s_mem sess (7, 10));

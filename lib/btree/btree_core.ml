@@ -88,30 +88,12 @@ module type OPS = sig
       A [hints] value caches the last leaf located by each operation kind
       (section 3.2).  When the next operation falls within the cached leaf's
       key range, the traversal is skipped.  Hints are owned by a per-domain
-      {!session}; the values below exist for hint statistics.  Hints never
-      dangle because nodes are never deleted. *)
+      {!session}; every hinted operation counts one hit or one miss.  Hints
+      never dangle because nodes are never deleted. *)
 
   type hints
 
   val make_hints : unit -> hints
-
-  type hint_stats = {
-    insert_hits : int;
-    insert_misses : int;
-    find_hits : int;
-    find_misses : int;
-    lower_bound_hits : int;
-    lower_bound_misses : int;
-    upper_bound_hits : int;
-    upper_bound_misses : int;
-  }
-
-  val hint_stats : hints -> hint_stats
-  val reset_hint_stats : hints -> unit
-  val merge_hint_stats : hint_stats list -> hint_stats
-
-  val hit_rate : hint_stats -> float
-  (** Overall fraction of hinted operations that hit, in [0..1]. *)
 
   val hint_counters : hints -> int * int
   (** (hits, misses) over all operation kinds. *)
@@ -271,8 +253,8 @@ module type OPS = sig
   val s_upper_bound : session -> key -> key option
 
   val s_iter_from : (key -> bool) -> session -> key -> unit
-  (** A scan that starts inside the leaf cached by the previous scan skips
-      the traversal; counted in the lower-bound hint statistics. *)
+  (** A scan that starts inside the leaf cached by the previous scan or
+      [s_lower_bound] skips the traversal. *)
 end
 
 module type S = sig
@@ -386,40 +368,41 @@ module Make (L : LOCK) (K : KEY) :
       let cap = Array.length n.keys in
       if k > cap then cap else k
 
-  (* [search t keys n key] is [(i, found)] where [i] is the smallest index
-     in [0, n) with [keys.(i) >= key] (or [n] if none) and [found] tells
-     whether [keys.(i) = key].  [i] doubles as the descent child index. *)
-  let search_linear cmp keys n key =
-    let rec go i =
-      if i >= n then (n, false)
-      else
-        let c = cmp key (Array.unsafe_get keys i) in
-        if c > 0 then go (i + 1) else (i, c = 0)
-    in
-    go 0
+  (* [search t keys n key] locates [key] among the first [n] of [keys] in
+     one int: [slot r] is the smallest index [i] with [keys.(i) >= key], or
+     [n] if none — it doubles as the descent child index — and [found r]
+     whether [keys.(i) = key], read off the comparison that ended the
+     search, so no caller compares again and no tuple is built.  The
+     linear loop is top-level: a local one would close over the arguments,
+     and without flambda that closure is allocated on every call. *)
+  let[@inline] slot r = r lsr 1
+  let[@inline] found r = r land 1 = 1
 
+  let rec search_linear cmp keys n key i =
+    if i >= n then i lsl 1
+    else
+      let c = cmp key (Array.unsafe_get keys i) in
+      if c > 0 then search_linear cmp keys n key (i + 1)
+      else (i lsl 1) lor Bool.to_int (c = 0)
+
+  (* [eq] belongs to the last index [hi] took, which is where the search
+     ends (or [n], never compared, if [hi] never moved). *)
   let search_binary cmp keys n key =
-    let lo = ref 0 and hi = ref n in
+    let lo = ref 0 and hi = ref n and eq = ref 0 in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if cmp (Array.unsafe_get keys mid) key < 0 then lo := mid + 1
-      else hi := mid
+      let c = cmp (Array.unsafe_get keys mid) key in
+      if c < 0 then lo := mid + 1
+      else begin
+        hi := mid;
+        eq := Bool.to_int (c = 0)
+      end
     done;
-    let i = !lo in
-    (i, i < n && cmp (Array.unsafe_get keys i) key = 0)
+    (!lo lsl 1) lor !eq
 
   let search t keys n key =
     if t.binary then search_binary t.cmp keys n key
-    else search_linear t.cmp keys n key
-
-  (* Smallest index with [keys.(i) > key], or [n]. *)
-  let search_gt t keys n key =
-    let rec go i =
-      if i >= n then n
-      else if t.cmp (Array.unsafe_get keys i) key > 0 then i
-      else go (i + 1)
-    in
-    go 0
+    else search_linear t.cmp keys n key 0
 
   (* ------------------------------------------------------------------ *)
   (* Hints (section 3.2)                                                *)
@@ -430,14 +413,8 @@ module Make (L : LOCK) (K : KEY) :
     mutable find_leaf : node;
     mutable lb_leaf : node;
     mutable ub_leaf : node;
-    mutable h_insert_hits : int;
-    mutable h_insert_misses : int;
-    mutable h_find_hits : int;
-    mutable h_find_misses : int;
-    mutable h_lb_hits : int;
-    mutable h_lb_misses : int;
-    mutable h_ub_hits : int;
-    mutable h_ub_misses : int;
+    mutable h_hits : int;
+    mutable h_misses : int;
     mutable h_run : int; (* length of the current uninterrupted hit run *)
     h_runs : int array; (* log2-bucketed run lengths, closed at each miss *)
   }
@@ -450,14 +427,8 @@ module Make (L : LOCK) (K : KEY) :
       find_leaf = sentinel;
       lb_leaf = sentinel;
       ub_leaf = sentinel;
-      h_insert_hits = 0;
-      h_insert_misses = 0;
-      h_find_hits = 0;
-      h_find_misses = 0;
-      h_lb_hits = 0;
-      h_lb_misses = 0;
-      h_ub_hits = 0;
-      h_ub_misses = 0;
+      h_hits = 0;
+      h_misses = 0;
       h_run = 0;
       h_runs = Array.make run_buckets 0;
     }
@@ -472,11 +443,13 @@ module Make (L : LOCK) (K : KEY) :
     if b >= run_buckets then run_buckets - 1 else b
 
   let hit h =
+    h.h_hits <- h.h_hits + 1;
     h.h_run <- h.h_run + 1;
     Telemetry.bump Telemetry.Counter.Btree_hint_hits
 
   let miss h =
     let b = run_bucket h.h_run in
+    h.h_misses <- h.h_misses + 1;
     h.h_run <- 0;
     h.h_runs.(b) <- h.h_runs.(b) + 1;
     Telemetry.bump Telemetry.Counter.Btree_hint_misses
@@ -489,70 +462,7 @@ module Make (L : LOCK) (K : KEY) :
     end;
     a
 
-  type hint_stats = {
-    insert_hits : int;
-    insert_misses : int;
-    find_hits : int;
-    find_misses : int;
-    lower_bound_hits : int;
-    lower_bound_misses : int;
-    upper_bound_hits : int;
-    upper_bound_misses : int;
-  }
-
-  let hint_stats h =
-    {
-      insert_hits = h.h_insert_hits;
-      insert_misses = h.h_insert_misses;
-      find_hits = h.h_find_hits;
-      find_misses = h.h_find_misses;
-      lower_bound_hits = h.h_lb_hits;
-      lower_bound_misses = h.h_lb_misses;
-      upper_bound_hits = h.h_ub_hits;
-      upper_bound_misses = h.h_ub_misses;
-    }
-
-  let reset_hint_stats h =
-    h.h_insert_hits <- 0;
-    h.h_insert_misses <- 0;
-    h.h_find_hits <- 0;
-    h.h_find_misses <- 0;
-    h.h_lb_hits <- 0;
-    h.h_lb_misses <- 0;
-    h.h_ub_hits <- 0;
-    h.h_ub_misses <- 0;
-    h.h_run <- 0;
-    Array.fill h.h_runs 0 run_buckets 0
-
-  let merge_hint_stats l =
-    List.fold_left
-      (fun a b ->
-        {
-          insert_hits = a.insert_hits + b.insert_hits;
-          insert_misses = a.insert_misses + b.insert_misses;
-          find_hits = a.find_hits + b.find_hits;
-          find_misses = a.find_misses + b.find_misses;
-          lower_bound_hits = a.lower_bound_hits + b.lower_bound_hits;
-          lower_bound_misses = a.lower_bound_misses + b.lower_bound_misses;
-          upper_bound_hits = a.upper_bound_hits + b.upper_bound_hits;
-          upper_bound_misses = a.upper_bound_misses + b.upper_bound_misses;
-        })
-      (hint_stats (make_hints ()))
-      l
-
-  let hint_counters h =
-    ( h.h_insert_hits + h.h_find_hits + h.h_lb_hits + h.h_ub_hits,
-      h.h_insert_misses + h.h_find_misses + h.h_lb_misses + h.h_ub_misses )
-
-  let hit_rate s =
-    let hits =
-      s.insert_hits + s.find_hits + s.lower_bound_hits + s.upper_bound_hits
-    in
-    let total =
-      hits + s.insert_misses + s.find_misses + s.lower_bound_misses
-      + s.upper_bound_misses
-    in
-    if total = 0 then 0.0 else float_of_int hits /. float_of_int total
+  let hint_counters h = (h.h_hits, h.h_misses)
 
   (* A leaf "covers" [key] when [key] falls within its responsibility range;
      in a classic B-tree no inner separator can fall strictly inside a leaf's
@@ -777,15 +687,15 @@ module Make (L : LOCK) (K : KEY) :
      the write permit, and the CAS certifies that the leaf is unchanged
      since the search, so the key is still absent. *)
   let[@inline] claim t leaf lease n key hi level bucket =
-    let idx, found = search t leaf.keys n key in
-    if found then
+    let r = search t leaf.keys n key in
+    if found r then
       if L.valid leaf.lock lease then Dup leaf
       else begin
         Flight.record Flight.Ev.Validation_fail level bucket 0;
         Miss
       end
     else if L.try_upgrade_to_write leaf.lock lease then
-      Leaf { leaf; idx; hi; level; bucket }
+      Leaf { leaf; idx = slot r; hi; level; bucket }
     else begin
       Flight.record Flight.Ev.Upgrade_fail level bucket 0;
       Miss
@@ -827,8 +737,9 @@ module Make (L : LOCK) (K : KEY) :
   let rec pessimistic t key =
     let rec go cur hi level bucket =
       let n = cur.nkeys in
-      let idx, found = search t cur.keys n key in
-      if found then begin
+      let r = search t cur.keys n key in
+      let idx = slot r in
+      if found r then begin
         L.abort_write cur.lock;
         Dup (if is_leaf cur then cur else sentinel)
       end
@@ -891,8 +802,9 @@ module Make (L : LOCK) (K : KEY) :
       | Miss -> restart t key attempts
       | r -> r
     else begin
-      let idx, found = search t cur.keys n key in
-      if found then
+      let r = search t cur.keys n key in
+      let idx = slot r in
+      if found r then
         (* already present — if the observation was consistent *)
         if L.valid cur.lock cur_lease then Dup sentinel
         else invalid t key level bucket attempts
@@ -930,17 +842,15 @@ module Make (L : LOCK) (K : KEY) :
     end
 
   (* [hinted] at [leaf], else [locate]; a session ([hints]) counts the
-     hinted attempt as an insert-hint hit or miss. *)
+     hinted attempt as a hit or a miss. *)
   let[@inline] target hints t leaf key =
     match (hints, hinted t leaf key) with
     | None, Miss -> locate t key 0
     | None, r -> r
     | Some h, Miss ->
-      h.h_insert_misses <- h.h_insert_misses + 1;
       miss h;
       locate t key 0
     | Some h, r ->
-      h.h_insert_hits <- h.h_insert_hits + 1;
       hit h;
       r
 
@@ -988,7 +898,7 @@ module Make (L : LOCK) (K : KEY) :
           if Option.is_some batch then
             Telemetry.bump Telemetry.Counter.Btree_batch_leaves
         end;
-        idx := fst (search t !leaf.keys !leaf.nkeys !key)
+        idx := slot (search t !leaf.keys !leaf.nkeys !key)
       end
       else begin
         let at = !idx in
@@ -1023,10 +933,10 @@ module Make (L : LOCK) (K : KEY) :
             else begin
               incr i;
               if c < 0 then begin
-                let at, found = search t l.keys l.nkeys k in
-                if not found then begin
+                let r = search t l.keys l.nkeys k in
+                if not (found r) then begin
                   key := k;
-                  idx := at;
+                  idx := slot r;
                   seeking := false
                 end
               end
@@ -1108,43 +1018,6 @@ module Make (L : LOCK) (K : KEY) :
   (* Read operations (read phase: no synchronisation needed)            *)
   (* ------------------------------------------------------------------ *)
 
-  let mem_op hints t key =
-    let slow () =
-      let rec go node last_leaf =
-        if node == sentinel then (false, last_leaf)
-        else
-          let n = clamped_nkeys node in
-          let idx, found = search t node.keys n key in
-          if found then (true, if is_leaf node then node else last_leaf)
-          else if is_leaf node then (false, node)
-          else go node.children.(idx) last_leaf
-      in
-      go t.root sentinel
-    in
-    match hints with
-    | None -> fst (slow ())
-    | Some h ->
-      let leaf = h.find_leaf in
-      let nk = if leaf == sentinel then 0 else clamped_nkeys leaf in
-      if covers t leaf nk key then begin
-        h.h_find_hits <- h.h_find_hits + 1;
-        hit h;
-        snd (search t leaf.keys nk key)
-      end
-      else begin
-        h.h_find_misses <- h.h_find_misses + 1;
-        miss h;
-        let r, l = slow () in
-        if l != sentinel then h.find_leaf <- l;
-        r
-      end
-
-  let mem_h hints t key =
-    let t0 = Telemetry.hist_start Telemetry.Hist.Btree_find_ns in
-    let r = mem_op hints t key in
-    Telemetry.hist_end Telemetry.Hist.Btree_find_ns t0;
-    r
-
   let is_empty t = t.root == sentinel || (t.root.nkeys = 0 && is_leaf t.root)
 
   let rec min_node n = if is_leaf n then n else min_node n.children.(0)
@@ -1158,76 +1031,131 @@ module Make (L : LOCK) (K : KEY) :
       let n = max_node t.root in
       Some n.keys.(n.nkeys - 1)
 
-  (* Generic bound query: [strict = false] gives lower_bound (>=), [strict =
-     true] gives upper_bound (>).  At each node, [g] is the index of the
-     smallest qualifying element; the answer is either inside [children.(g)]
-     (whose range ends just below [keys.(g)]) or [keys.(g)] itself.
-     [visited] receives the leaf the descent ends in — used to refresh hints
-     without a second traversal. *)
-  let bound_visit visited ~strict t key =
-    let rec go node best =
-      if node == sentinel then best
-      else
-        let n = clamped_nkeys node in
-        if is_leaf node then visited := node;
-        let idx, found = search t node.keys n key in
-        if found && not strict then Some key
-        else
-          let g = if strict then search_gt t node.keys n key else idx in
-          if is_leaf node then if g < n then Some node.keys.(g) else best
-          else
-            let best = if g < n then Some node.keys.(g) else best in
-            go node.children.(g) best
-    in
-    go t.root None
+  (* Every keyed read — [mem], the bounds, [iter_from], [Iterator.seek] and
+     their session forms — finds a position: [(node, i)] names
+     [node.keys.(i)], and [i = nkeys] past a leaf's last key names the next
+     separator up the parent links ([up]), or the end past the last leaf.
+     [seek] is the one keyed descent: from [node] (the root, or a session's
+     covering leaf) down to the leaf whose [index] is the position of the
+     first key [>= key] ([> key] when [strict]).  A key equal to an inner
+     separator is found past the end of the leaf left of it.  The descent,
+     the position and a scan allocate nothing; a bound allocates only the
+     [Some] of its answer. *)
+  let index t strict keys n key =
+    let r = search t keys n key in
+    if strict && found r then slot r + 1 else slot r
 
-  let bound_hinted ~strict hints t key =
+  let rec seek t strict key node =
+    if is_leaf node then node
+    else
+      seek t strict key
+        node.children.(index t strict node.keys (clamped_nkeys node) key)
+
+  (* Past [node]'s last key: the ancestor-or-self whose parent holds the
+     next separator, at its [position]; the root when there is none. *)
+  let rec up node =
+    match node.parent with
+    | Some p when node.position >= p.nkeys -> up p
+    | _ -> node
+
+  (* The separator after [node]'s last key; [None] past the last leaf. *)
+  let next_separator node =
+    let c = up node in
+    match c.parent with Some p -> Some p.keys.(c.position) | None -> None
+
+  (* The key at the position of [key] in [leaf]; [None] at the end. *)
+  let key_at t strict key leaf =
+    let n = clamped_nkeys leaf in
+    let i = index t strict leaf.keys n key in
+    if i < n then Some leaf.keys.(i) else next_separator leaf
+
+  (* [f] on [keys.(i)], [keys.(i + 1)], ... below [n] while it returns
+     [true]; whether it still does. *)
+  let rec scan_keys f keys i n =
+    i >= n || (f (Array.unsafe_get keys i) && scan_keys f keys (i + 1) n)
+
+  (* The one bounded scan: [f] on every key from position [(node, i)] on,
+     in order, until [f] returns [false] or the end.  Past a leaf's last
+     key it climbs to the next separator; after a separator it goes down to
+     the first leaf right of it — the moves of [Iterator.advance]. *)
+  let rec scan f node i =
+    if is_leaf node then begin
+      if scan_keys f node.keys i (clamped_nkeys node) then
+        let c = up node in
+        match c.parent with Some p -> scan f p c.position | None -> ()
+    end
+    else if f node.keys.(i) then scan f (min_node node.children.(i + 1)) 0
+
+  (* The hinted read kinds, each with its own cached leaf; only the upper
+     bound reads strictly. *)
+  type read = Find | Lower | Upper
+
+  let strict = function Upper -> true | Find | Lower -> false
+
+  let cached h = function
+    | Find -> h.find_leaf
+    | Lower -> h.lb_leaf
+    | Upper -> h.ub_leaf
+
+  let cache h r leaf =
+    match r with
+    | Find -> h.find_leaf <- leaf
+    | Lower -> h.lb_leaf <- leaf
+    | Upper -> h.ub_leaf <- leaf
+
+  (* The leaf where a read of [key] finds its position.  In a session: the
+     kind's cached leaf when it covers [key] — the descent from the root
+     would end there too — counted as a hit; otherwise a miss, whose
+     descent's leaf becomes the kind's hint. *)
+  let start hints r t key =
     match hints with
-    | None -> bound_visit (ref sentinel) ~strict t key
+    | None -> seek t (strict r) key t.root
     | Some h ->
-      let leaf = if strict then h.ub_leaf else h.lb_leaf in
-      let nk = if leaf == sentinel then 0 else clamped_nkeys leaf in
-      (* A covering leaf answers bound queries authoritatively, except when
-         the answer would be past its last key — the successor then lives in
-         an ancestor — unless the leaf is rightmost (then there is none). *)
-      let usable =
-        nk > 0
-        && (leaf.leftmost || t.cmp leaf.keys.(0) key <= 0)
-        &&
-        let c = t.cmp key leaf.keys.(nk - 1) in
-        if strict then c < 0 || leaf.rightmost else c <= 0 || leaf.rightmost
-      in
-      if usable then begin
-        let idx =
-          if strict then search_gt t leaf.keys nk key
-          else fst (search t leaf.keys nk key)
-        in
-        if strict then h.h_ub_hits <- h.h_ub_hits + 1
-        else h.h_lb_hits <- h.h_lb_hits + 1;
+      let leaf = cached h r in
+      if covers t leaf (clamped_nkeys leaf) key then begin
         hit h;
-        if idx < nk then Some leaf.keys.(idx) else None
+        leaf
       end
       else begin
-        if strict then h.h_ub_misses <- h.h_ub_misses + 1
-        else h.h_lb_misses <- h.h_lb_misses + 1;
         miss h;
-        (* the query's own descent refreshes the hint *)
-        let visited = ref sentinel in
-        let r = bound_visit visited ~strict t key in
-        if !visited != sentinel then
-          if strict then h.ub_leaf <- !visited else h.lb_leaf <- !visited;
-        r
+        let leaf = seek t (strict r) key t.root in
+        cache h r leaf;
+        leaf
       end
 
-  let bound_h ~strict hints t key =
-    let t0 = Telemetry.hist_start Telemetry.Hist.Btree_bound_ns in
-    let r = bound_hinted ~strict hints t key in
-    Telemetry.hist_end Telemetry.Hist.Btree_bound_ns t0;
+  let mem_h hints t key =
+    let t0 = Telemetry.hist_start Telemetry.Hist.Btree_find_ns in
+    let leaf = start hints Find t key in
+    let n = clamped_nkeys leaf in
+    let s = search t leaf.keys n key in
+    (* past the leaf's last key, [key] can still be the next separator *)
+    let r =
+      found s
+      || slot s = n
+         && (match next_separator leaf with
+            | Some k -> t.cmp k key = 0
+            | None -> false)
+    in
+    Telemetry.hist_end Telemetry.Hist.Btree_find_ns t0;
     r
 
-  let lower_bound t key = bound_h ~strict:false None t key
-  let upper_bound t key = bound_h ~strict:true None t key
+  let bound_h r hints t key =
+    let t0 = Telemetry.hist_start Telemetry.Hist.Btree_bound_ns in
+    let b = key_at t (strict r) key (start hints r t key) in
+    Telemetry.hist_end Telemetry.Hist.Btree_bound_ns t0;
+    b
 
+  let lower_bound t key = bound_h Lower None t key
+  let upper_bound t key = bound_h Upper None t key
+
+  let iter_from_h hints f t key =
+    let leaf = start hints Lower t key in
+    scan f leaf (index t false leaf.keys (clamped_nkeys leaf) key)
+
+  let iter_while f t = scan f (min_node t.root) 0
+
+  (* The full walk stays recursive: per key it is cheaper than [scan],
+     which climbs and goes down again at every leaf boundary. *)
   let iter f t =
     let rec go node =
       if node != sentinel then
@@ -1249,85 +1177,6 @@ module Make (L : LOCK) (K : KEY) :
     let acc = ref init in
     iter (fun k -> acc := f !acc k) t;
     !acc
-
-  exception Stop
-
-  let iter_while f t =
-    let g k = if not (f k) then raise Stop in
-    try iter g t with Stop -> ()
-
-  (* [strict = true] starts at the first element [> key] instead of [>= key];
-     used to resume a scan past a known element.  [visited] receives the
-     first leaf the scan descends into (the leaf holding the range start),
-     to refresh hints without a second traversal. *)
-  let iter_from_plain visited ~strict f t key =
-    let emit k = if not (f k) then raise Stop in
-    let rec emit_all node =
-      if node != sentinel then
-        if is_leaf node then
-          for i = 0 to node.nkeys - 1 do
-            emit node.keys.(i)
-          done
-        else begin
-          for i = 0 to node.nkeys - 1 do
-            emit_all node.children.(i);
-            emit node.keys.(i)
-          done;
-          emit_all node.children.(node.nkeys)
-        end
-    in
-    let rec scan node =
-      if node != sentinel then begin
-        let n = clamped_nkeys node in
-        let idx, found = search t node.keys n key in
-        let start = if strict && found then idx + 1 else idx in
-        if is_leaf node then begin
-          visited := node;
-          for i = start to n - 1 do
-            emit node.keys.(i)
-          done
-        end
-        else begin
-          scan node.children.(idx);
-          if strict && found && idx < n then emit_all node.children.(idx + 1);
-          for i = start to n - 1 do
-            emit node.keys.(i);
-            emit_all node.children.(i + 1)
-          done
-        end
-      end
-    in
-    try scan t.root with Stop -> ()
-
-  let iter_from_h hints f t key =
-    match hints with
-    | None -> iter_from_plain (ref sentinel) ~strict:false f t key
-    | Some h ->
-      let leaf = h.lb_leaf in
-      let nk = if leaf == sentinel then 0 else clamped_nkeys leaf in
-      if covers t leaf nk key then begin
-        h.h_lb_hits <- h.h_lb_hits + 1;
-        hit h;
-        let idx, _ = search t leaf.keys nk key in
-        let continue = ref true in
-        let i = ref idx in
-        while !continue && !i < nk do
-          continue := f leaf.keys.(!i);
-          incr i
-        done;
-        (* ran off the hinted leaf: resume past its last key unless it is
-           the last leaf of the tree *)
-        if !continue && not leaf.rightmost then
-          iter_from_plain (ref sentinel) ~strict:true f t leaf.keys.(nk - 1)
-      end
-      else begin
-        h.h_lb_misses <- h.h_lb_misses + 1;
-        miss h;
-        (* the scan's own descent refreshes the hint *)
-        let visited = ref sentinel in
-        iter_from_plain visited ~strict:false f t key;
-        if !visited != sentinel then h.lb_leaf <- !visited
-      end
 
   let cardinal t = fold (fun n _ -> n + 1) 0 t
   let to_list t = List.rev (fold (fun acc k -> k :: acc) [] t)
@@ -1463,19 +1312,16 @@ module Make (L : LOCK) (K : KEY) :
       if at_end it then invalid_arg "Btree.Iterator.get: at end"
       else it.inode.keys.(it.idx)
 
-    (* climb to the nearest ancestor of which [node] is not the last child;
-       yields that ancestor's separator position, or the end *)
-    let rec climb it node =
-      match node.parent with
+    (* past [node]'s last key: the next separator, or the end *)
+    let climb it node =
+      let c = up node in
+      match c.parent with
       | None ->
         it.inode <- sentinel;
         it.idx <- 0
       | Some p ->
-        if node.position < p.nkeys then begin
-          it.inode <- p;
-          it.idx <- node.position
-        end
-        else climb it p
+        it.inode <- p;
+        it.idx <- c.position
 
     let advance it =
       if at_end it then invalid_arg "Btree.Iterator.advance: at end";
@@ -1490,18 +1336,11 @@ module Make (L : LOCK) (K : KEY) :
       end
 
     let seek t key =
-      let rec go node best =
-        if node == sentinel then best
-        else
-          let nk = node.nkeys in
-          let idx, found = search t node.keys nk key in
-          if found then { inode = node; idx }
-          else if is_leaf node then if idx < nk then { inode = node; idx } else best
-          else
-            go node.children.(idx)
-              (if idx < nk then { inode = node; idx } else best)
-      in
-      go t.root { inode = sentinel; idx = 0 }
+      let leaf = seek t false key t.root in
+      let n = clamped_nkeys leaf in
+      let it = { inode = leaf; idx = index t false leaf.keys n key } in
+      if it.idx >= n then climb it leaf;
+      it
   end
 
   (* Lockstep merge walk over both trees: [f c] sees the comparison of the
@@ -1674,8 +1513,8 @@ module Make (L : LOCK) (K : KEY) :
   let s_insert s key = insert_h s.s_h s.s_tree key
   let s_insert_batch ?pos ?len s run = insert_batch_h s.s_h ?pos ?len s.s_tree run
   let s_mem s key = mem_h s.s_h s.s_tree key
-  let s_lower_bound s key = bound_h ~strict:false s.s_h s.s_tree key
-  let s_upper_bound s key = bound_h ~strict:true s.s_h s.s_tree key
+  let s_lower_bound s key = bound_h Lower s.s_h s.s_tree key
+  let s_upper_bound s key = bound_h Upper s.s_h s.s_tree key
   let s_iter_from f s key = iter_from_h s.s_h f s.s_tree key
 end
 

@@ -1,37 +1,13 @@
 (* The concurrent B-tree over int-array tuples ordered by a column
-   permutation: the shared core over [Olock] and the comparator below.  The
-   tree applies [Tuple.compare] to its order once, so every comparison is a
-   single call to a closure specialised to that order — with a dedicated
-   body for the ubiquitous binary relations. *)
+   permutation: the shared core over [Olock] and the column-order
+   comparator of [Key.Int_array], which the tree applies to its order once
+   at creation. *)
 
 module Tuple = struct
   type t = int array
   type ctx = { arity : int; order : int array }
 
-  let compare { order; _ } =
-    if Array.length order = 2 then begin
-      let c0 = order.(0) and c1 = order.(1) in
-      fun (a : t) (b : t) ->
-        let x = Array.unsafe_get a c0 and y = Array.unsafe_get b c0 in
-        if x < y then -1
-        else if x > y then 1
-        else
-          let x = Array.unsafe_get a c1 and y = Array.unsafe_get b c1 in
-          if x < y then -1 else if x > y then 1 else 0
-    end
-    else begin
-      let n = Array.length order in
-      fun (a : t) (b : t) ->
-        let rec go i =
-          if i = n then 0
-          else
-            let p = Array.unsafe_get order i in
-            let x = Array.unsafe_get a p and y = Array.unsafe_get b p in
-            if x < y then -1 else if x > y then 1 else go (i + 1)
-        in
-        go 0
-    end
-
+  let compare { order; _ } = Key.Int_array.compare_columns order
   let dummy : t = [||]
 end
 

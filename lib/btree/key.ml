@@ -63,6 +63,28 @@ module Int_array = struct
     let la = Array.length a and lb = Array.length b in
     compare_from a b 0 (if la < lb then la else lb)
 
+  (* the column-order loop, top-level for the same reason *)
+  let rec compare_cols order (a : t) (b : t) i n =
+    if i = n then 0
+    else
+      let p = Array.unsafe_get order i in
+      let x = Array.unsafe_get a p and y = Array.unsafe_get b p in
+      if x < y then -1 else if x > y then 1 else compare_cols order a b (i + 1) n
+
+  let compare_columns order =
+    match order with
+    | [| c0; c1 |] ->
+      fun (a : t) (b : t) ->
+        let x = Array.unsafe_get a c0 and y = Array.unsafe_get b c0 in
+        if x < y then -1
+        else if x > y then 1
+        else
+          let x = Array.unsafe_get a c1 and y = Array.unsafe_get b c1 in
+          if x < y then -1 else if x > y then 1 else 0
+    | _ ->
+      let n = Array.length order in
+      fun a b -> compare_cols order a b 0 n
+
   let dummy = [||]
 
   let to_string a =

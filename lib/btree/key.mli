@@ -37,7 +37,16 @@ module Pair : HASHABLE with type t = int * int
 (** 2D points under lexicographic order — the key type of Fig. 3 and
     Fig. 4 ("2D data is the most relevant case in many Datalog queries"). *)
 
-module Int_array : HASHABLE with type t = int array
+module Int_array : sig
+  include HASHABLE with type t = int array
+
+  val compare_columns : int array -> t -> t -> int
+  (** [compare_columns order] compares tuples lexicographically over the
+      columns [order] (a permutation of an index's columns, bound columns
+      first): the comparator of every tuple index.  Apply it to [order]
+      once; the result is specialised to it (a dedicated body for two
+      columns) and allocates nothing per call. *)
+end
 (** Fixed-arity integer tuples under lexicographic order — the key type used
     by the Datalog engine's relations.  Tuples of different lengths are
     ordered by comparing the common prefix first, then by length, so a proper

@@ -3,56 +3,14 @@ type kind = Btree | Btree_nohints | Rbtree | Hashset | Bplus | Tbb_hash
 let all_kinds = [ Btree; Btree_nohints; Rbtree; Hashset; Bplus; Tbb_hash ]
 
 (* Key module comparing int-array tuples lexicographically in the column
-   order [order] (a permutation of the columns).  The comparator is
-   specialised for the common arities: without cross-module inlining every
-   K.compare call is indirect, so shaving the permutation-array loop
-   measurably speeds up all tree-backed indexes. *)
+   order [order] (a permutation of the columns): the tuple tree's
+   comparator, for the sorted kinds built over a plain ordered-set
+   functor. *)
 let ordered_key (order : int array) : (module Key.ORDERED with type t = int array) =
-  let cmp2 p0 p1 a b =
-    let x = Array.unsafe_get a p0 and y = Array.unsafe_get b p0 in
-    if x < y then -1
-    else if x > y then 1
-    else
-      let x = Array.unsafe_get a p1 and y = Array.unsafe_get b p1 in
-      if x < y then -1 else if x > y then 1 else 0
-  in
-  let cmp3 p0 p1 p2 a b =
-    let x = Array.unsafe_get a p0 and y = Array.unsafe_get b p0 in
-    if x < y then -1
-    else if x > y then 1
-    else
-      let x = Array.unsafe_get a p1 and y = Array.unsafe_get b p1 in
-      if x < y then -1
-      else if x > y then 1
-      else
-        let x = Array.unsafe_get a p2 and y = Array.unsafe_get b p2 in
-        if x < y then -1 else if x > y then 1 else 0
-  in
-  let generic a b =
-    let n = Array.length order in
-    let rec go i =
-      if i = n then 0
-      else
-        let p = Array.unsafe_get order i in
-        let x = Array.unsafe_get a p and y = Array.unsafe_get b p in
-        if x < y then -1 else if x > y then 1 else go (i + 1)
-    in
-    go 0
-  in
-  let compare =
-    match order with
-    | [| p0 |] ->
-      fun a b ->
-        let x = Array.unsafe_get a p0 and y = Array.unsafe_get b p0 in
-        Int.compare x y
-    | [| p0; p1 |] -> cmp2 p0 p1
-    | [| p0; p1; p2 |] -> cmp3 p0 p1 p2
-    | _ -> generic
-  in
   (module struct
     type t = int array
 
-    let compare = compare
+    let compare = Key.Int_array.compare_columns order
     let dummy = [||]
     let to_string = Key.Int_array.to_string
   end)

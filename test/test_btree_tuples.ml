@@ -159,6 +159,17 @@ let prop_batch_permuted_order =
       List.for_all2 tuples_equal (Btree_tuples.to_list a)
         (Btree_tuples.to_list b))
 
+(* Minor words allocated by 10k calls of [g], net of the loop itself. *)
+let words_of_10k g =
+  let run g =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      g ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  run g -. run (fun () -> ())
+
 (* [Key.Int_array.equal] agrees with [compare = 0], also across lengths,
    and a call allocates nothing (its loop closes over no arrays). *)
 let test_int_array_equal () =
@@ -173,18 +184,32 @@ let test_int_array_equal () =
       (Key.Int_array.equal a b)
   done;
   let a = [| 1; 2; 3; 4 |] and b = [| 1; 2; 3; 4 |] in
-  let run g =
-    let w0 = Gc.minor_words () in
-    for _ = 1 to 10_000 do
-      g ()
-    done;
-    Gc.minor_words () -. w0
-  in
-  let words =
-    run (fun () -> ignore (Key.Int_array.equal a b : bool))
-    -. run (fun () -> ())
-  in
-  Alcotest.(check (float 0.)) "minor words of 10k equal calls" 0. words
+  Alcotest.(check (float 0.))
+    "minor words of 10k equal calls" 0.
+    (words_of_10k (fun () -> ignore (Key.Int_array.equal a b : bool)))
+
+(* The tree's comparator at every arity: the column order's lexicographic
+   order, and no allocation per call (equal tuples: every column read). *)
+let test_compare_columns () =
+  let r = rng 12 in
+  List.iter
+    (fun arity ->
+      let order = Array.init arity (fun i -> arity - 1 - i) in
+      let cmp = Btree_tuples.compare (Btree_tuples.create ~arity ~order ()) in
+      let permuted a = Array.map (fun c -> a.(c)) order in
+      for _ = 1 to 2_000 do
+        let a = Array.init arity (fun _ -> r 3) and b = Array.init arity (fun _ -> r 3) in
+        check_int
+          (Printf.sprintf "arity %d order" arity)
+          (Key.Int_array.compare (permuted a) (permuted b))
+          (cmp a b)
+      done;
+      let a = Array.init arity Fun.id and b = Array.init arity Fun.id in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "minor words of 10k arity-%d compares" arity)
+        0.
+        (words_of_10k (fun () -> ignore (cmp a b : int))))
+    [ 1; 2; 3; 4 ]
 
 let () =
   Suite.run "btree_tuples"
@@ -197,6 +222,7 @@ let () =
           Alcotest.test_case "arity 3" `Quick test_arity3;
           Alcotest.test_case "prefix scan" `Quick test_prefix_scan;
           Alcotest.test_case "Int_array.equal" `Quick test_int_array_equal;
+          Alcotest.test_case "compare by columns" `Quick test_compare_columns;
         ] );
       ( "properties",
         Tree_suite.qcheck

@@ -269,6 +269,10 @@ module Make (I : INSTANCE) = struct
 
   (* ---------------- hints ---------------- *)
 
+  let hint_total s =
+    let hits, misses = I.hint_counters (I.s_hints s) in
+    hits + misses
+
   let test_hints_ordered () =
     let t = I.make ~capacity:8 () in
     let h = I.session t in
@@ -278,13 +282,13 @@ module Make (I : INSTANCE) = struct
     done;
     check_int "cardinal with hints" n (I.cardinal t);
     I.check_invariants t;
-    let s = I.hint_stats (I.s_hints h) in
-    check_bool "ordered insert exploits hints" true (s.I.insert_hits > n / 2);
+    let hits, _ = I.hint_counters (I.s_hints h) in
+    check_bool "ordered insert exploits hints" true (hits > n / 2);
     for i = 0 to n - 1 do
       if not (I.s_mem h (k i)) then Alcotest.failf "hinted mem lost %d" i
     done;
-    let s = I.hint_stats (I.s_hints h) in
-    check_bool "ordered find exploits hints" true (s.I.find_hits > n / 2)
+    let hits', _ = I.hint_counters (I.s_hints h) in
+    check_bool "ordered find exploits hints" true (hits' - hits > n / 2)
 
   let test_hints_ordered_hits () =
     let t = I.make ~capacity:8 () in
@@ -293,9 +297,8 @@ module Make (I : INSTANCE) = struct
     for i = 0 to n - 1 do
       ignore (I.s_insert h (k i) : bool)
     done;
-    let s = I.hint_stats (I.s_hints h) in
-    check_bool "hints dominate on ordered stream" true
-      (s.I.insert_hits > 9 * n / 10)
+    let hits, _ = I.hint_counters (I.s_hints h) in
+    check_bool "hints dominate on ordered stream" true (hits > 9 * n / 10)
 
   let hinted_random_vs_model ~seed ~capacity ~range ~n ~probes () =
     let r = rng seed in
@@ -322,42 +325,46 @@ module Make (I : INSTANCE) = struct
     done;
     I.check_invariants t
 
-  let test_hint_stats_reset () =
-    let t = I.make () in
-    let h = I.session t in
-    for i = 0 to 100 do
-      ignore (I.s_insert h (k i) : bool)
-    done;
-    I.reset_hint_stats (I.s_hints h);
-    let s = I.hint_stats (I.s_hints h) in
-    check_int "hits cleared" 0 s.I.insert_hits;
-    check_int "misses cleared" 0 s.I.insert_misses;
-    check_bool "rate on empty stats" true (I.hit_rate s = 0.0);
-    check_bool "reset clears run histogram" true
-      (Array.for_all (fun c -> c = 0) (I.hint_run_hist (I.s_hints h)))
+  (* every hinted single-key operation counts exactly one hit or one miss *)
+  let test_hint_one_count_per_op () =
+    let r = rng 31 in
+    let t = I.make ~capacity:4 () in
+    let s = I.session t in
+    for step = 1 to 4000 do
+      let x = k (r 3000) in
+      let before = hint_total s in
+      (match step mod 6 with
+      | 0 -> ignore (I.s_insert s x : bool)
+      | 1 -> ignore (I.s_mem s x : bool)
+      | 2 -> ignore (I.s_lower_bound s x : I.key option)
+      | 3 -> ignore (I.s_upper_bound s x : I.key option)
+      | 4 -> I.s_iter_from (fun _ -> false) s x
+      | _ -> I.s_iter_from (fun _ -> true) s x);
+      if hint_total s <> before + 1 then
+        Alcotest.failf "step %d counted %d hint outcomes" step
+          (hint_total s - before)
+    done
 
-  let test_hint_stats_merge () =
-    let z = I.merge_hint_stats [] in
-    check_int "empty merge: insert hits" 0 z.I.insert_hits;
-    check_int "empty merge: find misses" 0 z.I.find_misses;
-    check_bool "empty merge rate is 0, not nan" true (I.hit_rate z = 0.0);
-    check_bool "rate of all-zero stats is finite" true
-      (Float.is_finite (I.hit_rate z));
-    let t = I.make ~capacity:8 () in
-    let h = I.session t in
-    for i = 0 to 999 do
-      ignore (I.s_insert h (k i) : bool)
-    done;
-    let s = I.hint_stats (I.s_hints h) in
-    let m = I.merge_hint_stats [ s ] in
-    check_int "singleton merge: insert hits" s.I.insert_hits m.I.insert_hits;
-    check_int "singleton merge: insert misses" s.I.insert_misses
-      m.I.insert_misses;
-    check_bool "singleton merge preserves rate" true (I.hit_rate s = I.hit_rate m)
+  (* a fresh session starts from zero, and every miss closes the open run:
+     miss, hit, miss leaves one 0-hit run and one 1-hit run *)
+  let test_hint_run_reset () =
+    let t = of_list ~capacity:4 (List.init 100 Fun.id) in
+    let s = I.session t in
+    check_bool "fresh counters" true (I.hint_counters (I.s_hints s) = (0, 0));
+    check_bool "fresh run histogram" true
+      (Array.for_all (fun c -> c = 0) (I.hint_run_hist (I.s_hints s)));
+    ignore (I.s_mem s (k 0) : bool);
+    ignore (I.s_mem s (k 0) : bool);
+    ignore (I.s_upper_bound s (k 0) : I.key option);
+    check_bool "miss, hit, miss" true (I.hint_counters (I.s_hints s) = (1, 2));
+    let runs = I.hint_run_hist (I.s_hints s) in
+    check_int "0-hit run" 1 runs.(0);
+    check_int "1-hit run" 1 runs.(1);
+    check_int "nothing else" 2 (Array.fold_left ( + ) 0 runs)
 
-  let test_hint_stats_multi_domain () =
+  let test_hint_multi_domain () =
     (* each domain inserts a disjoint block through its own session; the
-       merged stats account for every hinted insert exactly once *)
+       summed counters account for every hinted insert exactly once *)
     let t = I.make ~capacity:8 () in
     let domains = 4 and per_domain = 5_000 in
     let worker d () =
@@ -365,21 +372,13 @@ module Make (I : INSTANCE) = struct
       for i = d * per_domain to ((d + 1) * per_domain) - 1 do
         ignore (I.s_insert h (k i) : bool)
       done;
-      I.hint_stats (I.s_hints h)
+      I.hint_counters (I.s_hints h)
     in
     let spawned = List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1))) in
-    let stats = worker 0 () :: List.map Domain.join spawned in
-    let m = I.merge_hint_stats stats in
+    let counters = worker 0 () :: List.map Domain.join spawned in
     check_int "every hinted insert is a hit or a miss" (domains * per_domain)
-      (m.I.insert_hits + m.I.insert_misses);
+      (List.fold_left (fun acc (h, m) -> acc + h + m) 0 counters);
     check_int "tree holds the union" (domains * per_domain) (I.cardinal t);
-    let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
-    check_int "merge sums hits" (sum (fun s -> s.I.insert_hits)) m.I.insert_hits;
-    check_int "merge sums misses"
-      (sum (fun s -> s.I.insert_misses))
-      m.I.insert_misses;
-    let r = I.hit_rate m in
-    check_bool "aggregate rate in [0,1]" true (r >= 0.0 && r <= 1.0);
     I.check_invariants t
 
   let test_hint_run_hist () =
@@ -398,6 +397,63 @@ module Make (I : INSTANCE) = struct
     (* a sorted insert stream produces long hit runs: some bucket >= 2^3 *)
     check_bool "long runs observed on sorted stream" true
       (Array.exists (fun c -> c > 0) (Array.sub runs 4 (Array.length runs - 4)))
+
+  (* ---------------- allocation ---------------- *)
+
+  (* A keyed read allocates at most its answer: the [Some] of a bound is
+     two words; the descent, the position and a scan allocate nothing, at
+     any tree size. *)
+  let read_word_budget = 4.0
+
+  (* Minor words per [op] over [probes], after one warm-up pass. *)
+  let words_per_call probes op =
+    Array.iter op probes;
+    let before = Gc.minor_words () in
+    Array.iter op probes;
+    (Gc.minor_words () -. before) /. float_of_int (Array.length probes)
+
+  let read_words n =
+    let t = I.make () in
+    ignore (I.insert_batch t (Array.init n (fun i -> k (2 * i))) : int);
+    let s = I.session t in
+    let r = rng n in
+    let probes = Array.init 1000 (fun _ -> k (r (2 * n))) in
+    let seen = ref 0 in
+    let ten _ =
+      incr seen;
+      !seen < 10
+    in
+    List.map
+      (fun (name, op) -> (name, words_per_call probes op))
+      [
+        ("mem", fun x -> ignore (I.mem t x : bool));
+        ("s_mem", fun x -> ignore (I.s_mem s x : bool));
+        ("lower_bound", fun x -> ignore (I.lower_bound t x : I.key option));
+        ("upper_bound", fun x -> ignore (I.upper_bound t x : I.key option));
+        ("s_lower_bound", fun x -> ignore (I.s_lower_bound s x : I.key option));
+        ("s_upper_bound", fun x -> ignore (I.s_upper_bound s x : I.key option));
+        ( "iter_from",
+          fun x ->
+            seen := 0;
+            I.iter_from ten t x );
+        ( "s_iter_from",
+          fun x ->
+            seen := 0;
+            I.s_iter_from ten s x );
+      ]
+
+  let test_read_allocation () =
+    let small = read_words 1_000 and large = read_words 100_000 in
+    List.iter2
+      (fun (name, w_small) (_, w_large) ->
+        if w_small > read_word_budget || w_large > read_word_budget then
+          Alcotest.failf "%s allocates %.1f words/call at 1k keys, %.1f at 100k \
+                          (budget %.0f)"
+            name w_small w_large read_word_budget;
+        if Float.abs (w_small -. w_large) >= 0.5 then
+          Alcotest.failf "%s allocates %.1f words/call at 1k keys but %.1f at 100k"
+            name w_small w_large)
+      small large
 
   (* ---------------- shape ---------------- *)
 
@@ -687,6 +743,48 @@ module Make (I : INSTANCE) = struct
 
   let keys_gen bound = QCheck.(list (int_bound bound))
 
+  (* Bounds and scans, unhinted and through one session reused across the
+     probes, against the model.  At capacity 3 probes often start at inner
+     separators; the scans take up to [scan_len] keys, enough to run off a
+     leaf at capacity 24. *)
+  let scan_len = 30
+
+  let reads_vs_model capacity =
+    QCheck.Test.make ~count:200
+      ~name:(Printf.sprintf "bounds and scans = model, capacity %d" capacity)
+      QCheck.(pair (keys_gen 300) (small_list (int_bound 320)))
+      (fun (ins, probes) ->
+        let t = of_list ~capacity ins in
+        let s = I.session t in
+        let model = ISet.of_list ins in
+        let take iter_from p =
+          let seen = ref [] and n = ref 0 in
+          iter_from
+            (fun x ->
+              seen := I.int_of x :: !seen;
+              incr n;
+              !n < scan_len)
+            (k p);
+          List.rev !seen
+        in
+        List.for_all
+          (fun p ->
+            let lb = ISet.find_first_opt (fun x -> x >= p) model
+            and ub = ISet.find_first_opt (fun x -> x > p) model
+            and from =
+              List.filteri
+                (fun i _ -> i < scan_len)
+                (ISet.elements (ISet.filter (fun x -> x >= p) model))
+            in
+            opt (I.lower_bound t (k p)) = lb
+            && opt (I.upper_bound t (k p)) = ub
+            && opt (I.s_lower_bound s (k p)) = lb
+            && opt (I.s_upper_bound s (k p)) = ub
+            && I.s_mem s (k p) = ISet.mem p model
+            && take (fun f x -> I.iter_from f t x) p = from
+            && take (fun f x -> I.s_iter_from f s x) p = from)
+          probes)
+
   let props =
     let open QCheck in
     [
@@ -716,16 +814,8 @@ module Make (I : INSTANCE) = struct
           let t = of_list ~capacity:4 ins in
           let model = ISet.of_list ins in
           List.for_all (fun p -> I.mem t (k p) = ISet.mem p model) (ins @ probes));
-      Test.make ~count:200 ~name:"lower/upper bound = model"
-        (pair (keys_gen 300) (small_list (int_bound 320)))
-        (fun (ins, probes) ->
-          let t = of_list ~capacity:5 ins in
-          let model = ISet.of_list ins in
-          List.for_all
-            (fun p ->
-              opt (I.lower_bound t (k p)) = ISet.find_first_opt (fun x -> x >= p) model
-              && opt (I.upper_bound t (k p)) = ISet.find_first_opt (fun x -> x > p) model)
-            probes);
+      reads_vs_model 3;
+      reads_vs_model 24;
       Test.make ~count:100 ~name:"session = unhinted semantics" (keys_gen 100)
         (fun keys ->
           let a = I.make ~capacity:4 () and b = I.make ~capacity:4 () in
@@ -999,12 +1089,13 @@ module Make (I : INSTANCE) = struct
           tc "random vs model" `Quick
             (hinted_random_vs_model ~seed:2 ~capacity:6 ~range:50_000 ~n:10_000
                ~probes:2000);
-          tc "stats reset" `Quick test_hint_stats_reset;
-          tc "stats merge" `Quick test_hint_stats_merge;
+          tc "one count per op" `Quick test_hint_one_count_per_op;
+          tc "run reset" `Quick test_hint_run_reset;
           tc "run-length histogram" `Quick test_hint_run_hist;
         ]
-        @ only_concurrent [ tc "stats multi-domain" `Quick test_hint_stats_multi_domain ]
+        @ only_concurrent [ tc "multi-domain counters" `Quick test_hint_multi_domain ]
       );
+      ("allocation", [ tc "keyed reads within budget" `Quick test_read_allocation ]);
       ( "shape",
         [
           tc "empty" `Quick test_shape_empty;

@@ -118,6 +118,13 @@ echo "== the paper's insert paths through the figure path (Fig. 3a/3b) =="
 # Exit status only; no timing is judged.
 dune exec bench/main.exe -- fig3a fig3b ablation-merge --scale 0.01 --threads 2
 
+echo "== the paper's read paths through the figure path (Fig. 3c-3f) =="
+# Hinted and unhinted membership (3c/3d) and full scans (3e/3f) on both
+# B-tree kinds, plus the comparator ablation, whose order-specialised tuple
+# tree answers membership through the keyed read descent.  Exit status
+# only; no timing is judged.
+dune exec bench/main.exe -- fig3c fig3d fig3e fig3f ablation-specialization --scale 0.01 --threads 2
+
 echo "== query-server selftest (datalog_serve + datalog_cli --connect) =="
 # Start the resident query server with live telemetry, drive it with the
 # one-shot CLI in --connect mode (install program, batch-load facts, query
