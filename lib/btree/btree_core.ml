@@ -1103,10 +1103,21 @@ module Make (L : LOCK) (K : KEY) :
     | Lower -> h.lb_leaf <- leaf
     | Upper -> h.ub_leaf <- leaf
 
+  (* The first leaf right of the separator after [node]'s last key — the
+     move of [scan] — or [node] itself when it is the last leaf. *)
+  let next_leaf node =
+    let c = up node in
+    match c.parent with
+    | Some p -> min_node p.children.(c.position + 1)
+    | None -> node
+
   (* The leaf where a read of [key] finds its position.  In a session: the
      kind's cached leaf when it covers [key] — the descent from the root
      would end there too — counted as a hit; otherwise a miss, whose
-     descent's leaf becomes the kind's hint. *)
+     descent's leaf becomes the kind's hint.  A descent that ends past its
+     leaf's last key (at a key equal to the next separator, or below it)
+     caches the next leaf instead: in an ascending stream that leaf covers
+     the following keys, and the left one covers none of them. *)
   let start hints r t key =
     match hints with
     | None -> seek t (strict r) key t.root
@@ -1119,7 +1130,9 @@ module Make (L : LOCK) (K : KEY) :
       else begin
         miss h;
         let leaf = seek t (strict r) key t.root in
-        cache h r leaf;
+        let n = clamped_nkeys leaf in
+        cache h r
+          (if n > 0 && t.cmp key leaf.keys.(n - 1) > 0 then next_leaf leaf else leaf);
         leaf
       end
 

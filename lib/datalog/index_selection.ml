@@ -10,15 +10,9 @@
 
 module IntSet = Set.Make (Int)
 
-type plan = {
-  orders : int array list;
-  assignment : (int array * int) list;
-}
-
 let set_of_sig s = IntSet.of_list (Array.to_list s)
 
-let solve ~arity sigs =
-  ignore arity;
+let solve sigs =
   let distinct =
     List.sort_uniq compare
       (List.filter (fun s -> Array.length s > 0) (List.map Array.copy sigs))
@@ -65,7 +59,6 @@ let solve ~arity sigs =
       chains := collect i [] :: !chains
     end
   done;
-  let chains = List.rev !chains in
   (* order for a chain: smallest signature's columns (ascending), then each
      increment along the chain (ascending within the increment) *)
   let order_of_chain chain =
@@ -78,15 +71,7 @@ let solve ~arity sigs =
       chain;
     Array.of_list (List.rev !buf)
   in
-  let orders = List.map order_of_chain chains in
-  let assignment =
-    List.concat
-      (List.mapi
-         (fun chain_idx chain ->
-           List.map (fun i -> (arr.(i), chain_idx)) chain)
-         chains)
-  in
-  { orders; assignment }
+  List.map order_of_chain (List.rev !chains)
 
 let chains_lower_bound sigs =
   let distinct =

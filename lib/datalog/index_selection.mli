@@ -11,26 +11,18 @@
     minimum chain cover of its signature set, computed here exactly via
     maximum bipartite matching (Dilworth / König), as in the cited paper.
 
-    The result maps each signature to the index ordering that serves it. *)
+    A relation's primary index (the identity order) already serves every
+    signature that is a prefix set of it, so {!Relation.create} passes
+    only the other signatures here, and the cover is minimal over them. *)
 
-type plan = {
-  orders : int array list;
-      (** one index ordering (a column permutation prefix, possibly partial —
-          extend with the remaining columns for a total order) per chain *)
-  assignment : (int array * int) list;
-      (** signature (sorted ascending) -> position of its index in [orders] *)
-}
-
-val solve : arity:int -> int array list -> plan
-(** [solve ~arity sigs] computes a minimum chain cover of the given
-    signatures (each a strictly increasing column array).  Signatures may
-    repeat; duplicates share the same assignment.  The empty signature is
-    ignored (the primary index always exists).
-
-    Each returned order lists the columns of the chain's smallest signature
-    first, then the increments along the chain, then any remaining columns
-    of the relation — so for every signature assigned to it, the
-    signature's columns form a prefix of the order. *)
+val solve : int array list -> int array list
+(** [solve sigs] computes a minimum chain cover of the given signatures
+    (each a strictly increasing column array) and returns one index order
+    per chain: the columns of the chain's smallest signature, then the
+    increments along the chain, each in ascending order.  The order may be
+    partial: the index extends it with the remaining columns.  Every
+    signature's columns form a prefix of its chain's order.  Signatures may
+    repeat; the empty signature is ignored. *)
 
 val chains_lower_bound : int array list -> int
 (** Size of the largest antichain in the signature set (by brute force over

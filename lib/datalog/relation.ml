@@ -1,14 +1,16 @@
 type t = {
   name : string;
   arity : int;
-  kind : Storage.kind;
+  ordered : bool; (* tree kinds: every index has a total column order *)
   stats : Dl_stats.t option;
   write_lock : Mutex.t option; (* Some for kinds without thread-safe insert *)
-  primary : Storage.Index.t;
+  indexes : Storage.Index.t array; (* [indexes.(0)] is the primary *)
+  keys : int array array;
+      (* per index, the columns it is keyed on: its total order on the
+         ordered kinds (the identity for the primary), its signature on the
+         hash kinds ([||] for the primary) *)
   secondary : (int array * int) array;
-      (* signature -> position of its serving index in [distinct]; several
-         signatures may share one index (chain cover, tree kinds only) *)
-  distinct : Storage.Index.t array; (* each underlying secondary index once *)
+      (* declared signature -> position in [indexes] of its serving index *)
   phase : Sync.Phase_latch.t;
       (* open phases: typed handles and quiescent scans, as one
          reader/writer latch word *)
@@ -16,49 +18,75 @@ type t = {
 
 exception Phase_violation of string
 
-let shares_indexes = Storage.shares_indexes
+(* The number of leading columns of [key] that [pat] binds. *)
+let bound_prefix key pat =
+  let k = ref 0 in
+  while !k < Array.length key && Option.is_some pat.(key.(!k)) do incr k done;
+  !k
+
+(* The serving rule, the one place an index is chosen for a set of bound
+   columns ([pat.(col)] is [Some _] when [col] is bound): on the ordered
+   kinds the index whose order starts with the most bound columns, ties
+   going to the earlier index and so to the primary; on the hash kinds the
+   multimap whose signature is the bound set, else the primary. *)
+let serving ~ordered keys pat =
+  let nbound = Array.fold_left (fun n v -> if Option.is_some v then n + 1 else n) 0 pat in
+  let best = ref 0 and best_k = ref (bound_prefix keys.(0) pat) in
+  for j = 1 to Array.length keys - 1 do
+    let k = bound_prefix keys.(j) pat in
+    if if ordered then k > !best_k else k = nbound && k = Array.length keys.(j)
+    then begin
+      best := j;
+      best_k := k
+    end
+  done;
+  !best
 
 let create ~name ~arity ~kind ~sigs ~stats () =
+  let ordered = Storage.shares_indexes kind in
   let uniq =
     List.sort_uniq Key.Int_array.compare (List.filter (fun s -> Array.length s > 0) sigs)
   in
-  let secondary, distinct =
-    if shares_indexes kind then begin
-      let plan = Index_selection.solve ~arity uniq in
-      let indexes =
-        Array.of_list
-          (List.map
-             (fun order ->
-               Storage.Index.create kind ~arity ~cols:[||] ~order ~stats ())
-             plan.Index_selection.orders)
-      in
-      (Array.of_list plan.Index_selection.assignment, indexes)
-    end
-    else begin
-      ( Array.of_list (List.mapi (fun i cols -> (cols, i)) uniq),
-        Array.of_list
-          (List.map
-             (fun cols -> Storage.Index.create kind ~arity ~cols ~stats ())
-             uniq) )
-    end
+  let pattern s = Array.init arity (fun col -> if Array.mem col s then Some 0 else None) in
+  let primary = Storage.Index.create kind ~arity ~cols:[||] ~stats () in
+  let primary_key = Option.value (Storage.Index.order primary) ~default:[||] in
+  (* a signature the primary serves in full needs no index of its own *)
+  let own =
+    List.filter (fun s -> bound_prefix primary_key (pattern s) < Array.length s) uniq
+  in
+  let specs = if ordered then Index_selection.solve own else own in
+  let indexes =
+    Array.of_list
+      (primary
+      :: List.map
+           (fun spec ->
+             if ordered then
+               Storage.Index.create kind ~arity ~cols:[||] ~order:spec ~stats ()
+             else Storage.Index.create kind ~arity ~cols:spec ~stats ())
+           specs)
+  in
+  let keys =
+    if ordered then Array.map (fun idx -> Option.get (Storage.Index.order idx)) indexes
+    else Array.of_list ([||] :: specs)
   in
   {
     name;
     arity;
-    kind;
+    ordered;
     stats;
     write_lock =
       (if Storage.thread_safe_insert kind then None else Some (Mutex.create ()));
-    primary = Storage.Index.create kind ~arity ~cols:[||] ~stats ();
-    secondary;
-    distinct;
+    indexes;
+    keys;
+    secondary =
+      Array.of_list (List.map (fun s -> (s, serving ~ordered keys (pattern s))) uniq);
     phase = Sync.Phase_latch.make ();
   }
 
 let name t = t.name
 let arity t = t.arity
-let cardinal t = Storage.Index.cardinal t.primary
-let is_empty t = Storage.Index.is_empty t.primary
+let cardinal t = Storage.Index.cardinal t.indexes.(0)
+let is_empty t = Storage.Index.is_empty t.indexes.(0)
 
 (* ---------------- the phase latch ---------------- *)
 
@@ -92,7 +120,7 @@ let iter t f =
   enter_phase t Sync.Phase_latch.Read "iter";
   Fun.protect
     ~finally:(fun () -> leave_phase t Sync.Phase_latch.Read)
-    (fun () -> Storage.Index.iter t.primary f)
+    (fun () -> Storage.Index.iter t.indexes.(0) f)
 
 let hint_counters t =
   let add acc idx =
@@ -101,15 +129,16 @@ let hint_counters t =
     | Some (h, m), Some (h', m') -> Some (h + h', m + m')
     | Some _, None -> acc
   in
-  Array.fold_left (fun acc idx -> add acc idx) (add None t.primary) t.distinct
+  Array.fold_left add None t.indexes
 
-let shape t = Storage.Index.shape t.primary
+let shape t = Storage.Index.shape t.indexes.(0)
 
 let hint_runs t =
-  let add acc idx = Storage.Index.merge_runs acc (Storage.Index.hint_runs idx) in
-  Array.fold_left (fun acc idx -> add acc idx) (add None t.primary) t.distinct
+  Array.fold_left
+    (fun acc idx -> Storage.Index.merge_runs acc (Storage.Index.hint_runs idx))
+    None t.indexes
 
-let index_count t = Array.length t.distinct
+let index_count t = Array.length t.indexes - 1
 
 let sig_id t cols =
   let n = Array.length t.secondary in
@@ -120,42 +149,43 @@ let sig_id t cols =
   in
   if Array.length cols = 0 then -1 else go 0
 
+(* Whether [tup] agrees with every bound column of [pat] from [col] on. *)
+let rec matches_from pat (tup : int array) col =
+  col = Array.length pat
+  || (match pat.(col) with Some v -> tup.(col) = v | None -> true)
+     && matches_from pat tup (col + 1)
+
 (* A phase handle's access to the relation's indexes.  Each index cursor
    is opened at its first use and only the opened ones are released: on
    the hinted B-tree kinds a cursor is a session, registered under the
    index's lock when it opens and folded into its counters when it is
    released, and most handles touch one or two of a relation's indexes
    (eval opens one reader per rule step and worker).  A signature scans
-   through the cursor of its serving index: signatures on one chain share
-   that index's session, and with it its hints, as they share its order. *)
+   through the cursor of its serving index: signatures served by one index
+   share that index's session, and with it its hints, as they share its
+   order. *)
 module Cursor = struct
   type rel = t
 
   type t = {
     rel : rel;
-    mutable c_primary : Storage.Index.cursor option;
     mutable c_index : Storage.Index.cursor option array;
-        (* one slot per index of [rel.distinct]; [||] until a secondary
-           index is first used *)
+        (* one slot per index of [rel.indexes] up to the last one used *)
   }
 
-  let create rel = { rel; c_primary = None; c_index = [||] }
-
-  let primary c =
-    match c.c_primary with
-    | Some cur -> cur
-    | None ->
-      let cur = Storage.Index.cursor c.rel.primary in
-      c.c_primary <- Some cur;
-      cur
+  let create rel = { rel; c_index = [||] }
 
   let index c j =
-    if Array.length c.c_index = 0 then
-      c.c_index <- Array.make (Array.length c.rel.distinct) None;
+    let n = Array.length c.c_index in
+    if j >= n then begin
+      let slots = Array.make (j + 1) None in
+      Array.blit c.c_index 0 slots 0 n;
+      c.c_index <- slots
+    end;
     match c.c_index.(j) with
     | Some cur -> cur
     | None ->
-      let cur = Storage.Index.cursor c.rel.distinct.(j) in
+      let cur = Storage.Index.cursor c.rel.indexes.(j) in
       c.c_index.(j) <- Some cur;
       cur
 
@@ -167,9 +197,9 @@ module Cursor = struct
       if fresh then Sync.Counter.incr s.Dl_stats.produced_tuples
 
   let insert_unlocked c tup =
-    let fresh = Storage.Index.c_insert (primary c) tup in
+    let fresh = Storage.Index.c_insert (index c 0) tup in
     if fresh then
-      for j = 0 to Array.length c.rel.distinct - 1 do
+      for j = 1 to Array.length c.rel.indexes - 1 do
         ignore (Storage.Index.c_insert (index c j) tup : bool)
       done;
     fresh
@@ -183,95 +213,46 @@ module Cursor = struct
     count_insert c fresh;
     fresh
 
-  let mem c tup = Storage.Index.c_mem (primary c) tup
-
-  let release c =
-    Option.iter Storage.Index.release c.c_primary;
-    Array.iter (Option.iter Storage.Index.release) c.c_index
+  let mem c tup = Storage.Index.c_mem (index c 0) tup
+  let release c = Array.iter (Option.iter Storage.Index.release) c.c_index
 
   let scan c sig_id bound f =
-    if sig_id < 0 then Storage.Index.c_scan (primary c) ~cols:[||] bound f
+    if sig_id < 0 then Storage.Index.c_scan (index c 0) ~cols:[||] bound f
     else begin
       let cols, j = c.rel.secondary.(sig_id) in
       Storage.Index.c_scan (index c j) ~cols bound f
     end
 
-  (* The serving index is chosen here and only here (the rule is in the
-     interface).  Ties go to the primary so that its lexicographic row
-     order is kept whenever it serves. *)
+  (* A range scan of the serving index over its bound prefix; every bound
+     column is checked per tuple. *)
   let query c pat f =
     let rel = c.rel in
     if Array.length pat <> rel.arity then
       invalid_arg
         (Printf.sprintf "Relation.Reader.query: %d pattern fields, %s has arity %d"
            (Array.length pat) rel.name rel.arity);
-    let is_bound col = Option.is_some pat.(col) in
-    let value col = Option.get pat.(col) in
-    (* the columns satisfying [keep], ascending *)
-    let cols_where keep =
-      let cols = Array.make rel.arity 0 and n = ref 0 in
-      for col = 0 to rel.arity - 1 do
-        if keep col then begin
-          cols.(!n) <- col;
-          incr n
-        end
-      done;
-      Array.sub cols 0 !n
-    in
-    let bound = cols_where is_bound in
-    let nbound = Array.length bound in
-    let examined = ref 0 in
-    (* range scan of [cur] over the bound prefix [cols]; the bound columns
-       outside it are checked per tuple, in a plain loop *)
-    let scan cur cols =
-      let checked =
-        cols_where (fun col -> is_bound col && not (Array.mem col cols))
-      in
-      let want = Array.map value checked in
-      let nchecked = Array.length checked in
-      Storage.Index.c_scan cur ~cols (Array.map value cols) (fun tup ->
-          incr examined;
-          let j = ref 0 in
-          while !j < nchecked && tup.(checked.(!j)) = want.(!j) do incr j done;
-          if !j = nchecked then f tup)
-    in
-    if nbound > 0 && nbound = rel.arity then begin
+    if rel.arity > 0 && Array.for_all Option.is_some pat then begin
       let tup = Array.map Option.get pat in
       if mem c tup then begin
-        examined := 1;
-        f tup
+        f tup;
+        1
       end
+      else 0
     end
     else begin
-      (* number of leading columns of [order] that are bound *)
-      let prefix order =
-        let k = ref 0 in
-        while !k < Array.length order && is_bound order.(!k) do incr k done;
-        !k
-      in
-      match Storage.Index.order rel.primary with
-      | Some order ->
-        (* [-1]: the primary *)
-        let best = ref (-1, order, prefix order) in
-        Array.iteri
-          (fun j idx ->
-            match Storage.Index.order idx with
-            | Some o ->
-              let k = prefix o in
-              let _, _, best_k = !best in
-              if k > best_k then best := (j, o, k)
-            | None -> ())
-          rel.distinct;
-        let j, order, k = !best in
-        scan (if j < 0 then primary c else index c j) (Array.sub order 0 k)
-      | None -> (
-        match
-          Array.find_opt (fun (sig_cols, _) -> sig_cols = bound) rel.secondary
-        with
-        | Some (_, j) -> scan (index c j) bound
-        | None -> scan (primary c) [||])
-    end;
-    !examined
+      let j = serving ~ordered:rel.ordered rel.keys pat in
+      let key = rel.keys.(j) in
+      let k = bound_prefix key pat in
+      let values = Array.make k 0 in
+      for i = 0 to k - 1 do
+        values.(i) <- Option.get pat.(key.(i))
+      done;
+      let examined = ref 0 in
+      Storage.Index.c_scan (index c j) ~cols:(Array.sub key 0 k) values (fun tup ->
+          incr examined;
+          if matches_from pat tup 0 then f tup);
+      !examined
+    end
 end
 
 (* ---------------- batch merge ---------------- *)
@@ -283,16 +264,16 @@ let merge_batch ?pool cur tuples =
   if Array.length tuples = 0 then 0
   else begin
     let do_merge () =
-      if shares_indexes t.kind then begin
+      if t.ordered then begin
         (* Tree kinds: every index is a dedup set, so each can merge the
            full array independently (sorting its own copy in its own
            order).  Skipping the primary-freshness gate is equivalent to
            the serial per-tuple path: a tuple already in the primary is
            already in every secondary. *)
-        let fresh = Storage.Index.merge ?pool t.primary tuples in
-        Array.iter
-          (fun idx -> ignore (Storage.Index.merge ?pool idx tuples : int))
-          t.distinct;
+        let fresh = Storage.Index.merge ?pool t.indexes.(0) tuples in
+        for j = 1 to Array.length t.indexes - 1 do
+          ignore (Storage.Index.merge ?pool t.indexes.(j) tuples : int)
+        done;
         fresh
       end
       else begin

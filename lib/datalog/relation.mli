@@ -24,16 +24,24 @@ val create :
   stats:Dl_stats.t option ->
   unit ->
   t
-(** [sigs] are the secondary-index signatures (each a strictly increasing,
-    non-empty array of column indices); the primary index always exists.
-    For tree-backed storage kinds, signatures forming containment chains
-    share one physical index whose order serves every signature on the
-    chain ({!Index_selection} — the paper's companion index-minimisation
-    technique); hash kinds get one multimap per signature. *)
+(** [sigs] are the signatures the relation's joins scan by (each a
+    strictly increasing, non-empty array of column indices); the primary
+    index always exists, in the identity order on the ordered kinds.
+
+    One rule chooses the index that serves a set of bound columns, here,
+    in {!sig_id} and in {!Reader.query}: on the ordered kinds
+    ({!Storage.shares_indexes}) the index whose order starts with the most
+    bound columns, ties going to the primary; on the hash kinds the
+    multimap whose signature is the bound set, else the primary.  On the
+    ordered kinds a signature the primary serves in full (a prefix set of
+    the identity: [{0}], [{0,1}], ...) gets no index of its own, and the
+    others share one index per chain of their minimum chain cover
+    ({!Index_selection}, the paper's companion index-minimisation
+    technique), so no two indexes have one order.  The hash kinds get one
+    multimap per signature. *)
 
 val index_count : t -> int
-(** Number of physical secondary indexes (≤ number of signatures for tree
-    kinds). *)
+(** Number of indexes beside the primary. *)
 
 val name : t -> string
 val arity : t -> int
@@ -58,7 +66,9 @@ val hint_runs : t -> int array option
     the relation; [None] when the storage kind is unhinted. *)
 
 val sig_id : t -> int array -> int
-(** Index id of a signature for {!Reader.scan}; [-1] denotes the primary.
+(** Id of a declared signature for {!Reader.scan}, which scans it on the
+    index the serving rule of {!create} picks for it; [-1] (the empty
+    signature) denotes a full scan of the primary.
     @raise Not_found if the signature was not declared at creation. *)
 
 (** {1 Typed two-phase access — the public access API}
@@ -119,20 +129,15 @@ module Reader : sig
       the column equals [v]; [None]: any value) and returns the number of
       tuples it examined — those the serving index handed to the
       per-tuple check, so at least the number of matches and at most
-      {!cardinal}.  The serving index is chosen from the relation's own
-      indexes; none is created for a query:
-      - a fully bound pattern is one membership probe;
-      - ordered kinds ({!Storage.shares_indexes}): among the primary
-        (identity order) and every physical secondary (its chain order),
-        the index whose order starts with the most bound columns, ties
-        going to the primary, answers with one lower-bound descent and an
-        early-exit range scan over that prefix; the other bound columns
-        are checked per tuple, so a query costs O(log n + rows) when a
-        prefix covers its bound columns;
-      - hash kinds: the secondary whose signature equals the bound set,
-        else a filtered scan of the primary.
-      Tuples come in the serving index's order: lexicographic whenever
-      the primary serves.
+      {!cardinal}.  A fully bound pattern is one membership probe.
+      Otherwise the serving rule of {!create} picks the index, which
+      scans the tuples that match the bound columns its order (or
+      signature) leads with: one lower-bound descent and an early-exit
+      range scan on the ordered kinds, one bucket on a hash multimap.
+      Every bound column is checked per tuple, so a query costs
+      O(log n + rows) when some index leads with all its bound columns.
+      No index is created for a query.  Tuples come in the serving
+      index's order: lexicographic whenever the primary serves.
       @raise Invalid_argument if [pat] does not have the relation's arity. *)
 
   val finish : t -> unit

@@ -300,6 +300,32 @@ module Make (I : INSTANCE) = struct
     let hits, _ = I.hint_counters (I.s_hints h) in
     check_bool "hints dominate on ordered stream" true (hits > 9 * n / 10)
 
+  (* an ascending pass of membership probes, and one of lower bounds, each
+     through a fresh session, misses its hint once per leaf at most: a
+     probe equal to a separator leaves the hint on the leaf right of it *)
+  let test_hints_ordered_reads_miss_once_per_leaf () =
+    let t = I.make ~capacity:8 () in
+    let n = 20_000 in
+    let h = I.session t in
+    for i = 0 to n - 1 do
+      ignore (I.s_insert h (k i) : bool)
+    done;
+    let leaves = (I.shape t).Tree_shape.leaves in
+    let pass what read =
+      let s = I.session t in
+      for i = 0 to n - 1 do
+        read s (k i)
+      done;
+      let _, misses = I.hint_counters (I.s_hints s) in
+      if misses > leaves + 1 then
+        Alcotest.failf "%s: %d misses over %d leaves" what misses leaves
+    in
+    pass "s_mem" (fun s key ->
+        if not (I.s_mem s key) then Alcotest.failf "hinted mem lost %d" (I.int_of key));
+    pass "s_lower_bound" (fun s key ->
+        if I.s_lower_bound s key <> Some key then
+          Alcotest.failf "hinted lower bound of %d" (I.int_of key))
+
   let hinted_random_vs_model ~seed ~capacity ~range ~n ~probes () =
     let r = rng seed in
     let t = I.make ~capacity () in
@@ -1083,6 +1109,8 @@ module Make (I : INSTANCE) = struct
         [
           tc "ordered" `Quick test_hints_ordered;
           tc "ordered hits" `Quick test_hints_ordered_hits;
+          tc "ordered reads miss once per leaf" `Quick
+            test_hints_ordered_reads_miss_once_per_leaf;
           tc "random" `Quick
             (hinted_random_vs_model ~seed:99 ~capacity:8 ~range:100_000
                ~n:10_000 ~probes:2000);

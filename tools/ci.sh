@@ -105,11 +105,12 @@ print("ci: metrics JSON ok (v%d):" % d["schema_version"], sys.argv[1])
 PY
 fi
 
-echo "== every storage kind through the figure path (Fig. 5a/5b) =="
+echo "== every storage kind through the figure path (Fig. 5a/5b, Table 2) =="
 # Runs all six relation storages (both B-tree kinds and the four paper
-# baselines) through the bench's Fig. 5 evaluations at a tiny scale; only
-# the exit status is checked, no timing is judged.
-dune exec bench/main.exe -- fig5a fig5b --scale 0.05 --threads 2
+# baselines) through the bench's Fig. 5 evaluations at a tiny scale, and
+# Table 2's instrumented relation path (operation counts per relation
+# index); only the exit status is checked, no timing is judged.
+dune exec bench/main.exe -- fig5a fig5b table2 --scale 0.05 --threads 2
 
 echo "== the paper's insert paths through the figure path (Fig. 3a/3b) =="
 # Hinted and unhinted single inserts on both B-tree kinds (Btree,
