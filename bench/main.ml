@@ -443,12 +443,12 @@ let table2 cfg =
           name;
           string_of_int rels;
           string_of_int rules;
-          Printf.sprintf "%.1e" (float_of_int s.Dl_stats.s_inserts);
-          Printf.sprintf "%.1e" (float_of_int s.Dl_stats.s_mem_tests);
-          Printf.sprintf "%.1e" (float_of_int s.Dl_stats.s_lower_bounds);
-          Printf.sprintf "%.1e" (float_of_int s.Dl_stats.s_upper_bounds);
-          Printf.sprintf "%.1e" (float_of_int s.Dl_stats.s_input_tuples);
-          Printf.sprintf "%.1e" (float_of_int s.Dl_stats.s_produced_tuples);
+          string_of_int s.Dl_stats.s_inserts;
+          string_of_int s.Dl_stats.s_mem_tests;
+          string_of_int s.Dl_stats.s_lower_bounds;
+          string_of_int s.Dl_stats.s_upper_bounds;
+          string_of_int s.Dl_stats.s_input_tuples;
+          string_of_int s.Dl_stats.s_produced_tuples;
         ])
       [ pointsto_workload cfg; network_workload cfg ]
   in

@@ -369,15 +369,19 @@ let compile symtab (prog : Ast.program) =
   let delta_rules = Array.make nstrata [] in
   let sigs_full = Array.make npreds [] in
   let sigs_delta = Array.make npreds [] in
-  let lower = ref [] in
-  let add_sigs cr =
+  (* [~full:false] registers only the delta steps' signatures: a variant
+     over a lower stratum runs only when that stratum changed, typically by
+     a few tuples, and must not make every relation carry extra indexes
+     for it.  Its other steps read through whichever index serves their
+     bound columns best and check the rest per tuple. *)
+  let add_sigs ~full cr =
     let rec visit stp =
       match stp with
       | SMatch m ->
         if Array.length m.m_sig > 0 then
           if m.m_delta then
             sigs_delta.(m.m_pred) <- m.m_sig :: sigs_delta.(m.m_pred)
-          else sigs_full.(m.m_pred) <- m.m_sig :: sigs_full.(m.m_pred)
+          else if full then sigs_full.(m.m_pred) <- m.m_sig :: sigs_full.(m.m_pred)
       | SAgg a -> Array.iter visit a.a_steps
       | SNeg _ | SCmp _ | SBind _ -> ()
     in
@@ -392,7 +396,7 @@ let compile symtab (prog : Ast.program) =
         compile_order symtab ~pred_of:atom_pred ~head:r.head ~body:r.body
           ~delta_first:false ~text
       in
-      add_sigs seed;
+      add_sigs ~full:true seed;
       seed_rules.(s) <- seed :: seed_rules.(s);
       (* delta variants: one per positive literal, rotated to the front so
          the (small) delta drives the outer loop.  Literals over the rule's
@@ -407,55 +411,12 @@ let compile symtab (prog : Ast.program) =
               compile_order symtab ~pred_of:atom_pred ~head:r.head
                 ~body:rotated ~delta_first:true ~text
             in
-            if strat.Stratify.stratum_of.(atom_pred a) = s then begin
-              add_sigs v;
-              delta_rules.(s) <- v :: delta_rules.(s)
-            end
-            else lower := (s, v) :: !lower
+            let own = strat.Stratify.stratum_of.(atom_pred a) = s in
+            add_sigs ~full:own v;
+            delta_rules.(s) <- v :: delta_rules.(s)
           | Ast.Neg _ | Ast.Cmp _ | Ast.Agg _ -> ())
         r.body)
     rules;
-  (* A variant over a lower stratum runs only when that stratum changed,
-     typically by a few tuples.  It must not make every relation carry
-     extra indexes for it: a scan whose bound columns no index serves
-     falls back to the widest declared signature among them and checks
-     the remaining columns tuple by tuple. *)
-  let declared = Array.map (List.sort_uniq compare) sigs_full in
-  let subset small big = Array.for_all (fun c -> Array.mem c big) small in
-  let rec restrict stp =
-    match stp with
-    | SMatch m when (not m.m_delta) && Array.length m.m_sig > 0 ->
-      if List.mem m.m_sig declared.(m.m_pred) then stp
-      else
-        let sig_ =
-          List.fold_left
-            (fun best d ->
-              if subset d m.m_sig && Array.length d > Array.length best then d
-              else best)
-            [||] declared.(m.m_pred)
-        in
-        let kept = ref [] and checked = ref [] in
-        Array.iteri
-          (fun i col ->
-            if Array.mem col sig_ then kept := m.m_bound.(i) :: !kept
-            else checked := (col, m.m_bound.(i)) :: !checked)
-          m.m_sig;
-        SMatch
-          {
-            m with
-            m_sig = sig_;
-            m_bound = Array.of_list (List.rev !kept);
-            m_checks = Array.append (Array.of_list (List.rev !checked)) m.m_checks;
-          }
-    | SAgg a -> SAgg { a with a_steps = Array.map restrict a.a_steps }
-    | SMatch _ | SNeg _ | SCmp _ | SBind _ -> stp
-  in
-  List.iter
-    (fun (s, v) ->
-      let v = { v with cr_steps = Array.map restrict v.cr_steps } in
-      add_sigs v;
-      delta_rules.(s) <- v :: delta_rules.(s))
-    (List.rev !lower);
   {
     npreds;
     pred_names;

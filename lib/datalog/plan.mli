@@ -5,8 +5,10 @@
 
     - a {e match} step scans the tuples of a relation whose {e bound}
       columns (constants and variables bound by earlier steps) equal the
-      current environment's values — realised as an index range scan —
-      binding the free columns into environment slots;
+      current environment's values — realised as one range scan of the
+      index {!Relation.serve} picks for them, which checks per tuple the
+      bound columns that index's key does not start with — binding the
+      free columns into environment slots;
     - a {e negation} step checks that a fully bound tuple is absent.
 
     For semi-naive evaluation every rule is compiled several times: a seed
@@ -78,8 +80,16 @@ type t = {
   seed_rules : crule list array;  (** per stratum *)
   delta_rules : crule list array;
       (** per stratum: every delta variant, one per positive body literal *)
-  sigs_full : int array list array;  (** per predicate *)
-  sigs_delta : int array list array; (** per predicate *)
+  sigs_full : int array list array;
+      (** per predicate, the signatures of its full relation's match steps
+          in seed versions and in delta variants over the rule's own
+          stratum.  A variant over a lower stratum runs only when that
+          stratum changed, typically by a few tuples, so its steps over full
+          relations declare nothing: they read through whichever index
+          serves their bound columns best. *)
+  sigs_delta : int array list array;
+      (** per predicate, the signatures of the match steps that read its
+          delta relation *)
 }
 
 val compile : Symtab.t -> Ast.program -> t

@@ -26,19 +26,14 @@ val create :
   t
 (** [sigs] are the signatures the relation's joins scan by (each a
     strictly increasing, non-empty array of column indices); the primary
-    index always exists, in the identity order on the ordered kinds.
-
-    One rule chooses the index that serves a set of bound columns, here,
-    in {!sig_id} and in {!Reader.query}: on the ordered kinds
-    ({!Storage.shares_indexes}) the index whose order starts with the most
-    bound columns, ties going to the primary; on the hash kinds the
-    multimap whose signature is the bound set, else the primary.  On the
-    ordered kinds a signature the primary serves in full (a prefix set of
-    the identity: [{0}], [{0,1}], ...) gets no index of its own, and the
-    others share one index per chain of their minimum chain cover
+    index always exists, in the identity order on the ordered kinds.  On
+    the ordered kinds a signature the primary serves in full (a prefix set
+    of the identity: [{0}], [{0,1}], ...) gets no index of its own, and
+    the others share one index per chain of their minimum chain cover
     ({!Index_selection}, the paper's companion index-minimisation
     technique), so no two indexes have one order.  The hash kinds get one
-    multimap per signature. *)
+    multimap per signature.  {!serve} then picks the index for every
+    read. *)
 
 val index_count : t -> int
 (** Number of indexes beside the primary. *)
@@ -65,11 +60,16 @@ val hint_runs : t -> int array option
 (** Hint-locality distribution summed over every cursor of every index of
     the relation; [None] when the storage kind is unhinted. *)
 
-val sig_id : t -> int array -> int
-(** Id of a declared signature for {!Reader.scan}, which scans it on the
-    index the serving rule of {!create} picks for it; [-1] (the empty
-    signature) denotes a full scan of the primary.
-    @raise Not_found if the signature was not declared at creation. *)
+val serve : t -> int array -> int * int array
+(** [serve r cols] is the serving rule, the one place an index is chosen
+    for a set [cols] of bound columns, for join steps and queries alike.
+    It returns the index's id for {!Reader.scan} ([-1] the primary,
+    [0 .. index_count r - 1] the others) and its {e lead}: the bound
+    columns its key starts with, in key order.  On the ordered kinds
+    ({!Storage.shares_indexes}) it is the index whose order starts with
+    the most bound columns, ties going to the primary; on the hash kinds
+    the widest multimap whose whole signature is bound, else the primary
+    with an empty lead.  A declared signature is always led in full. *)
 
 (** {1 Typed two-phase access — the public access API}
 
@@ -120,9 +120,11 @@ module Reader : sig
   val mem : t -> int array -> bool
 
   val scan : t -> int -> int array -> (int array -> unit) -> unit
-  (** [scan r sig_id bound f]: enumerate tuples matching [bound] on the
-      signature [sig_id] (from {!sig_id}); [-1] with an empty [bound]
-      scans the whole relation. *)
+  (** [scan r id prefix f], the one range read: enumerate the tuples whose
+      first [Array.length prefix] key columns of index [id] (from {!serve})
+      equal [prefix], given in key order — for a lead from {!serve}, the
+      values of its columns.  [scan r (-1) [||] f] scans the whole
+      relation. *)
 
   val query : t -> int option array -> (int array -> unit) -> int
   (** [query r pat f] calls [f] on every tuple matching [pat] ([Some v]:
@@ -130,10 +132,10 @@ module Reader : sig
       tuples it examined — those the serving index handed to the
       per-tuple check, so at least the number of matches and at most
       {!cardinal}.  A fully bound pattern is one membership probe.
-      Otherwise the serving rule of {!create} picks the index, which
-      scans the tuples that match the bound columns its order (or
-      signature) leads with: one lower-bound descent and an early-exit
-      range scan on the ordered kinds, one bucket on a hash multimap.
+      Otherwise it is {!serve} on the bound columns, then {!scan} of the
+      serving index over its lead: one lower-bound descent and an
+      early-exit range scan on the ordered kinds, one bucket on a hash
+      multimap.
       Every bound column is checked per tuple, so a query costs
       O(log n + rows) when some index leads with all its bound columns.
       No index is created for a query.  Tuples come in the serving

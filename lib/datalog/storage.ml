@@ -15,17 +15,11 @@ let ordered_key (order : int array) : (module Key.ORDERED with type t = int arra
     let to_string = Key.Int_array.to_string
   end)
 
-let matches ~cols bound (tuple : int array) =
-  let n = Array.length cols in
-  let i = ref 0 in
-  while !i < n && tuple.(cols.(!i)) = bound.(!i) do incr i done;
-  !i = n
-
 module Index = struct
   type cursor = {
     c_insert : int array -> bool;
     c_mem : int array -> bool;
-    c_scan : cols:int array -> int array -> (int array -> unit) -> unit;
+    c_scan : int array -> (int array -> unit) -> unit;
     c_release : unit -> unit;
   }
 
@@ -40,7 +34,9 @@ module Index = struct
     i_hint_counters : unit -> (int * int) option;
     i_shape : unit -> Tree_shape.t option; (* B-tree kinds only *)
     i_hint_runs : unit -> int array option; (* hinted B-tree kinds only *)
-    i_order : int array option; (* total column order; ordered kinds only *)
+    i_key : int array;
+        (* the columns it is keyed on: the total order of the ordered kinds,
+           the signature of a hash multimap, [||] for a hash set *)
   }
 
   (* Below this many tuples a parallel merge costs more in pool fork-join
@@ -69,9 +65,9 @@ module Index = struct
 
   let count c = Sync.Counter.incr c
 
-  let count_scan stats ncols =
+  let count_scan stats prefix =
     match stats with
-    | Some s when ncols > 0 ->
+    | Some s when Array.length prefix > 0 ->
       count s.Dl_stats.lower_bounds;
       count s.Dl_stats.upper_bounds
     | _ -> ()
@@ -81,23 +77,38 @@ module Index = struct
 
   (* ---------------- ordered kinds ---------------- *)
 
-  (* total comparison order of an index: the given prefix (a signature,
-     or a possibly partial shared-chain order), then the remaining columns
-     in ascending position order *)
-  let total_order ~arity ~cols order =
-    let prefix = match order with Some o -> o | None -> cols in
-    let present = Array.make (max 1 arity) false in
-    Array.iter (fun c -> present.(c) <- true) prefix;
-    let rest = ref [] in
-    for p = arity - 1 downto 0 do
-      if not present.(p) then rest := p :: !rest
-    done;
-    Array.append prefix (Array.of_list !rest)
+  (* total comparison order of an index: the given key (a signature, or
+     a possibly partial shared-chain order), then the remaining columns in
+     ascending position order *)
+  let total_order ~arity key =
+    let rest = List.filter (fun c -> not (Array.mem c key)) (List.init arity Fun.id) in
+    Array.append key (Array.of_list rest)
 
-  let make_btree ~hints ~arity ~cols ~order ~stats =
-    (* specialized tuple tree: inlined comparator; the comparison order is
-       either cols-major or an explicit shared-chain order *)
-    let order = total_order ~arity ~cols order in
+  (* The one bounded read of the ordered kinds: the tuples whose first
+     [Array.length prefix] columns of [order] equal [prefix], from one seek
+     of the least such tuple ([iter_from] on [scratch]) while they last. *)
+  let prefix_scan ~stats ~order ~iter ~iter_from scratch prefix f =
+    count_scan stats prefix;
+    let k = Array.length prefix in
+    if k = 0 then iter f
+    else begin
+      Array.fill scratch 0 (Array.length scratch) min_int;
+      for i = 0 to k - 1 do
+        scratch.(order.(i)) <- prefix.(i)
+      done;
+      iter_from
+        (fun (tup : int array) ->
+          let i = ref 0 in
+          while !i < k && tup.(order.(!i)) = prefix.(!i) do incr i done;
+          let inside = !i = k in
+          if inside then f tup;
+          inside)
+        scratch
+    end
+
+  let make_btree ~hints ~arity ~key ~stats =
+    (* specialized tuple tree: inlined comparator in the key's order *)
+    let order = total_order ~arity key in
     let tree = Btree_tuples.create ~arity ~order () in
     (* for hit-rate reporting: the hints of every live cursor's session,
        and the summed counters of the released ones — a resident index
@@ -105,24 +116,6 @@ module Index = struct
     let hint_registry = ref [] in
     let released = ref (0, 0) and released_runs = ref None in
     let registry_lock = Olock.Spin.create () in
-    let scan sess scratch ~cols bound f =
-      count_scan stats (Array.length cols);
-      if Array.length cols = 0 then Btree_tuples.iter f tree
-      else begin
-        Array.fill scratch 0 arity min_int;
-        Array.iteri (fun i c -> scratch.(c) <- bound.(i)) cols;
-        let keep tup =
-          if matches ~cols bound tup then begin
-            f tup;
-            true
-          end
-          else false
-        in
-        match sess with
-        | Some s -> Btree_tuples.s_iter_from keep s scratch
-        | None -> Btree_tuples.iter_from keep tree scratch
-      end
-    in
     let cursor () =
       (* each cursor is a per-domain access handle, so it owns a session
          (the hinted path); the no-hints ablation kind uses the raw
@@ -134,6 +127,12 @@ module Index = struct
             hint_registry := Btree_tuples.s_hints s :: !hint_registry)
       | None -> ());
       let scratch = Array.make (max 1 arity) 0 in
+      let iter f = Btree_tuples.iter f tree in
+      let iter_from =
+        match sess with
+        | Some s -> fun keep probe -> Btree_tuples.s_iter_from keep s probe
+        | None -> fun keep probe -> Btree_tuples.iter_from keep tree probe
+      in
       {
         c_insert =
           (fun tup ->
@@ -146,7 +145,7 @@ module Index = struct
             match sess with
             | Some s -> Btree_tuples.s_mem s tup
             | None -> Btree_tuples.mem tree tup);
-        c_scan = (fun ~cols bound f -> scan sess scratch ~cols bound f);
+        c_scan = (fun prefix f -> prefix_scan ~stats ~order ~iter ~iter_from scratch prefix f);
         c_release =
           (fun () ->
             match sess with
@@ -219,7 +218,7 @@ module Index = struct
             List.fold_left
               (fun acc hr -> merge_runs acc (Some (Btree_tuples.hint_run_hist hr)))
               !released_runs !hint_registry);
-      i_order = Some order;
+      i_key = order;
     }
 
   (* Sorted index over a thread-unsafe ordered set functor (rbtree,
@@ -232,27 +231,12 @@ module Index = struct
     val is_empty : t -> bool
   end
 
-  let make_sorted (module F : SORTED) ~arity ~cols ~order ~stats =
-    let order = total_order ~arity ~cols order in
+  let make_sorted (module F : SORTED) ~arity ~key ~stats =
+    let order = total_order ~arity key in
     let module K = (val ordered_key order) in
     let module T = F (K) in
     let tree = T.create () in
-    let scan scratch ~cols bound f =
-      count_scan stats (Array.length cols);
-      if Array.length cols = 0 then T.iter f tree
-      else begin
-        Array.fill scratch 0 arity min_int;
-        Array.iteri (fun i c -> scratch.(c) <- bound.(i)) cols;
-        T.iter_from
-          (fun tup ->
-            if matches ~cols bound tup then begin
-              f tup;
-              true
-            end
-            else false)
-          tree scratch
-      end
-    in
+    let iter f = T.iter f tree and iter_from keep probe = T.iter_from keep tree probe in
     let cursor () =
       let scratch = Array.make (max 1 arity) 0 in
       {
@@ -261,7 +245,7 @@ module Index = struct
           (fun tup ->
             count_mem stats;
             T.mem tree tup);
-        c_scan = scan scratch;
+        c_scan = (fun prefix f -> prefix_scan ~stats ~order ~iter ~iter_from scratch prefix f);
         c_release = ignore;
       }
     in
@@ -280,7 +264,7 @@ module Index = struct
       i_hint_counters = (fun () -> None);
       i_shape = (fun () -> None);
       i_hint_runs = (fun () -> None);
-      i_order = Some order;
+      i_key = order;
     }
 
   (* ---------------- hash kinds ---------------- *)
@@ -294,15 +278,15 @@ module Index = struct
 
   module Tuple_tbl = Hashtbl.Make (Tuple_hashed)
 
-  (* Hash index: the primary is the hash set [H] of tuples; a secondary is
-     a hash multimap from bound values to tuples.  The [concurrent]
-     instance (tbb) stripes the multimap over 64 spin-locked tables; the
-     sequential one (hashset) is a single unlocked table. *)
+  (* Hash index: with an empty key the hash set [H] of tuples (a
+     primary); otherwise a hash multimap from the key columns' values to
+     tuples.  The [concurrent] instance (tbb) stripes the multimap over 64
+     spin-locked tables; the sequential one (hashset) is a single unlocked
+     table. *)
   let make_hash (module H : Set_intf.S with type key = int array) ~concurrent
-      ~arity:_ ~cols ~order:_ ~stats =
-    let ncols = Array.length cols in
+      ~arity:_ ~key ~stats =
     let insert, mem, scan, iter, cardinal, is_empty =
-      if ncols = 0 then begin
+      if Array.length key = 0 then begin
         let set = H.create () in
         ( H.insert set,
           H.mem set,
@@ -325,7 +309,7 @@ module Index = struct
           if concurrent then stripes.(Tuple_hashed.hash k land (nstripes - 1))
           else stripes.(0)
         in
-        let key_of tup = Array.map (fun c -> tup.(c)) cols in
+        let key_of tup = Array.map (fun c -> tup.(c)) key in
         let bucket_of k =
           let _, tbl = stripe_of k in
           Tuple_tbl.find_opt tbl k
@@ -375,9 +359,11 @@ module Index = struct
             count_mem stats;
             mem tup);
         c_scan =
-          (fun ~cols:_ bound f ->
-            count_scan stats ncols;
-            scan bound f);
+          (fun prefix f ->
+            count_scan stats prefix;
+            if Array.length prefix = 0 then iter f
+            else if Array.length prefix = Array.length key then scan prefix f
+            else invalid_arg "Storage.Index.c_scan: a hash prefix is the whole key");
         c_release = ignore;
       }
     in
@@ -390,7 +376,7 @@ module Index = struct
       i_hint_counters = (fun () -> None);
       i_shape = (fun () -> None);
       i_hint_runs = (fun () -> None);
-      i_order = None;
+      i_key = key;
     }
 
   module Seq_hashset = struct
@@ -431,12 +417,7 @@ module Index = struct
     val thread_safe_insert : bool
     val shares_indexes : bool
 
-    val make :
-      arity:int ->
-      cols:int array ->
-      order:int array option ->
-      stats:Dl_stats.t option ->
-      t
+    val make : arity:int -> key:int array -> stats:Dl_stats.t option -> t
   end
 
   let backends : (module BACKEND) list =
@@ -494,38 +475,21 @@ module Index = struct
   let backend k =
     List.find (fun (module B : BACKEND) -> B.kind = k) backends
 
-  let create kind ~arity ~cols ?order ~stats () =
-    (match cols with
-    | [||] -> ()
-    | _ ->
-      let ok = ref true in
-      for i = 1 to Array.length cols - 1 do
-        if cols.(i - 1) >= cols.(i) then ok := false
-      done;
-      Array.iter (fun c -> if c < 0 || c >= arity then ok := false) cols;
-      if not !ok then invalid_arg "Storage.Index.create: bad signature");
-    (match order with
-    | None -> ()
-    | Some o ->
-      let seen = Array.make (max 1 arity) false in
-      Array.iter
-        (fun c ->
-          if c < 0 || c >= arity || seen.(c) then
-            invalid_arg "Storage.Index.create: bad order";
-          seen.(c) <- true)
-        o;
-      (* cols must be a prefix set of the order *)
-      let prefix = Array.sub o 0 (min (Array.length o) (Array.length cols)) in
-      let sp = List.sort Int.compare (Array.to_list prefix) in
-      if Array.length cols > Array.length o || sp <> Array.to_list cols then
-        invalid_arg "Storage.Index.create: cols not a prefix set of order");
+  let create kind ~arity ~key ~stats () =
+    let seen = Array.make (max 1 arity) false in
+    Array.iter
+      (fun c ->
+        if c < 0 || c >= arity || seen.(c) then
+          invalid_arg "Storage.Index.create: bad key";
+        seen.(c) <- true)
+      key;
     let (module B) = backend kind in
-    B.make ~arity ~cols ~order ~stats
+    B.make ~arity ~key ~stats
 
   let hint_counters t = t.i_hint_counters ()
   let shape t = t.i_shape ()
   let hint_runs t = t.i_hint_runs ()
-  let order t = t.i_order
+  let key t = t.i_key
   let is_empty t = t.i_is_empty ()
   let merge ?pool t tuples = t.i_merge pool tuples
   let iter t f = t.i_iter f
@@ -533,7 +497,7 @@ module Index = struct
   let cursor t = t.i_cursor ()
   let c_insert c tup = c.c_insert tup
   let c_mem c tup = c.c_mem tup
-  let c_scan c ~cols bound f = c.c_scan ~cols bound f
+  let c_scan c prefix f = c.c_scan prefix f
   let release c = c.c_release ()
 end
 

@@ -1,18 +1,18 @@
 (** Pluggable tuple storage for Datalog relations.
 
     A relation is represented by one or more {e indexes}.  Every index holds
-    the full tuples of its relation; an index with signature [cols] supports
-    enumerating all tuples whose values at the columns [cols] equal given
-    bound values (the access pattern of a join literal whose [cols] are bound
-    when it executes).  The primary index (empty signature) additionally
-    provides full-tuple membership, deduplicating insertion and whole-relation
-    scans.
+    the full tuples of its relation and is keyed on a sequence of columns,
+    its {!Index.key}; its one bounded read enumerates the tuples whose
+    first [k] key columns equal given values (the access pattern of a join
+    literal whose columns are bound when it executes).  A relation's
+    primary index additionally provides full-tuple membership,
+    deduplicating insertion and whole-relation scans.
 
-    Ordered storage kinds implement signature scans with a tree ordered by
-    [cols]-major lexicographic comparison (lower_bound + in-order scan —
-    exactly the paper's B-tree usage); hash-based kinds implement them with a
-    hash multimap from bound values to tuples, since hashes cannot perform
-    ordered range scans (footnote in DESIGN.md).
+    Ordered storage kinds keep a tree ordered lexicographically by the key
+    and serve any key prefix (lower_bound + in-order scan — exactly the
+    paper's B-tree usage); hash-based kinds keep a hash multimap from the
+    key's values to tuples, which serves the whole key only, since hashes
+    cannot perform ordered range scans (footnote in DESIGN.md).
 
     Thread-safety contract, matching the two-phase discipline of parallel
     semi-naive evaluation: a cursor's [c_insert] must be safe against
@@ -44,8 +44,8 @@ val thread_safe_insert : kind -> bool
 
 val shares_indexes : kind -> bool
 (** Whether one physical index can serve every signature on a containment
-    chain (tree kinds, via an explicit [order]); hash multimaps serve
-    exactly one signature each.
+    chain (tree kinds, through the prefixes of their key); hash multimaps
+    serve exactly one signature each.
 
     All per-kind metadata ([kind_name], {!kind_choices},
     {!thread_safe_insert}, this) is answered by one internal backend table
@@ -59,23 +59,14 @@ module Index : sig
   type t
 
   val create :
-    kind ->
-    arity:int ->
-    cols:int array ->
-    ?order:int array ->
-    stats:Dl_stats.t option ->
-    unit ->
-    t
-  (** [cols] is the signature: strictly increasing column indices, possibly
-      empty (primary).  When [stats] is given, operations count into it.
-
-      [order], accepted by the ordered (tree) kinds, overrides the index's
-      comparison order with an explicit column permutation; it must contain
-      [cols] within its prefix.  This is how several signatures forming a
-      containment chain share one physical index ({!Index_selection}): any
-      signature whose columns form a prefix set of [order] can be scanned on
-      this index.  Hash kinds ignore [order] (a hash multimap serves exactly
-      one signature). *)
+    kind -> arity:int -> key:int array -> stats:Dl_stats.t option -> unit -> t
+  (** [key] lists distinct columns, possibly none.  The ordered kinds sort
+      by [key] and then the remaining columns in ascending position, so
+      signatures forming a containment chain share one physical index
+      ({!Index_selection}); the hash kinds build a hash set of tuples for
+      an empty [key] (a primary) and a multimap on the [key] columns
+      otherwise.  When [stats] is given, operations count into it.
+      @raise Invalid_argument on a repeated or out-of-range column. *)
 
   val merge : ?pool:Pool.t -> t -> int array array -> int
   (** [merge ?pool t tuples] inserts an {e unsorted} tuple array.  Every
@@ -107,12 +98,14 @@ module Index : sig
   val c_insert : cursor -> int array -> bool
   val c_mem : cursor -> int array -> bool
 
-  val c_scan : cursor -> cols:int array -> int array -> (int array -> unit) -> unit
-  (** [c_scan cur ~cols bound f] calls [f] on every tuple whose columns
-      [cols] equal [bound] (same length, in [cols] order).  [cols] must be
-      the index's own signature for hash kinds, and any prefix set of the
-      index's order for tree kinds.  With empty [cols] this is a full
-      scan. *)
+  val c_scan : cursor -> int array -> (int array -> unit) -> unit
+  (** [c_scan cur prefix f] calls [f] on every tuple whose first
+      [Array.length prefix] {!key} columns equal [prefix], in the index's
+      order on the ordered kinds (one lower-bound descent and a scan that
+      stops at the first tuple past the prefix).  An empty [prefix] scans
+      every tuple; a non-empty one counts one lower and one upper bound.
+      @raise Invalid_argument on a hash kind when [prefix] is neither
+      empty nor the whole key. *)
 
   val release : cursor -> unit
   (** Done with the cursor: its hint counters fold into the index's
@@ -134,12 +127,11 @@ module Index : sig
       over every cursor ever created on this index; [None] for unhinted
       kinds or when no cursor was created. *)
 
-  val order : t -> int array option
-  (** The index's total comparison order — a permutation of the columns
-      whose every prefix set is a valid [~cols] for {!c_scan} — for the
-      ordered kinds; [None] for hash kinds.  The primary's order is the
-      identity; a secondary's is its signature or shared-chain order
-      extended by the remaining columns in ascending position. *)
+  val key : t -> int array
+  (** The columns {!c_scan}'s prefix runs over: on the ordered kinds the
+      total comparison order, the [key] given to {!create} extended by the
+      remaining columns in ascending position; on the hash kinds the
+      [key] itself. *)
 
   val merge_runs : int array option -> int array option -> int array option
   (** Element-wise sum of two optional {!hint_runs} histograms. *)
